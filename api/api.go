@@ -304,6 +304,10 @@ type JobStats struct {
 	// RewarmedResults counts result-cache entries restored from the
 	// store's journal at startup (durable serving only).
 	RewarmedResults int64 `json:"rewarmed_results,omitempty"`
+	// JournalErrors counts finished job results the store's journal
+	// failed to persist (durable serving only). Such a result is still
+	// served and cached; it just will not be rewarmed after a restart.
+	JournalErrors int64 `json:"journal_errors,omitempty"`
 }
 
 // StoreStats describes the netlist registry's memory state.
@@ -313,10 +317,11 @@ type StoreStats struct {
 	PinsLoaded int64 `json:"pins_loaded"` // Σ pins of loaded netlists
 	PinBudget  int64 `json:"pin_budget"`  // eviction threshold; 0 = unlimited
 	Evictions  int64 `json:"evictions"`   // cumulative
-	// EngineBytes estimates the memory retained by the registry's
-	// finder engines beyond the netlists themselves: pooled per-worker
-	// scratch plus cached coarsening hierarchies — the footprint the
-	// pin budget alone does not see.
+	// EngineBytes estimates the engine memory the pin budget does not
+	// see: the cached coarsening hierarchies (and relabel shadows) of
+	// the resident netlists' engines, plus the idle per-worker scratch
+	// of the process-wide engine pool they all share — at most
+	// GOMAXPROCS states, counted once.
 	EngineBytes int64 `json:"engine_bytes"`
 	// Durable reports whether the registry runs on a persistent
 	// backend (gtlserved -data-dir): ingested payloads, delta lineage

@@ -372,12 +372,13 @@ func BenchmarkIncremental_DeltaVsFull(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// Engine reuse — the allocation win of the pooled Finder. Each pair
-// runs the identical workload twice per iteration: the Cold variant
-// through the one-shot compatibility wrapper (fresh worker state both
-// times), the Reused variant through one long-lived Finder whose
-// pooled growers/evaluators/ordering buffers survive across runs.
-// Compare allocs/op between the pairs.
+// Engine reuse. Each pair runs the identical workload twice per
+// iteration: the Cold variant through the one-shot compatibility
+// wrapper (a new engine per run), the Reused variant through one
+// long-lived Finder. Growers, evaluators and ordering buffers come
+// from the process-wide worker-state pool either way, so the pairs
+// differ only in what an engine itself builds and caches. Compare
+// allocs/op between the pairs.
 // ---------------------------------------------------------------------
 
 func engineBenchTable1(b *testing.B) (*netlist.Netlist, core.Options) {
@@ -430,7 +431,8 @@ func benchEngineReused(b *testing.B, nl *netlist.Netlist, opt core.Options) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
-	// Warm the pool so steady-state reuse is what gets measured.
+	// Warm the engine and the shared pool so steady-state reuse is what
+	// gets measured.
 	if _, err := f.Find(ctx, opt); err != nil {
 		b.Fatal(err)
 	}

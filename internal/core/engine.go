@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 	"unsafe"
+	"weak"
 
 	"tanglefind/internal/ds"
 	"tanglefind/internal/group"
@@ -40,21 +41,24 @@ type Progress struct {
 type ProgressFunc func(Progress)
 
 // Finder is a long-lived tangled-logic engine over one netlist.
-// Construct it once with NewFinder and run it many times: per-worker
-// growth and evaluation state (frontier arrays, trackers, ordering and
-// curve buffers) is pooled across runs, so repeated runs allocate far
-// less than repeated one-shot Find calls.
+// Construct it once with NewFinder and run it many times: cached
+// multilevel hierarchies and the relabel shadow are built once per
+// engine, and per-worker growth and evaluation state (frontier arrays,
+// trackers, ordering and curve buffers) is drawn from one process-wide
+// pool shared by every engine, so repeated runs allocate far less than
+// repeated one-shot Find calls.
 //
-// The pool is bounded: at most PoolCap idle worker states (default
-// GOMAXPROCS at construction time) are retained between runs, each
-// O(NumCells) bytes, and TrimPool drops them all — so a serving layer
-// holding many engines can both cap and reclaim idle engine memory,
-// and MemoryEstimate reports the engine's current retained footprint.
+// The pool holds at most GOMAXPROCS idle worker states, whatever the
+// number of engines alive; a state handed to an engine over a
+// different netlist is resized to that netlist and reset. An engine
+// therefore retains no scratch of its own between runs, and
+// MemoryEstimate reports only what it caches (PooledScratchBytes
+// reports the pool).
 //
-// Finder is safe for concurrent use; concurrent runs draw from the same
-// worker-state pool. Results are deterministic for a fixed
-// Options.RandSeed regardless of scheduling, worker count, or whether a
-// run executes whole (Find) or as shards (FindShard + Merge).
+// Finder is safe for concurrent use. Results are deterministic for a
+// fixed Options.RandSeed regardless of scheduling, worker count, which
+// pooled state a worker draws, or whether a run executes whole (Find)
+// or as shards (FindShard + Merge).
 type Finder struct {
 	nl *netlist.Netlist
 	aG float64
@@ -69,10 +73,6 @@ type Finder struct {
 	// absorb loop (see addCellBaseline); toggled by SetBaselineGrowth.
 	baseline atomic.Bool
 
-	poolMu  sync.Mutex
-	free    []*workerState // idle states; len <= poolCap
-	poolCap int
-
 	mlMu    sync.Mutex
 	ml      map[mlKey]*mlEntry // cached hierarchies + per-level sub-engines
 	mlOrder []mlKey            // insertion order, for bounded eviction
@@ -83,10 +83,15 @@ type Finder struct {
 
 // workerState is the reusable per-worker scratch: one Phase I grower
 // and one set evaluator. Not safe for concurrent use; each worker
-// borrows one from the pool for the duration of a run.
+// borrows one from the process-wide pool for the duration of a run.
 type workerState struct {
 	gr *grower
 	ev *group.Evaluator
+	// last is the netlist the state's arrays were last sized and reset
+	// for, held weakly so an idle state never keeps a netlist
+	// reachable: a state drawn again for the same netlist skips the
+	// O(cells + nets) rebind (see bind).
+	last weak.Pointer[netlist.Netlist]
 }
 
 // memoryFootprint estimates the state's retained bytes from the actual
@@ -114,38 +119,81 @@ func (ws *workerState) memoryFootprint() int64 {
 	return b
 }
 
+// bind readies the state for a run over nl. A state last bound to nl
+// only gets its netlist references back: every growth resets the
+// tracker state it starts from and frontier entries are epoch-stamped,
+// so its arrays still describe nl. Any other state is rebound: every
+// per-cell and per-net array is resized to nl, reusing its storage
+// when large enough, so per-growth resets stay O(nl) however large a
+// netlist the state served before.
+func (ws *workerState) bind(nl *netlist.Netlist) {
+	if ws.last.Value() == nl {
+		ws.gr.attach(nl)
+		ws.ev.Attach(nl)
+		return
+	}
+	ws.gr.rebind(nl)
+	ws.ev.Rebind(nl)
+	ws.last = weak.Make(nl)
+}
+
+// idle is the process-wide free list of worker states, the pool every
+// engine's acquire and release go through. It holds at most GOMAXPROCS
+// states — one per core that can run a worker — so idle engine scratch
+// is bounded by the machine rather than by the number of engines a
+// serving process keeps alive.
+var idle struct {
+	mu   sync.Mutex
+	free []*workerState
+}
+
+// takeIdle pops a pooled state, preferring one last bound to nl so a
+// repeated run skips the rebind; nil when the pool is empty.
+func takeIdle(nl *netlist.Netlist) *workerState {
+	idle.mu.Lock()
+	defer idle.mu.Unlock()
+	n := len(idle.free)
+	if n == 0 {
+		return nil
+	}
+	k := n - 1
+	for i, ws := range idle.free {
+		if ws.last.Value() == nl {
+			k = i
+			break
+		}
+	}
+	ws := idle.free[k]
+	idle.free[k] = idle.free[n-1]
+	idle.free[n-1] = nil // release the reference, not just the slot
+	idle.free = idle.free[:n-1]
+	return ws
+}
+
+// PooledScratchBytes reports the retained bytes of the idle worker
+// states in the process-wide pool. States borrowed by in-flight runs
+// are not counted.
+func PooledScratchBytes() int64 {
+	idle.mu.Lock()
+	defer idle.mu.Unlock()
+	var b int64
+	for _, ws := range idle.free {
+		b += ws.memoryFootprint()
+	}
+	return b
+}
+
 // NewFinder constructs an engine over nl. The netlist must be non-empty
 // and must not be mutated while the engine is in use.
 func NewFinder(nl *netlist.Netlist) (*Finder, error) {
 	if nl == nil || nl.NumCells() == 0 {
 		return nil, fmt.Errorf("core: empty netlist")
 	}
-	return &Finder{nl: nl, aG: nl.AvgPins(), poolCap: runtime.GOMAXPROCS(0)}, nil
+	return &Finder{nl: nl, aG: nl.AvgPins()}, nil
 }
 
 // Netlist returns the netlist the engine operates on.
 func (f *Finder) Netlist() *netlist.Netlist { return f.nl }
-
-// SetPoolCap bounds how many idle worker states the engine retains
-// between runs (n <= 0 means retain none). Worker states in active use
-// are unaffected — the cap only limits what release keeps. Lowering
-// the cap drops the excess immediately.
-func (f *Finder) SetPoolCap(n int) {
-	f.poolMu.Lock()
-	f.poolCap = n
-	if n < 0 {
-		n = 0
-	}
-	for len(f.free) > n {
-		f.free[len(f.free)-1] = nil // release the reference, not just the slot
-		f.free = f.free[:len(f.free)-1]
-	}
-	f.poolMu.Unlock()
-	f.forEachSubFinder(func(sub *Finder) { sub.SetPoolCap(n) })
-	if sh := f.shadowIfBuilt(); sh != nil {
-		sh.pf.SetPoolCap(n)
-	}
-}
 
 // shadowIfBuilt returns the relabel shadow without building one.
 func (f *Finder) shadowIfBuilt() *shadowState {
@@ -154,38 +202,13 @@ func (f *Finder) shadowIfBuilt() *shadowState {
 	return f.sh
 }
 
-// TrimPool drops every idle pooled worker state, in this engine and in
-// the per-level sub-engines of any cached multilevel hierarchies.
-// In-flight runs are unaffected; the next run re-allocates lazily.
-func (f *Finder) TrimPool() {
-	f.poolMu.Lock()
-	f.free = nil
-	f.poolMu.Unlock()
-	f.forEachSubFinder(func(sub *Finder) { sub.TrimPool() })
-	if sh := f.shadowIfBuilt(); sh != nil {
-		sh.pf.TrimPool()
-	}
-}
-
-// PooledStates returns the number of idle worker states currently
-// retained (excluding sub-engines).
-func (f *Finder) PooledStates() int {
-	f.poolMu.Lock()
-	defer f.poolMu.Unlock()
-	return len(f.free)
-}
-
-// MemoryEstimate reports the engine's retained memory in bytes: idle
-// pooled worker states plus, for cached multilevel hierarchies, the
-// coarse netlists and their sub-engines' pools. The netlist itself and
-// states borrowed by in-flight runs are not counted.
+// MemoryEstimate reports the memory the engine caches in bytes: the
+// coarse netlists of cached multilevel hierarchies and the relabel
+// shadow. The netlist itself and worker scratch — idle in the shared
+// pool (PooledScratchBytes) or borrowed by in-flight runs — are not
+// counted.
 func (f *Finder) MemoryEstimate() int64 {
-	f.poolMu.Lock()
 	var b int64
-	for _, ws := range f.free {
-		b += ws.memoryFootprint()
-	}
-	f.poolMu.Unlock()
 	for _, s := range f.mlStates() {
 		for l := 1; l < s.hier.NumLevels(); l++ {
 			b += s.hier.Level(l).MemoryFootprint()
@@ -221,23 +244,19 @@ func (f *Finder) forEachSubFinder(fn func(*Finder)) {
 	}
 }
 
+// acquire draws a worker state from the shared pool (allocating one
+// when it is empty) and binds it to this engine's netlist and the
+// run's options.
 func (f *Finder) acquire(opt *Options) *workerState {
-	f.poolMu.Lock()
-	var ws *workerState
-	if n := len(f.free); n > 0 {
-		ws = f.free[n-1]
-		f.free = f.free[:n-1]
-	}
-	f.poolMu.Unlock()
+	ws := takeIdle(f.nl)
 	if ws == nil {
-		ws = &workerState{gr: newGrower(f.nl), ev: group.NewEvaluator(f.nl)}
+		ws = &workerState{gr: newGrower(f.nl), ev: group.NewEvaluator(f.nl), last: weak.Make(f.nl)}
 	}
+	ws.bind(f.nl)
 	ws.gr.opt = opt
 	ws.gr.phases = phaseAcc{}
 	ws.gr.timed = !stageTimingOff.Load()
-	ws.gr.rank = f.rank
-	ws.gr.heap.SetRank(f.rank)
-	ws.gr.bheap.rank = f.rank
+	ws.gr.setRank(f.rank)
 	ws.gr.baseline = f.baseline.Load()
 	return ws
 }
@@ -257,13 +276,20 @@ func (f *Finder) SetBaselineGrowth(on bool) {
 	}
 }
 
+// release returns a worker state to the shared pool, first dropping
+// every reference into this engine — options, relabel rank, netlist —
+// so an idle state keeps no engine reachable. A full pool drops the
+// state instead.
 func (f *Finder) release(ws *workerState) {
 	ws.gr.opt = nil
-	f.poolMu.Lock()
-	if len(f.free) < f.poolCap {
-		f.free = append(f.free, ws)
+	ws.gr.setRank(nil)
+	ws.gr.attach(nil)
+	ws.ev.Attach(nil)
+	idle.mu.Lock()
+	if len(idle.free) < runtime.GOMAXPROCS(0) {
+		idle.free = append(idle.free, ws)
 	}
-	f.poolMu.Unlock()
+	idle.mu.Unlock()
 }
 
 // seedPlan is the deterministic seed schedule of one run: the seed cell

@@ -42,8 +42,8 @@ const maxHierarchies = 4
 
 // mlState caches a built hierarchy plus one sub-engine per coarse
 // level, so repeated multilevel runs over one netlist pay the
-// coarsening cost once and reuse pooled per-worker state at every
-// level, exactly like flat runs reuse the finest-level pool.
+// coarsening cost once. Sub-engines draw their worker states from the
+// shared pool like any other engine.
 type mlState struct {
 	hier    *netlist.Hierarchy
 	finders []*Finder // finders[0] is the owning engine itself
@@ -51,7 +51,7 @@ type mlState struct {
 
 // mlEntry is one cache slot: the build runs under the entry's Once —
 // outside the cache mutex — so a multi-second coarsening of a large
-// netlist never blocks readers like MemoryEstimate or TrimPool, while
+// netlist never blocks readers like MemoryEstimate, while
 // concurrent runs with the same configuration still build only once.
 type mlEntry struct {
 	once sync.Once
@@ -100,7 +100,7 @@ func (f *Finder) multilevelState(opt *Options) (*mlState, error) {
 	e.once.Do(func() {
 		s, err := f.buildMLState(opt)
 		// Publish under the cache mutex so concurrent snapshot readers
-		// (MemoryEstimate, TrimPool) see a consistent entry; waiters on
+		// (MemoryEstimate) see a consistent entry; waiters on
 		// the Once itself are ordered by its happens-before edge.
 		f.mlMu.Lock()
 		e.s, e.err = s, err
@@ -121,17 +121,11 @@ func (f *Finder) buildMLState(opt *Options) (*mlState, error) {
 	}
 	s := &mlState{hier: h, finders: make([]*Finder, h.NumLevels())}
 	s.finders[0] = f
-	f.poolMu.Lock()
-	cap := f.poolCap
-	f.poolMu.Unlock()
 	for l := 1; l < h.NumLevels(); l++ {
 		sub, err := NewFinder(h.Level(l))
 		if err != nil {
 			return nil, fmt.Errorf("core: level %d engine: %w", l, err)
 		}
-		// Sub-engines inherit the owner's current pool bound, so a
-		// SetPoolCap issued before the hierarchy existed still holds.
-		sub.SetPoolCap(cap)
 		s.finders[l] = sub
 	}
 	return s, nil

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"tanglefind/internal/generate"
@@ -228,90 +230,82 @@ func TestMultilevelTinyNetlistFallsBack(t *testing.T) {
 	}
 }
 
-// TestPoolCapAndTrim covers the bounded worker-state pool: the engine
-// must retain at most PoolCap idle states, SetPoolCap(0) and TrimPool
-// must drop them, and MemoryEstimate must track what is retained.
-func TestPoolCapAndTrim(t *testing.T) {
-	rg, err := generate.NewRandomGraph(generate.RandomGraphSpec{
-		Cells:  6000,
-		Blocks: []generate.BlockSpec{{Size: 400}},
-		Seed:   3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := NewFinder(rg.Netlist)
-	if err != nil {
-		t.Fatal(err)
+// TestSharedPoolBound covers the process-wide worker-state pool:
+// however many engines run at once and however many workers each asks
+// for, at most GOMAXPROCS idle states are retained afterwards; engines
+// themselves retain no scratch (MemoryEstimate counts only cached
+// hierarchies); and pool churn across netlists never changes results.
+func TestSharedPoolBound(t *testing.T) {
+	var finders []*Finder
+	for i, cells := range []int{6000, 2500, 9000} {
+		rg, err := generate.NewRandomGraph(generate.RandomGraphSpec{
+			Cells:  cells,
+			Blocks: []generate.BlockSpec{{Size: 400}},
+			Seed:   uint64(3 + i),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := NewFinder(rg.Netlist)
+		if err != nil {
+			t.Fatal(err)
+		}
+		finders = append(finders, f)
 	}
 	opt := DefaultOptions()
 	opt.Seeds = 16
 	opt.MaxOrderLen = 1200
 	opt.Workers = 4
-	if _, err := f.Find(context.Background(), opt); err != nil {
-		t.Fatal(err)
-	}
-	if n := f.PooledStates(); n == 0 {
-		t.Fatal("no worker states pooled after a run")
-	}
-	if b := f.MemoryEstimate(); b <= 0 {
-		t.Errorf("MemoryEstimate = %d after a pooled run; want positive", b)
-	}
-
-	f.SetPoolCap(1)
-	if n := f.PooledStates(); n > 1 {
-		t.Errorf("pool holds %d states after SetPoolCap(1)", n)
-	}
-	if _, err := f.Find(context.Background(), opt); err != nil {
-		t.Fatal(err)
-	}
-	if n := f.PooledStates(); n > 1 {
-		t.Errorf("pool refilled past cap: %d states", n)
-	}
-
-	f.TrimPool()
-	if n := f.PooledStates(); n != 0 {
-		t.Errorf("pool holds %d states after TrimPool", n)
-	}
-	if b := f.MemoryEstimate(); b != 0 {
-		t.Errorf("MemoryEstimate = %d after TrimPool; want 0", b)
-	}
-
-	// A multilevel run builds sub-engines; the trim and the estimate
-	// must reach them too.
-	f.SetPoolCap(2)
 	mlOpt := opt
 	mlOpt.Levels = 2
 	mlOpt.MinCoarseCells = 500
-	if _, err := f.Find(context.Background(), mlOpt); err != nil {
-		t.Fatal(err)
+
+	want := make([]uint64, len(finders))
+	for i, f := range finders {
+		res, err := f.Find(context.Background(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = gtlHash(res)
 	}
-	if b := f.MemoryEstimate(); b <= 0 {
-		t.Errorf("MemoryEstimate = %d after a multilevel run; want positive (hierarchy retained)", b)
-	}
-	f.TrimPool()
-	if n := f.PooledStates(); n != 0 {
-		t.Errorf("finest pool holds %d states after TrimPool", n)
-	}
-	// The hierarchy's coarse netlists stay cached (rebuilding them per
-	// run would defeat the engine), so the estimate stays positive but
-	// must shrink once the pools are gone.
-	afterTrim := f.MemoryEstimate()
-	if afterTrim <= 0 {
-		t.Errorf("MemoryEstimate = %d after multilevel trim; hierarchy bytes should remain", afterTrim)
+	if b := finders[0].MemoryEstimate(); b != 0 {
+		t.Errorf("flat engine MemoryEstimate = %d; want 0 (scratch lives in the shared pool)", b)
 	}
 
-	// Results must be unaffected by pool churn.
-	res1, err := f.Find(context.Background(), opt)
-	if err != nil {
-		t.Fatal(err)
+	var wg sync.WaitGroup
+	for round := 0; round < 2; round++ {
+		for i, f := range finders {
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				res, err := f.Find(context.Background(), opt)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := gtlHash(res); got != want[i] {
+					t.Errorf("engine %d: result changed under pool churn", i)
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				if _, err := f.Find(context.Background(), mlOpt); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		idle.mu.Lock()
+		n := len(idle.free)
+		idle.mu.Unlock()
+		if n > runtime.GOMAXPROCS(0) {
+			t.Fatalf("shared pool holds %d idle states, want at most GOMAXPROCS=%d", n, runtime.GOMAXPROCS(0))
+		}
+		if n == 0 || PooledScratchBytes() <= 0 {
+			t.Fatalf("shared pool empty after runs (%d states, %d bytes)", n, PooledScratchBytes())
+		}
 	}
-	f.TrimPool()
-	res2, err := f.Find(context.Background(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gtlHash(res1) != gtlHash(res2) {
-		t.Error("pool trimming changed results")
+	if b := finders[0].MemoryEstimate(); b <= 0 {
+		t.Errorf("MemoryEstimate = %d after a multilevel run; want positive (hierarchy retained)", b)
 	}
 }

@@ -184,6 +184,50 @@ func newGrower(nl *netlist.Netlist) *grower {
 	return g
 }
 
+// rebind points the grower at a different netlist: the tracker is
+// re-initialized for nl, the per-cell frontier and per-net outside-pin
+// arrays are resliced to nl's size (reallocated only when their
+// storage is too small), and the lazily built baseline tracker, sized
+// for the old netlist, is dropped. Entries left over from earlier
+// netlists need no clearing: their stamps hold past epochs, and the
+// next growth bumps the epoch before reading any of them.
+func (g *grower) rebind(nl *netlist.Netlist) {
+	g.nl = nl
+	g.tracker.Rebind(nl)
+	g.front = resized(g.front, nl.NumCells())
+	g.outs = resized(g.outs, nl.NumNets())
+	g.btracker = nil
+}
+
+// attach swaps the grower's netlist references without touching its
+// arrays: nil detaches an idle grower so it keeps no netlist
+// reachable, and re-attaching the netlist of the last rebind resumes
+// it.
+func (g *grower) attach(nl *netlist.Netlist) {
+	g.nl = nl
+	g.tracker.Attach(nl)
+	if g.btracker != nil {
+		g.btracker.nl = nl
+	}
+}
+
+// setRank installs (or, with nil, clears) a relabel shadow's rank map
+// in the grower and both heaps.
+func (g *grower) setRank(rank []int32) {
+	g.rank = rank
+	g.heap.SetRank(rank)
+	g.bheap.rank = rank
+}
+
+// resized returns s with length n, reusing its storage when it is
+// large enough.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 func (g *grower) reset() {
 	g.tracker.Reset()
 	g.heap.Reset()
@@ -197,13 +241,14 @@ func (g *grower) reset() {
 
 // bumpEpoch invalidates every frontier entry and outside-pin list in
 // O(1). On the (once per 2^23 growths) wraparound both arrays are
-// cleared so stale stamps from eight million growths ago cannot alias
-// the fresh epoch.
+// cleared to their full capacity — a later rebind may reslice past the
+// current length — so stale stamps from eight million growths ago
+// cannot alias the fresh epoch.
 func (g *grower) bumpEpoch() {
 	g.epoch++
 	if g.epoch > epochMask {
-		clear(g.front)
-		clear(g.outs)
+		clear(g.front[:cap(g.front)])
+		clear(g.outs[:cap(g.outs)])
 		g.epoch = 1
 	}
 }

@@ -67,16 +67,13 @@ func (f *Finder) shadow() (*shadowState, error) {
 	}
 	pf.rank = sh.rank
 	pf.baseline.Store(f.baseline.Load())
-	f.poolMu.Lock()
-	pf.poolCap = f.poolCap
-	f.poolMu.Unlock()
 	f.sh = sh
 	return sh, nil
 }
 
 // shadowMemoryEstimate reports the retained bytes of the relabel
 // shadow, if one has been built: the permuted netlist, both id maps
-// and the shadow engine's own pools.
+// and whatever the shadow engine itself caches.
 func (f *Finder) shadowMemoryEstimate() int64 {
 	f.shMu.Lock()
 	sh := f.sh

@@ -31,8 +31,26 @@ func (b *Bitset) Grow(capacity int) {
 	}
 }
 
+// Resize empties the set and sets its capacity to exactly capacity
+// values, reusing the existing storage when it is large enough — so a
+// later Clear costs O(capacity), not O(the largest capacity ever held).
+func (b *Bitset) Resize(capacity int) {
+	need := (capacity + 63) / 64
+	if need > cap(b.words) {
+		b.words = make([]uint64, need)
+	} else {
+		b.words = b.words[:need]
+		clear(b.words)
+	}
+	b.n = 0
+}
+
 // Capacity reports the number of values the bitset can hold.
 func (b *Bitset) Capacity() int { return len(b.words) * 64 }
+
+// Bytes reports the bitset's retained storage, including capacity
+// beyond Capacity that Resize kept for reuse.
+func (b *Bitset) Bytes() int64 { return int64(cap(b.words)) * 8 }
 
 // Add inserts v. It reports whether v was newly added.
 func (b *Bitset) Add(v int) bool {

@@ -53,8 +53,7 @@ func Ablation(ctx context.Context, cfg Config, w io.Writer) ([]AblationRow, erro
 		{"big-net skip off", func(o *core.Options) { o.BigNetSkip = 0 }},
 	}
 	// One engine serves every variant: the ablation sweep is exactly the
-	// repeated-run-over-one-netlist shape the pooled worker state exists
-	// for.
+	// repeated-run-over-one-netlist shape engine reuse exists for.
 	finder, err := core.NewFinder(rg.Netlist)
 	if err != nil {
 		return nil, err

@@ -170,17 +170,35 @@ type Evaluator struct {
 
 // NewEvaluator returns an evaluator over nl.
 func NewEvaluator(nl *netlist.Netlist) *Evaluator {
-	return &Evaluator{
-		nl:      nl,
-		in:      ds.NewBitset(nl.NumCells()),
-		netSeen: make([]int32, nl.NumNets()),
-	}
+	e := &Evaluator{in: &ds.Bitset{}}
+	e.Rebind(nl)
+	return e
 }
+
+// Rebind points the evaluator at nl, resizing its per-cell and per-net
+// scratch to nl and reusing the storage when it is large enough. Net
+// stamps only ever grow, so entries left over from an earlier netlist
+// are already stale and need no clearing.
+func (e *Evaluator) Rebind(nl *netlist.Netlist) {
+	e.nl = nl
+	e.in.Resize(nl.NumCells())
+	nets := nl.NumNets()
+	if cap(e.netSeen) < nets {
+		e.netSeen = make([]int32, nets)
+	}
+	e.netSeen = e.netSeen[:nets]
+}
+
+// Attach swaps the evaluator's netlist reference without touching its
+// scratch: nil detaches an idle evaluator so it does not keep its
+// netlist reachable, and re-attaching the netlist of the last Rebind
+// resumes it. Any other netlist needs Rebind.
+func (e *Evaluator) Attach(nl *netlist.Netlist) { e.nl = nl }
 
 // MemoryFootprint returns the evaluator's retained bytes, for engine
 // memory accounting.
 func (e *Evaluator) MemoryFootprint() int64 {
-	return int64(e.in.Capacity())/8 + int64(cap(e.netSeen))*4
+	return e.in.Bytes() + int64(cap(e.netSeen))*4
 }
 
 // Eval computes the Set value (cut and pins) for the given members.

@@ -72,16 +72,37 @@ func initialState(sz int) int32 {
 
 // NewTracker returns an empty tracker over nl.
 func NewTracker(nl *netlist.Netlist) *Tracker {
-	t := &Tracker{
-		nl:    nl,
-		in:    ds.NewBitset(nl.NumCells()),
-		state: make([]int32, nl.NumNets()),
+	t := &Tracker{in: &ds.Bitset{}}
+	t.Rebind(nl)
+	return t
+}
+
+// Rebind empties the tracker and points it at nl: the membership
+// bitset and per-net state are resized to nl, reusing their storage
+// when it is large enough, and every net's state is re-initialized
+// from its size — O(cells/64 + nets).
+func (t *Tracker) Rebind(nl *netlist.Netlist) {
+	t.nl = nl
+	t.in.Resize(nl.NumCells())
+	nets := nl.NumNets()
+	if cap(t.state) < nets {
+		t.state = make([]int32, nets)
 	}
+	t.state = t.state[:nets]
 	for n := range t.state {
 		t.state[n] = initialState(nl.NetSize(netlist.NetID(n)))
 	}
-	return t
+	t.touched = t.touched[:0]
+	t.members = t.members[:0]
+	t.cut = 0
+	t.pins = 0
 }
+
+// Attach swaps the tracker's netlist reference without touching its
+// arrays. Attach(nil) detaches an idle tracker so it does not keep its
+// netlist reachable; re-attaching the netlist of the last Rebind
+// resumes it. Any other netlist needs Rebind.
+func (t *Tracker) Attach(nl *netlist.Netlist) { t.nl = nl }
 
 // Reset empties the group, retaining all allocations.
 func (t *Tracker) Reset() {
@@ -102,7 +123,7 @@ func (t *Tracker) Netlist() *netlist.Netlist { return t.nl }
 // bitset, per-net pin counts and scratch capacity), for engine memory
 // accounting.
 func (t *Tracker) MemoryFootprint() int64 {
-	return int64(t.in.Capacity())/8 + int64(cap(t.state))*4 +
+	return t.in.Bytes() + int64(cap(t.state))*4 +
 		int64(cap(t.touched))*4 + int64(cap(t.members))*4 +
 		int64(cap(t.absorb))*4
 }

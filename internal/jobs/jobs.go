@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -256,6 +257,7 @@ func (m *Manager) registerMetrics() {
 	seedsStolen := reg.Counter("gtl_parallel_seeds_stolen_total", "Seeds migrated between engine workers by the work-stealing scheduler.")
 	coalesced := reg.Counter("gtl_jobs_coalesced_total", "Submissions attached as followers of an identical in-flight job (one engine run serves the whole group).")
 	rewarmed := reg.Counter("gtl_job_results_rewarmed_total", "Result-cache entries restored from the store journal at startup.")
+	journalErrs := reg.Counter("gtl_job_journal_errors_total", "Finished job results the store journal failed to persist: still served and cached, but lost on restart.")
 	queueDepth := reg.Gauge("gtl_jobs_queue_depth", "Jobs accepted but not yet picked up by a worker.")
 	queued := reg.Gauge("gtl_jobs_queued", "Jobs currently in the queued state.")
 	running := reg.Gauge("gtl_jobs_running", "Jobs currently running.")
@@ -275,6 +277,7 @@ func (m *Manager) registerMetrics() {
 		seedsStolen.Set(float64(st.ParallelSeedsStolen))
 		coalesced.Set(float64(st.CoalescedJobs))
 		rewarmed.Set(float64(st.RewarmedResults))
+		journalErrs.Set(float64(st.JournalErrors))
 		queueDepth.Set(float64(st.QueueDepth))
 		queued.Set(float64(st.Queued))
 		running.Set(float64(st.Running))
@@ -302,15 +305,10 @@ type Job struct {
 	maxPins  int
 	timeout  time.Duration
 	cacheKey string
-	finder   *tanglefind.Finder
-	// Incremental jobs resolve their lineage at submit time; the
-	// parent's recorded state is looked up at run time (it may still
-	// be computing when the job is queued).
-	parent string
-	dirty  []tanglefind.CellID
-	// Lint jobs carry their resolved netlist and rule configuration
-	// instead of finder state.
-	lintNl  *tanglefind.Netlist
+	// Incremental and lint jobs resolve their lineage parent at submit
+	// time; the parent's recorded state is looked up at run time (it
+	// may still be computing when the job is queued).
+	parent  string
 	lintCfg tanglefind.LintConfig
 	ctx     context.Context
 	cancel  context.CancelFunc
@@ -321,7 +319,12 @@ type Job struct {
 	// cleared by promotion inside Cancel).
 	leader *Job
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// h is what the job's run needs from the store. Only a job that
+	// will queue resolves it, and the record drops it on reaching a
+	// terminal state, so finished records — retained up to MaxJobs —
+	// never keep an engine or netlist reachable.
+	h        handles
 	state    api.State
 	cached   bool
 	errMsg   string
@@ -337,10 +340,21 @@ type Job struct {
 	followers []*Job
 }
 
-// Submit validates a request, resolves its netlist, consults the
-// result cache, and either answers from cache (state done, Cached
-// true, no engine work) or enqueues the job. The returned status is
-// the job's state at return time.
+// handles are a job run's references into the store: the shared
+// engine (find kinds) or the netlist (lint), plus the dirty cells of
+// the digest's delta lineage.
+type handles struct {
+	finder *tanglefind.Finder
+	lintNl *tanglefind.Netlist
+	dirty  []tanglefind.CellID
+}
+
+// Submit validates a request against the digest's metadata, consults
+// the result cache, and either answers from cache (state done, Cached
+// true, no engine work), attaches the job to an identical in-flight
+// run, or resolves its engine and enqueues it. The returned status is
+// the job's state at return time. A cached result stays servable after
+// its netlist is evicted: only a job that must run needs the netlist.
 func (m *Manager) Submit(req api.JobRequest) (api.JobStatus, error) {
 	if !req.Kind.Valid() {
 		return api.JobStatus{}, fmt.Errorf("%w: unknown kind %q (want find, cluster, decompose, find_incremental or lint)", ErrBadRequest, req.Kind)
@@ -348,9 +362,9 @@ func (m *Manager) Submit(req api.JobRequest) (api.JobStatus, error) {
 	if req.Kind == api.KindLint {
 		return m.submitLint(req)
 	}
-	finder, info, err := m.cfg.Store.Engine(req.Digest)
-	if err != nil {
-		return api.JobStatus{}, err
+	info, ok := m.cfg.Store.Info(req.Digest)
+	if !ok {
+		return api.JobStatus{}, store.ErrNotFound
 	}
 	opt, err := tanglefind.ParseOptions(req.Options)
 	if err != nil {
@@ -399,26 +413,26 @@ func (m *Manager) Submit(req api.JobRequest) (api.JobStatus, error) {
 		maxPins:  maxPins,
 		timeout:  time.Duration(req.TimeoutMS) * time.Millisecond,
 		cacheKey: cacheKey(req.Kind, req.Digest, maxPins, opt),
-		finder:   finder,
 		parent:   parent,
-		dirty:    dirty,
 		ctx:      ctx,
 		cancel:   cancel,
 		state:    api.StateQueued,
 		created:  time.Now(),
 		subs:     make(map[int]chan api.Event),
 	}
-	return m.accept(j)
+	return m.accept(j, func() (handles, error) {
+		finder, _, err := m.cfg.Store.Engine(req.Digest)
+		return handles{finder: finder, dirty: dirty}, err
+	})
 }
 
 // submitLint validates a lint request and builds its job. Lint jobs
-// resolve the raw netlist (no finder engine) and key the result cache
+// run on the raw netlist (no finder engine) and key the result cache
 // on the canonical rule configuration; a digest with delta lineage
 // also records its parent so the run can lint incrementally.
 func (m *Manager) submitLint(req api.JobRequest) (api.JobStatus, error) {
-	nl, _, err := m.cfg.Store.Get(req.Digest)
-	if err != nil {
-		return api.JobStatus{}, err
+	if _, ok := m.cfg.Store.Info(req.Digest); !ok {
+		return api.JobStatus{}, store.ErrNotFound
 	}
 	cfg, err := tanglefind.ParseLintConfig(req.Lint)
 	if err != nil {
@@ -439,23 +453,25 @@ func (m *Manager) submitLint(req api.JobRequest) (api.JobStatus, error) {
 		digest:   req.Digest,
 		timeout:  time.Duration(req.TimeoutMS) * time.Millisecond,
 		cacheKey: lintKey(req.Digest, cfg),
-		lintNl:   nl,
 		lintCfg:  cfg,
 		parent:   parent,
-		dirty:    dirty,
 		ctx:      ctx,
 		cancel:   cancel,
 		state:    api.StateQueued,
 		created:  time.Now(),
 		subs:     make(map[int]chan api.Event),
 	}
-	return m.accept(j)
+	return m.accept(j, func() (handles, error) {
+		nl, _, err := m.cfg.Store.Get(req.Digest)
+		return handles{lintNl: nl, dirty: dirty}, err
+	})
 }
 
 // accept enqueues the job and, off the manager lock, emits the
-// structured submission record.
-func (m *Manager) accept(j *Job) (api.JobStatus, error) {
-	st, err := m.enqueue(j)
+// structured submission record. resolve fetches the job's handles from
+// the store; it is called only if the job will queue.
+func (m *Manager) accept(j *Job, resolve func() (handles, error)) (api.JobStatus, error) {
+	st, err := m.enqueue(j, resolve)
 	if err != nil {
 		return st, err
 	}
@@ -469,15 +485,52 @@ func (m *Manager) accept(j *Job) (api.JobStatus, error) {
 	return st, nil
 }
 
-// enqueue consults the result cache and either answers immediately
-// (state done, Cached true) or appends the job to the pending list.
-func (m *Manager) enqueue(j *Job) (api.JobStatus, error) {
-	cancel := j.cancel
+// enqueue answers the job without a run of its own when it can
+// (answerLocked) and otherwise appends it to the pending list. Its
+// handles are resolved only on that last path, outside m.mu — a store
+// reload re-parses a blob — after which the cache and the single-flight
+// table are consulted again, since an identical run may have finished
+// or started in between.
+func (m *Manager) enqueue(j *Job, resolve func() (handles, error)) (api.JobStatus, error) {
+	m.mu.Lock()
+	st, answered, err := m.answerLocked(j)
+	m.mu.Unlock()
+	if answered {
+		return st, err
+	}
+	h, err := resolve()
+	if err != nil {
+		j.cancel()
+		return api.JobStatus{}, err
+	}
+	j.h = h // not yet shared: the job is published by addJobLocked below
+
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if st, answered, err := m.answerLocked(j); answered {
+		return st, err
+	}
+	// Accepted: only now does the submission count, so rejected
+	// requests don't inflate the stats.
+	m.submitted.Add(1)
+	m.cacheMissC.Inc()
+	j.id = fmt.Sprintf("job-%06d", m.nextID.Add(1))
+	m.pending = append(m.pending, j)
+	m.inflight[j.cacheKey] = j
+	m.cond.Signal()
+	m.addJobLocked(j)
+	return j.Status(), nil
+}
+
+// answerLocked settles a submission that needs no queue slot: refused
+// when the manager is closed or the queue is full, answered from the
+// result cache (state done, Cached true), or attached as a follower of
+// an identical in-flight job. It reports false when the job must
+// queue. Callers hold m.mu.
+func (m *Manager) answerLocked(j *Job) (api.JobStatus, bool, error) {
 	if m.closed {
-		cancel()
-		return api.JobStatus{}, ErrClosed
+		j.cancel()
+		return api.JobStatus{}, true, ErrClosed
 	}
 
 	// A recorded run's purpose includes (re)priming the incremental
@@ -499,24 +552,28 @@ func (m *Manager) enqueue(j *Job) (api.JobStatus, error) {
 		m.submitted.Add(1)
 		m.cacheHits.Add(1)
 		m.cacheHitC.Inc()
-		cancel()
+		j.cancel()
 		j.id = fmt.Sprintf("job-%06d", m.nextID.Add(1))
 		now := time.Now()
 		hit := *res
 		hit.Stages = ownQueueWait(res.Stages, now.Sub(j.created))
+		j.mu.Lock()
+		j.h = handles{} // resolved just before an identical run finished
 		j.state = api.StateDone
 		j.cached = true
 		j.result = &hit
 		j.finished = &now
+		j.mu.Unlock()
 		m.addJobLocked(j)
-		return j.Status(), nil
+		return j.Status(), true, nil
 	}
 
 	// Single-flight: an identical job already queued or running means
 	// this submission attaches as a follower of that engine run — its
 	// own job id, stream and completion, no queue slot, no second run.
 	// The follower's context stays live: if the leader is cancelled
-	// while queued, a follower is promoted to run in its place.
+	// while queued, a follower is promoted to run in its place (taking
+	// the leader's handles, since a follower holds none).
 	if leader := m.inflight[j.cacheKey]; leader != nil {
 		leader.mu.Lock()
 		if !leader.state.Terminal() {
@@ -525,6 +582,7 @@ func (m *Manager) enqueue(j *Job) (api.JobStatus, error) {
 			m.cacheMissC.Inc()
 			j.id = fmt.Sprintf("job-%06d", m.nextID.Add(1))
 			j.leader = leader
+			j.h = handles{}
 			if leader.state == api.StateRunning {
 				// The run is already underway: the follower waited for
 				// nothing, and its state says so immediately.
@@ -535,7 +593,7 @@ func (m *Manager) enqueue(j *Job) (api.JobStatus, error) {
 			leader.followers = append(leader.followers, j)
 			leader.mu.Unlock()
 			m.addJobLocked(j)
-			return j.Status(), nil
+			return j.Status(), true, nil
 		}
 		// The leader reached a terminal state between removing itself
 		// from the table and now — impossible while the worker clears
@@ -545,19 +603,10 @@ func (m *Manager) enqueue(j *Job) (api.JobStatus, error) {
 	}
 
 	if len(m.pending) >= m.cfg.QueueDepth {
-		cancel()
-		return api.JobStatus{}, ErrQueueFull
+		j.cancel()
+		return api.JobStatus{}, true, ErrQueueFull
 	}
-	// Accepted: only now does the submission count, so rejected
-	// requests don't inflate the stats.
-	m.submitted.Add(1)
-	m.cacheMissC.Inc()
-	j.id = fmt.Sprintf("job-%06d", m.nextID.Add(1))
-	m.pending = append(m.pending, j)
-	m.inflight[j.cacheKey] = j
-	m.cond.Signal()
-	m.addJobLocked(j)
-	return j.Status(), nil
+	return api.JobStatus{}, false, nil
 }
 
 // ownQueueWait copies a finished run's stage breakdown for a job that
@@ -667,18 +716,21 @@ func (m *Manager) Cancel(id string) (api.JobStatus, error) {
 			// the remaining followers and the single-flight entry, so
 			// the group still runs exactly once. The promoted job keeps
 			// its own submission time, so its queue_wait stays honest.
+			// Followers hold no handles, so the promoted job gets a
+			// copy of the leader's; j keeps its own until it finishes,
+			// in case a worker that already popped it wins tryStart.
 			promoted := j.followers[0]
 			rest := j.followers[1:]
 			j.followers = nil
+			h := j.h
 			j.mu.Unlock()
 			promoted.leader = nil
-			if len(rest) > 0 {
-				promoted.mu.Lock()
-				promoted.followers = append(promoted.followers, rest...)
-				promoted.mu.Unlock()
-				for _, f := range rest {
-					f.leader = promoted
-				}
+			promoted.mu.Lock()
+			promoted.h = h
+			promoted.followers = append(promoted.followers, rest...)
+			promoted.mu.Unlock()
+			for _, f := range rest {
+				f.leader = promoted
 			}
 			m.inflight[j.cacheKey] = promoted
 			replaced := false
@@ -714,7 +766,7 @@ func (m *Manager) Cancel(id string) (api.JobStatus, error) {
 	// (no-op when promotion already replaced the slot).
 	for i, p := range m.pending {
 		if p == j {
-			m.pending = append(m.pending[:i], m.pending[i+1:]...)
+			m.pending = slices.Delete(m.pending, i, i+1) // zeroes the vacated tail slot
 			break
 		}
 	}
@@ -775,6 +827,7 @@ func (m *Manager) Stats() api.JobStats {
 		WorkerGrantsCapped:   m.grantsCapped.Load(),
 		CoalescedJobs:        m.coalesced.Load(),
 		RewarmedResults:      m.rewarmed.Load(),
+		JournalErrors:        m.journalErrs.Load(),
 	}
 	m.levelMu.Lock()
 	if len(m.runsByLevel) > 0 {
@@ -850,6 +903,7 @@ func (m *Manager) worker() {
 			return
 		}
 		j := m.pending[0]
+		m.pending[0] = nil // the backing array must not keep j reachable
 		m.pending = m.pending[1:]
 		m.mu.Unlock()
 		m.run(j)
@@ -864,14 +918,18 @@ func (m *Manager) run(j *Job) {
 		m.finishGroup(j, api.StateCancelled, nil, "cancelled before start", nil, "cancelled")
 		return
 	}
-	if !j.tryStart() {
+	// The run works from its own copy of the handles: a running leader
+	// cancelled out of its group drops the record's copy while the run
+	// keeps serving the followers.
+	h, ok := j.tryStart()
+	if !ok {
 		return // lost the race with Cancel, which settled the group
 	}
 	m.startFollowers(j)
 	stages := tanglefind.StageTimings{}
 	stages.Add("queue_wait", j.queueWait())
 	if j.kind == api.KindLint {
-		m.runLint(j, stages)
+		m.runLint(j, h, stages)
 		return
 	}
 	ctx, cancel := j.ctx, func() {}
@@ -899,12 +957,12 @@ func (m *Manager) run(j *Job) {
 			prev = p
 		}
 		m.incrRuns.Add(1)
-		res, err = j.finder.FindIncremental(ctx, opt, prev, j.dirty)
+		res, err = h.finder.FindIncremental(ctx, opt, prev, h.dirty)
 		if res != nil && res.Incremental != nil && res.Incremental.FullFallback {
 			m.incrFallbacks.Add(1)
 		}
 	} else {
-		res, err = j.finder.Find(ctx, opt)
+		res, err = h.finder.Find(ctx, opt)
 	}
 	stages.Add("engine", time.Since(engineStart))
 	mergeStart := time.Now()
@@ -935,7 +993,7 @@ func (m *Manager) run(j *Job) {
 	out := findResult(res)
 	mitErr := m.testMitigationErr
 	if mitErr == nil {
-		mitErr = j.applyMitigation(res, out)
+		mitErr = j.applyMitigation(h.finder.Netlist(), res, out)
 	}
 	if mitErr != nil {
 		m.finishGroup(j, api.StateFailed, nil, mitErr.Error(), stages, "failed")
@@ -1112,14 +1170,14 @@ func (m *Manager) releaseWorkers(grant int) {
 // available, from scratch otherwise. The finished report is retained
 // in the lint-state LRU so the next delta in the chain stays
 // incremental.
-func (m *Manager) runLint(j *Job, stages tanglefind.StageTimings) {
+func (m *Manager) runLint(j *Job, h handles, stages tanglefind.StageTimings) {
 	m.lintRuns.Add(1)
 	engineStart := time.Now()
 	var rep *tanglefind.LintReport
 	if j.parent != "" {
 		if prev, ok := m.lints.get(lintKey(j.parent, j.lintCfg)); ok {
 			if parentNl, _, err := m.cfg.Store.Get(j.parent); err == nil {
-				rep = tanglefind.LintDelta(prev, parentNl, j.lintNl, j.dirty, j.lintCfg)
+				rep = tanglefind.LintDelta(prev, parentNl, h.lintNl, h.dirty, j.lintCfg)
 				if rep.Incremental {
 					m.lintIncr.Add(1)
 				}
@@ -1127,7 +1185,7 @@ func (m *Manager) runLint(j *Job, stages tanglefind.StageTimings) {
 		}
 	}
 	if rep == nil {
-		rep = tanglefind.Lint(j.lintNl, j.lintCfg)
+		rep = tanglefind.Lint(h.lintNl, j.lintCfg)
 	}
 	stages.Add("engine", time.Since(engineStart))
 	mergeStart := time.Now()
@@ -1148,8 +1206,8 @@ func lintKey(digest string, cfg tanglefind.LintConfig) string {
 }
 
 // applyMitigation attaches the cluster/decompose summary for the
-// non-find kinds, operating on the groups the finder detected.
-func (j *Job) applyMitigation(res *tanglefind.Result, out *api.JobResult) error {
+// non-find kinds, operating on the groups the finder detected in nl.
+func (j *Job) applyMitigation(nl *tanglefind.Netlist, res *tanglefind.Result, out *api.JobResult) error {
 	if j.kind == api.KindFind || j.kind == api.KindFindIncremental {
 		return nil
 	}
@@ -1157,7 +1215,6 @@ func (j *Job) applyMitigation(res *tanglefind.Result, out *api.JobResult) error 
 	for i := range res.GTLs {
 		groups[i] = res.GTLs[i].Members
 	}
-	nl := j.finder.Netlist()
 	switch j.kind {
 	case api.KindCluster:
 		cl, err := tanglefind.Cluster(nl, groups)
@@ -1241,19 +1298,20 @@ func incrKey(digest string, opt tanglefind.Options) string {
 
 // ---- Job state machine ----
 
-// tryStart moves queued → running; false means the job was already
-// finished (cancelled) and must not run.
-func (j *Job) tryStart() bool {
+// tryStart moves queued → running and hands the run the job's
+// handles; false means the job was already finished (cancelled) and
+// must not run.
+func (j *Job) tryStart() (handles, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != api.StateQueued {
-		return false
+		return handles{}, false
 	}
 	j.state = api.StateRunning
 	now := time.Now()
 	j.started = &now
 	j.publishLocked()
-	return true
+	return j.h, true
 }
 
 // queueWait reports how long the job sat between submission and its
@@ -1311,13 +1369,15 @@ func (j *Job) finish(state api.State, res *api.JobResult, errMsg string) bool {
 
 // finishNoCancel is finish without cancelling the job's context — for
 // the one case where a record goes terminal while its engine run must
-// stay alive: a running leader cancelled out of a coalesced group.
+// stay alive: a running leader cancelled out of a coalesced group. The
+// record drops its handles here; a run in progress holds its own copy.
 func (j *Job) finishNoCancel(state api.State, res *api.JobResult, errMsg string) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() {
 		return false
 	}
+	j.h = handles{}
 	j.state = state
 	j.result = res
 	if state != api.StateDone {

@@ -506,14 +506,9 @@ func TestMultilevelJob(t *testing.T) {
 	if stats.RunsByLevels["1"] != 1 {
 		t.Errorf("runs_by_levels[1] = %d, want 1 (stats: %+v)", stats.RunsByLevels["1"], stats.RunsByLevels)
 	}
+	// The resident engine's cached hierarchy alone makes this positive.
 	if eb := s.Stats().EngineBytes; eb <= 0 {
 		t.Errorf("store engine_bytes = %d after engine runs; want positive", eb)
-	}
-	s.TrimEngines()
-	// Hierarchy bytes legitimately remain; the trim must not panic or
-	// deadlock and must never increase the estimate.
-	if eb := s.Stats().EngineBytes; eb < 0 {
-		t.Errorf("engine_bytes negative after trim: %d", eb)
 	}
 }
 

@@ -27,13 +27,30 @@ import (
 // from a crash mid-append costs exactly the record being written,
 // never earlier history (records behind it were already synced).
 //
+// An append whose write or fsync fails is rolled back: the journal is
+// truncated to the end of the last good record, so a short write never
+// leaves a partial frame mid-log for replay to stop at (which would
+// discard every good record appended after it). If the rollback itself
+// fails, the backend refuses every later append.
+//
 // Blobs are written to a temp file, synced, then renamed into place,
 // so a blob path either holds the complete payload or does not exist.
 type DiskBackend struct {
 	dir string
 
 	mu      sync.Mutex // serializes journal appends
-	journal *os.File
+	journal journalFile
+	end     int64 // offset just past the last good record
+	failed  error // set when a failed append could not be rolled back
+}
+
+// journalFile is the part of *os.File the journal uses, so tests can
+// inject write, sync and truncate faults.
+type journalFile interface {
+	io.ReadWriteSeeker
+	Truncate(size int64) error
+	Sync() error
+	Close() error
 }
 
 // journal frame header: payload length + payload CRC32 (IEEE).
@@ -56,11 +73,12 @@ func OpenDisk(dir string) (*DiskBackend, error) {
 	}
 	// Appends extend the log even if the caller skips Replay (which
 	// re-positions the cursor itself after truncating any torn tail).
-	if _, err := j.Seek(0, io.SeekEnd); err != nil {
+	end, err := j.Seek(0, io.SeekEnd)
+	if err != nil {
 		j.Close()
 		return nil, err
 	}
-	return &DiskBackend{dir: dir, journal: j}, nil
+	return &DiskBackend{dir: dir, journal: j, end: end}, nil
 }
 
 // Dir returns the backend's data directory.
@@ -131,11 +149,35 @@ func (b *DiskBackend) Append(rec Record) error {
 	if b.journal == nil {
 		return errors.New("store: journal closed")
 	}
-	if _, err := b.journal.Write(frame); err != nil {
-		return fmt.Errorf("store: journal append: %w", err)
+	if b.failed != nil {
+		return fmt.Errorf("store: journal unusable since a failed append could not be rolled back: %w", b.failed)
 	}
-	if err := b.journal.Sync(); err != nil {
-		return fmt.Errorf("store: journal sync: %w", err)
+	_, err = b.journal.Write(frame)
+	if err != nil {
+		err = fmt.Errorf("store: journal append: %w", err)
+	} else if serr := b.journal.Sync(); serr != nil {
+		err = fmt.Errorf("store: journal sync: %w", serr)
+	}
+	if err != nil {
+		if rerr := b.rollback(); rerr != nil {
+			b.failed = rerr
+			return errors.Join(err, rerr)
+		}
+		return err
+	}
+	b.end += int64(len(frame))
+	return nil
+}
+
+// rollback cuts the journal back to the end of the last good record
+// and puts the write cursor there, discarding whatever part of a failed
+// append reached the file. Callers hold b.mu.
+func (b *DiskBackend) rollback() error {
+	if err := b.journal.Truncate(b.end); err != nil {
+		return fmt.Errorf("store: journal rollback: %w", err)
+	}
+	if _, err := b.journal.Seek(b.end, io.SeekStart); err != nil {
+		return fmt.Errorf("store: journal rollback: %w", err)
 	}
 	return nil
 }
@@ -194,6 +236,7 @@ func (b *DiskBackend) Replay(fn func(Record) error) (ReplayStats, error) {
 	if _, err := b.journal.Seek(good, io.SeekStart); err != nil {
 		return st, err
 	}
+	b.end = good
 	return st, nil
 }
 

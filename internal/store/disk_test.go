@@ -398,3 +398,120 @@ func TestEvictionInvisibleUnderDurableBackend(t *testing.T) {
 		t.Error("expected lazy reloads serving the evicted digests")
 	}
 }
+
+// faultyJournal wraps the real journal file and injects the failures a
+// disk can produce mid-append: a short write (part of the frame lands,
+// then an error), a failing fsync, and — for the latch path — a
+// failing truncate.
+type faultyJournal struct {
+	journalFile
+	shortWrites   int // next N writes land half their bytes, then fail
+	syncFails     int // next N syncs fail
+	truncateFails bool
+}
+
+var errInjected = errors.New("injected fault")
+
+func (f *faultyJournal) Write(p []byte) (int, error) {
+	if f.shortWrites > 0 {
+		f.shortWrites--
+		n, _ := f.journalFile.Write(p[:len(p)/2])
+		return n, errInjected
+	}
+	return f.journalFile.Write(p)
+}
+
+func (f *faultyJournal) Sync() error {
+	if f.syncFails > 0 {
+		f.syncFails--
+		return errInjected
+	}
+	return f.journalFile.Sync()
+}
+
+func (f *faultyJournal) Truncate(size int64) error {
+	if f.truncateFails {
+		return errInjected
+	}
+	return f.journalFile.Truncate(size)
+}
+
+func resultRec(key string) Record {
+	return Record{Kind: RecResult, Key: key, Result: json.RawMessage(`{"candidates":1}`)}
+}
+
+// TestDiskAppendFailureRollsBack: a short write or a failed fsync must
+// not leave a partial frame mid-log — the append is rolled back, so
+// records appended after the failure still replay.
+func TestDiskAppendFailureRollsBack(t *testing.T) {
+	b, err := OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fj := &faultyJournal{journalFile: b.journal}
+	b.journal = fj
+	if err := b.Append(resultRec("before")); err != nil {
+		t.Fatal(err)
+	}
+	fj.shortWrites = 1
+	if err := b.Append(resultRec("short-write")); !errors.Is(err, errInjected) {
+		t.Fatalf("short write append error = %v, want the injected fault", err)
+	}
+	fj.syncFails = 1
+	if err := b.Append(resultRec("sync-fail")); !errors.Is(err, errInjected) {
+		t.Fatalf("failed-sync append error = %v, want the injected fault", err)
+	}
+	if err := b.Append(resultRec("after")); err != nil {
+		t.Fatalf("append after a rolled-back failure: %v", err)
+	}
+
+	b = reopen(t, b)
+	defer b.Close()
+	recs, st := replayAll(t, b)
+	var keys []string
+	for _, r := range recs {
+		keys = append(keys, r.Key)
+	}
+	if len(keys) != 2 || keys[0] != "before" || keys[1] != "after" {
+		t.Errorf("replayed keys %q, want [before after]", keys)
+	}
+	if st.TruncatedBytes != 0 {
+		t.Errorf("replay truncated %d bytes: a failed append left a partial frame", st.TruncatedBytes)
+	}
+}
+
+// TestDiskAppendLatchesWhenRollbackFails: when the rollback truncate
+// fails too, the partial frame may still sit in the log, so the backend
+// must refuse every later append rather than write good records behind
+// it that replay would discard.
+func TestDiskAppendLatchesWhenRollbackFails(t *testing.T) {
+	b, err := OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	fj := &faultyJournal{journalFile: b.journal, truncateFails: true}
+	b.journal = fj
+	if err := b.Append(resultRec("before")); err != nil {
+		t.Fatal(err)
+	}
+	fj.shortWrites = 1
+	if err := b.Append(resultRec("torn")); err == nil {
+		t.Fatal("short write reported success")
+	}
+	info, err := os.Stat(b.JournalPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fj.truncateFails = false // even a healthy file stays latched
+	if err := b.Append(resultRec("after")); err == nil {
+		t.Fatal("append succeeded on a latched backend")
+	}
+	again, err := os.Stat(b.JournalPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Size() != info.Size() {
+		t.Errorf("latched backend still wrote to the journal (%d -> %d bytes)", info.Size(), again.Size())
+	}
+}

@@ -3,7 +3,7 @@
 // their bytes, parsed once into an immutable *netlist.Netlist shared
 // by every job that references the digest, and paired with a lazily
 // built tanglefind.Finder engine so repeated jobs over one netlist
-// reuse the engine's pooled per-worker state.
+// reuse the engine's cached hierarchies.
 //
 // Memory is bounded by a pin budget: when the pins of all loaded
 // netlists exceed it, least-recently-used entries are evicted.
@@ -518,9 +518,10 @@ func (s *Store) List() []api.NetlistInfo {
 }
 
 // Stats reports the registry's memory state. EngineBytes is the
-// estimated footprint of the lazily built engines on top of the
-// netlists the pin budget tracks: pooled per-worker scratch and cached
-// coarsening hierarchies.
+// estimated footprint of the resident engines on top of the netlists
+// the pin budget tracks — their cached coarsening hierarchies and
+// relabel shadows — plus, counted once, the idle worker scratch of the
+// process-wide engine pool they all draw from.
 func (s *Store) Stats() api.StoreStats {
 	s.mu.Lock()
 	finders := make([]*tanglefind.Finder, 0, s.lru.Len())
@@ -544,29 +545,11 @@ func (s *Store) Stats() api.StoreStats {
 	s.mu.Unlock()
 	// Estimate outside the registry lock: MemoryEstimate takes engine
 	// locks, and a stats poll must never queue Ingest/Get behind them.
+	st.EngineBytes = tanglefind.PooledScratchBytes()
 	for _, f := range finders {
 		st.EngineBytes += f.MemoryEstimate()
 	}
 	return st
-}
-
-// TrimEngines drops the idle pooled worker state of every loaded
-// engine (cached coarse hierarchies stay — rebuilding them is the
-// expensive part). Callers can invoke it on memory pressure; running
-// jobs are unaffected and pools refill lazily.
-func (s *Store) TrimEngines() {
-	s.mu.Lock()
-	finders := make([]*tanglefind.Finder, 0, s.lru.Len())
-	for el := s.lru.Front(); el != nil; el = el.Next() {
-		if e := el.Value.(*entry); e.finder != nil {
-			finders = append(finders, e.finder)
-		}
-	}
-	s.mu.Unlock()
-	// Trim outside the registry lock: a trim must never block Ingest/Get.
-	for _, f := range finders {
-		f.TrimPool()
-	}
 }
 
 // loadLocked makes e resident: attaches the parsed netlist, marks the

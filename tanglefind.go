@@ -92,7 +92,8 @@ type GTL = core.GTL
 
 // Finder is the long-lived, reusable detection engine: construct once
 // per netlist with NewFinder, then run it many times. Repeated runs
-// reuse pooled per-worker state, runs accept a context for
+// reuse the engine's cached hierarchies and draw per-worker scratch
+// from one process-wide pool, runs accept a context for
 // cancellation/deadline, emit Options.Progress callbacks, and can be
 // split into resumable shards (Finder.FindShard + Finder.Merge — both
 // part of this facade via the Finder alias; no internal import
@@ -202,11 +203,18 @@ func ParseOrdering(s string) (Ordering, error) { return core.ParseOrdering(s) }
 
 // NewFinder constructs a reusable detection engine over nl.
 //
-// The engine retains a bounded pool of per-worker scratch between runs
-// (Finder.SetPoolCap / Finder.TrimPool manage it; Finder.MemoryEstimate
-// reports it), and Options.Levels > 1 switches runs onto the
-// multilevel coarsen → detect → project + refine pipeline.
+// The engine keeps no per-worker scratch of its own: every engine
+// draws it from one process-wide pool holding at most GOMAXPROCS idle
+// worker states (PooledScratchBytes reports them), resized to whichever
+// netlist the next run covers. Finder.MemoryEstimate reports what the
+// engine does cache — multilevel hierarchies and the relabel shadow —
+// and Options.Levels > 1 switches runs onto the multilevel coarsen →
+// detect → project + refine pipeline.
 func NewFinder(nl *Netlist) (*Finder, error) { return core.NewFinder(nl) }
+
+// PooledScratchBytes reports the retained bytes of the idle worker
+// states in the process-wide engine pool shared by every Finder.
+func PooledScratchBytes() int64 { return core.PooledScratchBytes() }
 
 // Multilevel substrate: the coarsening hierarchy the Levels>1 pipeline
 // runs on, exposed for callers that want to inspect or reuse coarse
