@@ -318,10 +318,10 @@ type StoreStats struct {
 	PinBudget  int64 `json:"pin_budget"`  // eviction threshold; 0 = unlimited
 	Evictions  int64 `json:"evictions"`   // cumulative
 	// EngineBytes estimates the engine memory the pin budget does not
-	// see: the cached coarsening hierarchies (and relabel shadows) of
-	// the resident netlists' engines, plus the idle per-worker scratch
-	// of the process-wide engine pool they all share — at most
-	// GOMAXPROCS states, counted once.
+	// see: the cached coarsening hierarchies of the resident netlists'
+	// engines, plus the idle per-worker scratch of the process-wide
+	// engine pool they all share — at most GOMAXPROCS states, counted
+	// once.
 	EngineBytes int64 `json:"engine_bytes"`
 	// Durable reports whether the registry runs on a persistent
 	// backend (gtlserved -data-dir): ingested payloads, delta lineage

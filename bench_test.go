@@ -862,9 +862,8 @@ func BenchmarkFind_Instrumented(b *testing.B) {
 
 // BenchmarkFind_HotPath is the CI single-core smoke for the absorb-loop
 // overhaul: the flat pipeline at Workers=1 on one workload, once
-// through the retained pre-overhaul baseline loop, once through the
-// optimized loop, and once more with locality-permuted execution
-// (Options.Relabel). The committed BENCH_hotpath.json record holds the
+// through the retained pre-overhaul baseline loop and once through the
+// optimized loop. The committed BENCH_hotpath.json record holds the
 // full-scale before/after; TestHotPathSpeedupGuard validates it and
 // re-measures the ratio live.
 func BenchmarkFind_HotPath(b *testing.B) {
@@ -887,14 +886,11 @@ func BenchmarkFind_HotPath(b *testing.B) {
 	for _, sub := range []struct {
 		name     string
 		baseline bool
-		relabel  bool
 	}{
-		{"baseline", true, false},
-		{"optimized", false, false},
-		{"relabel", false, true},
+		{"baseline", true},
+		{"optimized", false},
 	} {
 		f.SetBaselineGrowth(sub.baseline)
-		opt.Relabel = sub.relabel
 		b.Run(sub.name, func(b *testing.B) {
 			b.ReportAllocs()
 			gtls := 0

@@ -7,7 +7,6 @@
 //	gtlfind -in design.tfb               # binary netlist (autodetected)
 //	gtlfind -aux design.aux              # ISPD Bookshelf input
 //	gtlfind -in design.tfnet -members    # also dump member cells
-//	gtlfind -in design.tfb -relabel      # locality-permuted execution (same results)
 //	gtlfind -in design.tfb -delta eco.json               # detect on the patched netlist
 //	gtlfind -in design.tfb -delta eco.json -incremental  # reuse the base run's seed state
 package main
@@ -42,7 +41,6 @@ func main() {
 		levels   = flag.Int("levels", 1, "multilevel pipeline depth: coarsen levels-1 times, detect on the coarsest, project + refine down (1 = flat)")
 		minCC    = flag.Int("min-coarse-cells", 0, "stop coarsening below this many cells (0 = default floor)")
 		radius   = flag.Int("refine-radius", 2, "boundary-refinement sweeps per level after projection (0 = project only)")
-		relabel  = flag.Bool("relabel", false, "run detection in a BFS locality-permuted shadow of the netlist (same GTL sets and scores, better cache behavior on large flat designs)")
 		deltaP   = flag.String("delta", "", "JSON delta patch file (ECO edit) applied to the input netlist before detection")
 		incr     = flag.Bool("incremental", false, "with -delta: run the base netlist first (recording seed state), then detect the patched netlist incrementally and report the reuse breakdown")
 		dirtyRad = flag.Int("dirty-radius", 0, "with -incremental: BFS hops added around the delta's dirty cells before reuse checks (0 = exact read-set analysis)")
@@ -77,7 +75,6 @@ func main() {
 	opt.RandSeed = *randSeed
 	opt.Workers = *workers
 	opt.Refine = !*noRefine
-	opt.Relabel = *relabel
 	opt.Levels = *levels
 	opt.MinCoarseCells = *minCC
 	opt.RefineRadius = *radius

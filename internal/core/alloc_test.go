@@ -11,11 +11,10 @@ import (
 // TestGrowAllocGuard pins the hot-path overhaul's zero-allocation
 // contract: once a worker's buffers are warm, Phase I growth performs
 // no heap allocations per seed — on the flat engine, on the optimized
-// and retained-baseline absorb loops, on a multilevel run's coarse
-// sub-engine, and on the relabel shadow engine that the incremental
-// rerun path grows through. (Replay and candidate extraction allocate
-// by design — Eval copies members out of the grower's reusable
-// buffers — so the guard targets grow, the per-seed O(Σ|e|) loop.)
+// and retained-baseline absorb loops, and on a multilevel run's coarse
+// sub-engine. (Replay and candidate extraction allocate by design —
+// Eval copies members out of the grower's reusable buffers — so the
+// guard targets grow, the per-seed O(Σ|e|) loop.)
 //
 // A regression here is what the BENCH_hotpath "zero steady-state
 // allocations" claim rests on; testing.AllocsPerRun makes it a test
@@ -104,20 +103,6 @@ func TestGrowAllocGuard(t *testing.T) {
 		}
 		if got := growAllocs(t, top, &opt); got != 0 {
 			t.Fatalf("steady-state coarse grow allocates %.1f objects/seed, want 0", got)
-		}
-	})
-
-	t.Run("relabel_shadow", func(t *testing.T) {
-		f, err := NewFinder(nl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sh, err := f.shadow()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := growAllocs(t, sh.pf, &opt); got != 0 {
-			t.Fatalf("steady-state shadow grow allocates %.1f objects/seed, want 0", got)
 		}
 	})
 }

@@ -42,11 +42,11 @@ type ProgressFunc func(Progress)
 
 // Finder is a long-lived tangled-logic engine over one netlist.
 // Construct it once with NewFinder and run it many times: cached
-// multilevel hierarchies and the relabel shadow are built once per
-// engine, and per-worker growth and evaluation state (frontier arrays,
-// trackers, ordering and curve buffers) is drawn from one process-wide
-// pool shared by every engine, so repeated runs allocate far less than
-// repeated one-shot Find calls.
+// multilevel hierarchies are built once per engine, and per-worker
+// growth and evaluation state (frontier arrays, trackers, ordering and
+// curve buffers) is drawn from one process-wide pool shared by every
+// engine, so repeated runs allocate far less than repeated one-shot
+// Find calls.
 //
 // The pool holds at most GOMAXPROCS idle worker states, whatever the
 // number of engines alive; a state handed to an engine over a
@@ -63,12 +63,6 @@ type Finder struct {
 	nl *netlist.Netlist
 	aG float64
 
-	// rank is non-nil only on relabel shadow engines: rank[permuted id]
-	// = original id. acquire threads it into every grower and heap so
-	// the shadow's tie-breaks and materialization order mirror the
-	// unpermuted engine's (see relabel.go).
-	rank []int32
-
 	// baseline routes every growth through the retained pre-overhaul
 	// absorb loop (see addCellBaseline); toggled by SetBaselineGrowth.
 	baseline atomic.Bool
@@ -76,9 +70,6 @@ type Finder struct {
 	mlMu    sync.Mutex
 	ml      map[mlKey]*mlEntry // cached hierarchies + per-level sub-engines
 	mlOrder []mlKey            // insertion order, for bounded eviction
-
-	shMu sync.Mutex
-	sh   *shadowState // lazily built relabel shadow (see relabel.go)
 }
 
 // workerState is the reusable per-worker scratch: one Phase I grower
@@ -195,18 +186,10 @@ func NewFinder(nl *netlist.Netlist) (*Finder, error) {
 // Netlist returns the netlist the engine operates on.
 func (f *Finder) Netlist() *netlist.Netlist { return f.nl }
 
-// shadowIfBuilt returns the relabel shadow without building one.
-func (f *Finder) shadowIfBuilt() *shadowState {
-	f.shMu.Lock()
-	defer f.shMu.Unlock()
-	return f.sh
-}
-
 // MemoryEstimate reports the memory the engine caches in bytes: the
-// coarse netlists of cached multilevel hierarchies and the relabel
-// shadow. The netlist itself and worker scratch — idle in the shared
-// pool (PooledScratchBytes) or borrowed by in-flight runs — are not
-// counted.
+// coarse netlists of cached multilevel hierarchies. The netlist itself
+// and worker scratch — idle in the shared pool (PooledScratchBytes) or
+// borrowed by in-flight runs — are not counted.
 func (f *Finder) MemoryEstimate() int64 {
 	var b int64
 	for _, s := range f.mlStates() {
@@ -215,7 +198,6 @@ func (f *Finder) MemoryEstimate() int64 {
 			b += s.finders[l].MemoryEstimate()
 		}
 	}
-	b += f.shadowMemoryEstimate()
 	return b
 }
 
@@ -256,7 +238,6 @@ func (f *Finder) acquire(opt *Options) *workerState {
 	ws.gr.opt = opt
 	ws.gr.phases = phaseAcc{}
 	ws.gr.timed = !stageTimingOff.Load()
-	ws.gr.setRank(f.rank)
 	ws.gr.baseline = f.baseline.Load()
 	return ws
 }
@@ -266,23 +247,19 @@ func (f *Finder) acquire(opt *Options) *workerState {
 // produce bit-identical results; the reference exists as the timing
 // baseline for the hotpath experiment and as the golden oracle for the
 // differential tests. The switch applies to runs started after the
-// call; it does not reach into cached multilevel sub-engines' shadow
-// state beyond routing their acquires the same way.
+// call, on this engine and on the sub-engines of its cached multilevel
+// hierarchies.
 func (f *Finder) SetBaselineGrowth(on bool) {
 	f.baseline.Store(on)
 	f.forEachSubFinder(func(sub *Finder) { sub.SetBaselineGrowth(on) })
-	if sh := f.shadowIfBuilt(); sh != nil {
-		sh.pf.SetBaselineGrowth(on)
-	}
 }
 
 // release returns a worker state to the shared pool, first dropping
-// every reference into this engine — options, relabel rank, netlist —
-// so an idle state keeps no engine reachable. A full pool drops the
-// state instead.
+// every reference into this engine — options, netlist — so an idle
+// state keeps no engine reachable. A full pool drops the state
+// instead.
 func (f *Finder) release(ws *workerState) {
 	ws.gr.opt = nil
-	ws.gr.setRank(nil)
 	ws.gr.attach(nil)
 	ws.ev.Attach(nil)
 	idle.mu.Lock()
@@ -431,31 +408,7 @@ func (f *Finder) FindShard(ctx context.Context, opt Options, lo, hi int) (*Shard
 // findShard is the validated core of FindShard, taking a precomputed
 // plan so Find does not derive the schedule twice per run. With record
 // set it captures per-seed incremental state alongside the outcomes.
-//
-// Under Options.Relabel the shard executes on the engine's
-// locality-permuted shadow: the plan's seed cells are translated into
-// permuted id space, the shadow runs the growth phases there, and
-// every id-bearing output (traces, candidate members, incremental
-// records and footprints) is translated back before the shard is
-// returned — everything downstream (assemble, prune, Merge, replay)
-// stays in original id space.
 func (f *Finder) findShard(ctx context.Context, opt *Options, plan seedPlan, lo, hi int, record bool) (*ShardResult, error) {
-	if opt.Relabel {
-		sh, err := f.shadow()
-		if err != nil {
-			return nil, err
-		}
-		sr, err := sh.pf.runShard(ctx, opt, sh.translatePlan(plan), lo, hi, record)
-		if sr != nil {
-			sh.translateShardOut(sr)
-		}
-		return sr, err
-	}
-	return f.runShard(ctx, opt, plan, lo, hi, record)
-}
-
-// runShard executes the shard on this engine's own id space.
-func (f *Finder) runShard(ctx context.Context, opt *Options, plan seedPlan, lo, hi int, record bool) (*ShardResult, error) {
 	start := time.Now()
 
 	// Only first occurrences run; duplicates inherit the owner's result.

@@ -501,18 +501,6 @@ func (f *Finder) findIncrementalFlat(ctx context.Context, opt *Options, prev *Re
 		}
 	}
 
-	// Under Relabel, seeds that fail replay re-grow on the
-	// locality-permuted shadow (prebuilt here so the pool can't race
-	// its construction); replayed seeds never touch it — records are
-	// stored in original id space.
-	var sh *shadowState
-	if opt.Relabel {
-		var err error
-		if sh, err = f.shadow(); err != nil {
-			return nil, err
-		}
-	}
-
 	outs := make([]shardOut, len(owners))
 	replayed := make([]bool, len(owners))
 	var recs []*seedRecord
@@ -549,12 +537,7 @@ func (f *Finder) findIncrementalFlat(ctx context.Context, opt *Options, prev *Re
 			rec = &seedRecord{}
 			recs[k] = rec
 		}
-		var o seedOut
-		if sh != nil {
-			o = sh.runSeedTranslated(ws, i, plan.ids[i], opt, rec)
-		} else {
-			o = runSeed(f.nl, ws.gr, ws.ev, seedRNG(opt.RandSeed, i), plan.ids[i], opt, f.aG, rec)
-		}
+		o := runSeed(f.nl, ws.gr, ws.ev, seedRNG(opt.RandSeed, i), plan.ids[i], opt, f.aG, rec)
 		outs[k] = shardOut{idx: i, trace: o.trace, cand: o.candidate, score: o.score, rent: o.rent}
 		if timed {
 			reseedNS.Add(int64(time.Since(t)))

@@ -250,18 +250,6 @@ type Options struct {
 	// Workers caps the goroutine pool; <= 0 means GOMAXPROCS. Workers
 	// never changes results, only scheduling.
 	Workers int `json:"workers,omitempty"`
-	// Relabel runs the seeded-growth phases in a locality-permuted
-	// shadow id space (reverse Cuthill–McKee over the cells; see
-	// relabel.go), translating seeds in and members/footprints back out
-	// at the shard boundary. It trades a one-time O(cells + pins)
-	// shadow build plus ~1x extra netlist memory for cache-friendly
-	// frontier and CSR access on id-scattered netlists. Results are
-	// set-identical to a Relabel=off run with bitwise-equal scores;
-	// member order inside recombined groups may differ, which is why
-	// this is a result-affecting option (it participates in
-	// IncrementalKey and job cache keys) despite changing no group or
-	// score.
-	Relabel bool `json:"relabel,omitempty"`
 	// RandSeed makes the whole run reproducible.
 	RandSeed uint64 `json:"rand_seed"`
 	// KeepCurves retains each seed's score curve in the result (memory

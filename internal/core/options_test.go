@@ -57,6 +57,7 @@ func TestParseOptionsDefaultsAndErrors(t *testing.T) {
 	// Unknown fields, invalid values and trailing garbage are rejected.
 	for _, doc := range []string{
 		`{"seedz": 5}`,
+		`{"relabel": true}`,
 		`{"seeds": -1}`,
 		`{"metric": "banana"}`,
 		`{"ordering": "dfs"}`,

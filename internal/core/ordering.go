@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"tanglefind/internal/ds"
 	"tanglefind/internal/group"
 	"tanglefind/internal/netlist"
@@ -71,13 +69,6 @@ type grower struct {
 	// coalesce into a single heap push (see the flush at the end of
 	// addCell for why that is output-invariant).
 	pend []netlist.CellID
-	// rank, when non-nil, is the permuted→original id map of a relabel
-	// shadow engine (see relabel.go): materialized outside-pin lists
-	// are sorted by it and the heap breaks final ties by it, which
-	// makes the shadow's absorb sequence physically identical to the
-	// unpermuted engine's. Nil on ordinary growers — there the CSR's
-	// ascending pin runs are already rank order.
-	rank []int32
 	// baseline selects the retained pre-overhaul inner loop: full
 	// NetPins re-walks and one heap push per (net, cell) update. Used
 	// by the hotpath experiment as the timing baseline and by the
@@ -209,14 +200,6 @@ func (g *grower) attach(nl *netlist.Netlist) {
 	if g.btracker != nil {
 		g.btracker.nl = nl
 	}
-}
-
-// setRank installs (or, with nil, clears) a relabel shadow's rank map
-// in the grower and both heaps.
-func (g *grower) setRank(rank []int32) {
-	g.rank = rank
-	g.heap.SetRank(rank)
-	g.bheap.rank = rank
 }
 
 // resized returns s with length n, reusing its storage when it is
@@ -414,7 +397,7 @@ func (g *grower) addCell(v netlist.CellID) {
 		}
 		var list []netlist.CellID
 		direct := false
-		if s&group.AbsorbWideBit == 0 && g.rank == nil {
+		if s&group.AbsorbWideBit == 0 {
 			// Narrow net: a direct pin-run walk with member skipping is
 			// cheaper than list upkeep. Members — v included — are
 			// filtered by the Has check in the loops below; the visit
@@ -466,13 +449,10 @@ func (g *grower) addCell(v netlist.CellID) {
 			list = g.arena[oe.off : oe.off+oe.n]
 		} else {
 			// First walk of a wide net this growth: materialize its
-			// live outside pins (pin-run order, rank order on relabel
-			// shadows) into the arena, so later walks cost λ live pins
-			// instead of |e| total. Offsets stay valid across arena
-			// regrowth; the window slice is taken afterwards. Relabel
-			// shadows materialize unconditionally — the rank sort is
-			// what keeps their visit order physically identical to the
-			// unpermuted engine's.
+			// live outside pins (pin-run order) into the arena, so later
+			// walks cost λ live pins instead of |e| total. Offsets stay
+			// valid across arena regrowth; the window slice is taken
+			// afterwards.
 			start := len(g.arena)
 			if s&group.AbsorbNewBit != 0 {
 				// Freshly connected: the only member to filter is v.
@@ -487,9 +467,6 @@ func (g *grower) addCell(v netlist.CellID) {
 						g.arena = append(g.arena, w)
 					}
 				}
-			}
-			if g.rank != nil {
-				g.sortByRank(g.arena[start:])
 			}
 			oe.off = int32(start)
 			oe.n = int32(len(g.arena) - start)
@@ -557,27 +534,4 @@ func (g *grower) addCell(v netlist.CellID) {
 		fe.stamp = st&^slotMask | slot<<slotShift
 	}
 	g.pend = g.pend[:0]
-}
-
-// sortByRank orders a freshly materialized outside-pin list by the
-// relabel shadow's original-id rank. Lists are λ-bounded by the
-// K-factor skip, so insertion sort wins; the slices.SortFunc fallback
-// covers skip-disabled configurations with huge nets.
-func (g *grower) sortByRank(lst []netlist.CellID) {
-	if len(lst) > 64 {
-		slices.SortFunc(lst, func(a, b netlist.CellID) int {
-			return int(g.rank[a]) - int(g.rank[b])
-		})
-		return
-	}
-	for i := 1; i < len(lst); i++ {
-		w := lst[i]
-		r := g.rank[w]
-		j := i - 1
-		for j >= 0 && g.rank[lst[j]] > r {
-			lst[j+1] = lst[j]
-			j--
-		}
-		lst[j+1] = w
-	}
 }

@@ -101,12 +101,9 @@ func (t *baselineTracker) DeltaCut(c netlist.CellID) int {
 // alongside addCellBaseline: a lazy binary max-heap with no insertion
 // buffer. The baseline engine runs on it so the hotpath experiment's
 // "before" timings measure the pre-overhaul queue, not the overhauled
-// ds.GainHeap. The only post-hoc addition is the rank tiebreak, which
-// the relabel differential needs to run the baseline oracle inside a
-// permuted shadow; it costs one nil check on the tiebreak path.
+// ds.GainHeap.
 type baselineHeap struct {
 	entries []baselineEntry
-	rank    []int32
 }
 
 type baselineEntry struct {
@@ -145,9 +142,6 @@ func (h *baselineHeap) less(i, j int) bool {
 	}
 	if a.tie != b.tie {
 		return a.tie < b.tie
-	}
-	if h.rank != nil {
-		return h.rank[a.key] < h.rank[b.key]
 	}
 	return a.key < b.key
 }

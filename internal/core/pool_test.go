@@ -72,7 +72,7 @@ func resultDiff(want, got *Result) string {
 
 // TestPooledStatesRebindDifferential is the rebind oracle: engines over
 // netlists of different sizes (small → large → small) draw worker
-// states from the one shared pool while flat, Levels 3, Relabel and
+// states from the one shared pool while flat, Levels 3 and
 // FindIncremental runs execute concurrently at Workers 1 and 2, so
 // states keep moving between netlists, growing and shrinking. Every
 // result must equal, bit for bit, the same run on a fresh engine with
@@ -112,7 +112,6 @@ func TestPooledStatesRebindDifferential(t *testing.T) {
 	modes := []mode{
 		{"flat", func(*Options) {}, false},
 		{"levels3", func(o *Options) { o.Levels = 3; o.MinCoarseCells = 300 }, false},
-		{"relabel", func(o *Options) { o.Relabel = true }, false},
 		{"incremental", func(o *Options) { o.RecordIncremental = true }, true},
 	}
 	options := func(s subject, m mode, workers int) Options {

@@ -38,9 +38,6 @@ type GainHeap struct {
 	entries []gainEntry
 	buf     []gainEntry
 	best    int // index of the buffer's best entry, -1 when empty
-	// rank, when non-nil, replaces the final key-ascending tiebreak
-	// with rank[key]-ascending (see SetRank).
-	rank []int32
 }
 
 type gainEntry struct {
@@ -73,15 +70,6 @@ func (h *GainHeap) Reset() {
 	h.best = -1
 }
 
-// SetRank replaces the final key-ascending tiebreak with an ascending
-// comparison of rank[key]. rank must be a permutation of the key space
-// (so the order stays total) and must outlive the heap's use; nil
-// restores the plain key order. The relabeled detection engine uses
-// this to break ties in original-id order while running in permuted id
-// space, keeping its pop sequence physically identical to the
-// unpermuted engine's. Call only while the queue is empty.
-func (h *GainHeap) SetRank(rank []int32) { h.rank = rank }
-
 // Push queues key with the given gain and tiebreak value.
 func (h *GainHeap) Push(key int32, gain float64, tie int32) {
 	if len(h.buf) == heapBufCap {
@@ -89,7 +77,7 @@ func (h *GainHeap) Push(key int32, gain float64, tie int32) {
 	}
 	e := gainEntry{gain, tie, key}
 	h.buf = append(h.buf, e)
-	if h.best < 0 || h.before(e, h.buf[h.best]) {
+	if h.best < 0 || before(e, h.buf[h.best]) {
 		h.best = len(h.buf) - 1
 	}
 }
@@ -115,7 +103,7 @@ func (h *GainHeap) PushHinted(key int32, gain float64, tie int32, hint uint32) u
 	if int(hint) < len(h.buf) {
 		if e := &h.buf[hint]; e.key == key {
 			e.gain, e.tie = gain, tie
-			if h.best != int(hint) && h.before(*e, h.buf[h.best]) {
+			if h.best != int(hint) && before(*e, h.buf[h.best]) {
 				h.best = int(hint)
 			}
 			return hint
@@ -126,7 +114,7 @@ func (h *GainHeap) PushHinted(key int32, gain float64, tie int32, hint uint32) u
 	}
 	h.buf = append(h.buf, gainEntry{gain, tie, key})
 	slot := len(h.buf) - 1
-	if h.best < 0 || h.before(h.buf[slot], h.buf[h.best]) {
+	if h.best < 0 || before(h.buf[slot], h.buf[h.best]) {
 		h.best = slot
 	}
 	return uint32(slot)
@@ -145,7 +133,7 @@ func (h *GainHeap) spill() {
 // Pop removes and returns the best entry. ok is false when empty.
 func (h *GainHeap) Pop() (key int32, gain float64, tie int32, ok bool) {
 	if h.best >= 0 {
-		if len(h.entries) == 0 || h.before(h.buf[h.best], h.entries[0]) {
+		if len(h.entries) == 0 || before(h.buf[h.best], h.entries[0]) {
 			e := h.buf[h.best]
 			last := len(h.buf) - 1
 			h.buf[h.best] = h.buf[last]
@@ -171,7 +159,7 @@ func (h *GainHeap) Pop() (key int32, gain float64, tie int32, ok bool) {
 func (h *GainHeap) rescan() {
 	h.best = -1
 	for i := range h.buf {
-		if h.best < 0 || h.before(h.buf[i], h.buf[h.best]) {
+		if h.best < 0 || before(h.buf[i], h.buf[h.best]) {
 			h.best = i
 		}
 	}
@@ -201,30 +189,27 @@ func (h *GainHeap) TopGain() (float64, bool) {
 // immediate pop of the very same entry — the answer is already known.
 func (h *GainHeap) StillBest(key int32, gain float64, tie int32) bool {
 	cand := gainEntry{gain, tie, key}
-	if h.best >= 0 && h.before(h.buf[h.best], cand) {
+	if h.best >= 0 && before(h.buf[h.best], cand) {
 		return false
 	}
-	if len(h.entries) > 0 && h.before(h.entries[0], cand) {
+	if len(h.entries) > 0 && before(h.entries[0], cand) {
 		return false
 	}
 	return true
 }
 
 // before is the queue's total order over entries.
-func (h *GainHeap) before(a, b gainEntry) bool {
+func before(a, b gainEntry) bool {
 	if a.gain != b.gain {
 		return a.gain > b.gain
 	}
 	if a.tie != b.tie {
 		return a.tie < b.tie
 	}
-	if h.rank != nil {
-		return h.rank[a.key] < h.rank[b.key]
-	}
 	return a.key < b.key
 }
 
-func (h *GainHeap) less(i, j int) bool { return h.before(h.entries[i], h.entries[j]) }
+func (h *GainHeap) less(i, j int) bool { return before(h.entries[i], h.entries[j]) }
 
 func (h *GainHeap) up(i int) {
 	for i > 0 {

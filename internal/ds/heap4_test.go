@@ -5,42 +5,6 @@ import (
 	"unsafe"
 )
 
-// TestGainHeapRankOrdering pins the rank-table tie-break the relabel
-// shadow engine relies on: with SetRank installed, equal (gain, tie)
-// entries pop in rank order, not key order, so a permuted-id heap
-// reproduces the original-id pop sequence exactly.
-func TestGainHeapRankOrdering(t *testing.T) {
-	var h GainHeap
-	// rank[key]: key 7 has rank 0, key 2 rank 1, key 5 rank 2.
-	rank := make([]int32, 10)
-	for i := range rank {
-		rank[i] = 9
-	}
-	rank[7], rank[2], rank[5] = 0, 1, 2
-	h.SetRank(rank)
-	h.Push(5, 1.0, 3)
-	h.Push(2, 1.0, 3)
-	h.Push(7, 1.0, 3)
-	for _, want := range []int32{7, 2, 5} {
-		k, _, _, ok := h.Pop()
-		if !ok || k != want {
-			t.Fatalf("pop = %d (ok=%v), want %d", k, ok, want)
-		}
-	}
-
-	// Without a rank table the same pushes fall back to key order.
-	h.SetRank(nil)
-	h.Push(5, 1.0, 3)
-	h.Push(2, 1.0, 3)
-	h.Push(7, 1.0, 3)
-	for _, want := range []int32{2, 5, 7} {
-		k, _, _, ok := h.Pop()
-		if !ok || k != want {
-			t.Fatalf("rankless pop = %d (ok=%v), want %d", k, ok, want)
-		}
-	}
-}
-
 // TestGainHeapPushHinted pins the cross-push coalescing contract: a
 // valid hint overwrites the buffered entry in place (no duplicate, pop
 // sequence as if only the final revision was ever pushed), a stale or

@@ -19,12 +19,10 @@ import (
 // Single-core hot path — the PR's before/after: the retained
 // pre-overhaul absorb loop (full NetPins re-walks, per-(net,cell)
 // heap pushes, binary heap) against the overhauled engine (amortized
-// outside-pin compaction, coalesced pushes, 4-ary heap), and the
-// overhauled engine again under Options.Relabel's locality-permuted
-// execution. Every timed pair is differentially verified first:
-// optimized must be bit-identical to baseline, relabel set-identical
-// with scores to 1e-9. Flat pipeline, Workers=1 throughout — this is
-// the single-core story; the parallel experiment owns scaling.
+// outside-pin compaction, coalesced pushes, 4-ary heap). Every timed
+// pair is differentially verified first: optimized must be
+// bit-identical to baseline. Flat pipeline, Workers=1 throughout —
+// this is the single-core story; the parallel experiment owns scaling.
 // ---------------------------------------------------------------------
 
 // HotPathResult is one workload row of the before/after comparison.
@@ -34,26 +32,19 @@ type HotPathResult struct {
 	Pins  int    `json:"pins"`
 	Seeds int    `json:"seeds"`
 	// BaselineMS times the retained pre-overhaul absorb loop
-	// (core.Finder.SetBaselineGrowth); OptimizedMS the default engine;
-	// RelabelMS the default engine in locality-permuted id space
-	// (shadow construction excluded — a warmup run builds it).
+	// (core.Finder.SetBaselineGrowth); OptimizedMS the default engine.
 	BaselineMS  float64 `json:"baseline_ms"`
 	OptimizedMS float64 `json:"optimized_ms"`
-	RelabelMS   float64 `json:"relabel_ms"`
-	// Speedup = BaselineMS/OptimizedMS, the overhaul's single-core
-	// gain; RelabelSpeedup = BaselineMS/RelabelMS adds the locality
-	// permutation on top.
-	Speedup        float64 `json:"speedup"`
-	RelabelSpeedup float64 `json:"relabel_speedup"`
-	GTLs           int     `json:"gtls"`
+	// Speedup = BaselineMS/OptimizedMS, the overhaul's single-core gain.
+	Speedup float64 `json:"speedup"`
+	GTLs    int     `json:"gtls"`
 	// Stage breakdowns of the timed baseline and optimized runs, so
 	// the record shows where the time went, not just that it shrank.
 	BaselineStages  telemetry.StageTimings `json:"baseline_stages_ms,omitempty"`
 	OptimizedStages telemetry.StageTimings `json:"optimized_stages_ms,omitempty"`
 	// Match is the bit-identity verdict (optimized vs baseline, zero
-	// tolerance); RelabelMatch the set-identity verdict (1e-9).
-	Match        bool `json:"match"`
-	RelabelMatch bool `json:"relabel_match"`
+	// tolerance).
+	Match bool `json:"match"`
 }
 
 // HotPathRun executes the before/after on one case's workload.
@@ -106,19 +97,6 @@ func HotPathRun(ctx context.Context, cs MultilevelCase, cfg Config) (*HotPathRes
 		return nil, fmt.Errorf("hotpath %s: optimized diverged from baseline: %w", cs.Name, err)
 	}
 
-	relOpt := opt
-	relOpt.Relabel = true
-	if _, _, err := timed(relOpt); err != nil { // builds the shadow once
-		return nil, fmt.Errorf("hotpath %s: relabel warmup: %w", cs.Name, err)
-	}
-	relRes, relMS, err := timed(relOpt)
-	if err != nil {
-		return nil, fmt.Errorf("hotpath %s: relabel: %w", cs.Name, err)
-	}
-	if err := deltatest.DiffResultsSetwise(baseRes, relRes, 1e-9); err != nil {
-		return nil, fmt.Errorf("hotpath %s: relabel diverged from baseline: %w", cs.Name, err)
-	}
-
 	row := &HotPathResult{
 		Name:            cs.Name,
 		Cells:           nl.NumCells(),
@@ -126,18 +104,13 @@ func HotPathRun(ctx context.Context, cs MultilevelCase, cfg Config) (*HotPathRes
 		Seeds:           opt.Seeds,
 		BaselineMS:      baseMS,
 		OptimizedMS:     optMS,
-		RelabelMS:       relMS,
 		GTLs:            len(optRes.GTLs),
 		BaselineStages:  baseRes.Stages,
 		OptimizedStages: optRes.Stages,
 		Match:           true,
-		RelabelMatch:    true,
 	}
 	if optMS > 0 {
 		row.Speedup = baseMS / optMS
-	}
-	if relMS > 0 {
-		row.RelabelSpeedup = baseMS / relMS
 	}
 	return row, nil
 }
@@ -156,12 +129,11 @@ func HotPath(ctx context.Context, cfg Config, w io.Writer) (*HotPathRecord, erro
 	if w != nil {
 		tbl := report.New(
 			fmt.Sprintf("Single-core hot path, flat pipeline, Workers=1 (%d CPUs)", rec.CPUs),
-			"Workload", "Cells", "Baseline ms", "Optimized ms", "Speedup", "Relabel ms", "vs base", "GTLs", "Top stages", "Match")
+			"Workload", "Cells", "Baseline ms", "Optimized ms", "Speedup", "GTLs", "Top stages", "Match")
 		for _, r := range rec.Results {
 			tbl.Row(r.Name, r.Cells, fmt.Sprintf("%.0f", r.BaselineMS),
 				fmt.Sprintf("%.0f", r.OptimizedMS), fmt.Sprintf("%.2fx", r.Speedup),
-				fmt.Sprintf("%.0f", r.RelabelMS), fmt.Sprintf("%.2fx", r.RelabelSpeedup),
-				r.GTLs, r.OptimizedStages.Top(3), r.Match && r.RelabelMatch)
+				r.GTLs, r.OptimizedStages.Top(3), r.Match)
 		}
 		if err := tbl.Render(w); err != nil {
 			return nil, err

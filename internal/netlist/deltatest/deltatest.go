@@ -14,7 +14,6 @@ package deltatest
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"tanglefind/internal/core"
 	"tanglefind/internal/ds"
@@ -241,30 +240,4 @@ func DiffResults(want, got *core.Result, tol float64) error {
 		return fmt.Errorf("rent %g vs %g", want.Rent, got.Rent)
 	}
 	return nil
-}
-
-// DiffResultsSetwise is DiffResults with each GTL's members compared
-// as a set instead of a sequence — the oracle for core's Relabel mode,
-// whose contract is set-equality with bitwise-equal scores: growth
-// runs in a permuted id space where recombined winners come out sorted
-// by permuted id, so member order inside a group is the one thing
-// allowed to differ. Group alignment, seeds, traces, candidate counts
-// and all scores are held to the same standard as DiffResults.
-func DiffResultsSetwise(want, got *core.Result, tol float64) error {
-	ws := sortedMembersCopy(want)
-	gs := sortedMembersCopy(got)
-	return DiffResults(ws, gs, tol)
-}
-
-// sortedMembersCopy returns a shallow result copy whose GTL member
-// slices are sorted duplicates, leaving the input untouched.
-func sortedMembersCopy(res *core.Result) *core.Result {
-	out := *res
-	out.GTLs = slices.Clone(res.GTLs)
-	for i := range out.GTLs {
-		m := slices.Clone(out.GTLs[i].Members)
-		slices.Sort(m)
-		out.GTLs[i].Members = m
-	}
-	return &out
 }

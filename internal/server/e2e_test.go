@@ -287,12 +287,16 @@ func TestHTTPErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Submit(ctx, api.JobRequest{
-		Kind:    api.KindFind,
-		Digest:  info.Digest,
-		Options: json.RawMessage(`{"seeds": "many"}`),
-	})
-	wantStatus(err, http.StatusBadRequest)
+	// Malformed values and unknown fields are both rejected before a
+	// job exists.
+	for _, opts := range []string{`{"seeds": "many"}`, `{"relabel": true}`} {
+		_, err = c.Submit(ctx, api.JobRequest{
+			Kind:    api.KindFind,
+			Digest:  info.Digest,
+			Options: json.RawMessage(opts),
+		})
+		wantStatus(err, http.StatusBadRequest)
+	}
 	_, err = c.Submit(ctx, api.JobRequest{Kind: "unknown", Digest: info.Digest})
 	wantStatus(err, http.StatusBadRequest)
 

@@ -67,9 +67,10 @@ type ReplayStats struct {
 type Backend interface {
 	// Durable reports whether the backend survives a process restart.
 	Durable() bool
-	// PutBlob stores data under digest. Storing a digest that already
-	// exists is a cheap no-op (blobs are content-addressed, so equal
-	// digests mean equal bytes).
+	// PutBlob stores data under digest, durably when it returns nil
+	// for disk backends. Storing a digest that already exists rewrites
+	// nothing (blobs are content-addressed, so equal digests mean
+	// equal bytes).
 	PutBlob(digest string, data []byte) error
 	// GetBlob returns the payload stored under digest, or ErrNoBlob.
 	GetBlob(digest string) ([]byte, error)

@@ -35,6 +35,10 @@ import (
 //
 // Blobs are written to a temp file, synced, then renamed into place,
 // so a blob path either holds the complete payload or does not exist.
+// The blobs directory is synced after the rename, and the data
+// directory after OpenDisk creates its entries, so a directory entry
+// is durable before any journal record that depends on it is written:
+// a crash cannot keep a record whose blob vanished.
 type DiskBackend struct {
 	dir string
 
@@ -42,6 +46,10 @@ type DiskBackend struct {
 	journal journalFile
 	end     int64 // offset just past the last good record
 	failed  error // set when a failed append could not be rolled back
+
+	// syncDir makes a directory's entries durable (fsyncDir); tests
+	// replace it to inject faults and observe ordering.
+	syncDir func(dir string) error
 }
 
 // journalFile is the part of *os.File the journal uses, so tests can
@@ -71,6 +79,12 @@ func OpenDisk(dir string) (*DiskBackend, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: open journal: %w", err)
 	}
+	// Make the blobs/ and journal.log entries durable before the first
+	// append can depend on them.
+	if err := fsyncDir(dir); err != nil {
+		j.Close()
+		return nil, fmt.Errorf("store: data dir sync: %w", err)
+	}
 	// Appends extend the log even if the caller skips Replay (which
 	// re-positions the cursor itself after truncating any torn tail).
 	end, err := j.Seek(0, io.SeekEnd)
@@ -78,7 +92,21 @@ func OpenDisk(dir string) (*DiskBackend, error) {
 		j.Close()
 		return nil, err
 	}
-	return &DiskBackend{dir: dir, journal: j, end: end}, nil
+	return &DiskBackend{dir: dir, journal: j, end: end, syncDir: fsyncDir}, nil
+}
+
+// fsyncDir fsyncs a directory, making the entries created or renamed
+// in it durable.
+func fsyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Dir returns the backend's data directory.
@@ -94,11 +122,25 @@ func (b *DiskBackend) blobPath(digest string) string {
 	return filepath.Join(b.dir, "blobs", digest)
 }
 
+// PutBlob returns nil only once the blob's directory entry is durable.
+// A blob already in place is not rewritten (content-addressed: same
+// digest, same bytes), but its directory is still synced: it may be
+// left from an earlier call whose directory sync failed.
 func (b *DiskBackend) PutBlob(digest string, data []byte) error {
 	path := b.blobPath(digest)
-	if _, err := os.Stat(path); err == nil {
-		return nil // content-addressed: same digest, same bytes
+	if _, err := os.Stat(path); err != nil {
+		if err := writeBlob(path, digest, data); err != nil {
+			return err
+		}
 	}
+	if err := b.syncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("store: blob dir sync: %w", err)
+	}
+	return nil
+}
+
+// writeBlob writes data to a synced temp file and renames it to path.
+func writeBlob(path, digest string, data []byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), "."+digest+".tmp*")
 	if err != nil {
 		return fmt.Errorf("store: blob temp: %w", err)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"tanglefind/api"
@@ -513,5 +514,110 @@ func TestDiskAppendLatchesWhenRollbackFails(t *testing.T) {
 	}
 	if again.Size() != info.Size() {
 		t.Errorf("latched backend still wrote to the journal (%d -> %d bytes)", info.Size(), again.Size())
+	}
+}
+
+// TestDiskPutBlobSyncsDirectory: PutBlob syncs blobs/ after the rename
+// has put the blob in place, a failed directory sync is returned by
+// PutBlob and by the Ingest or ApplyDelta that called it, and a retry
+// over the blob the failed attempt left behind still ends synced — so
+// the journal never holds a record whose blob a crash could drop.
+func TestDiskPutBlobSyncsDirectory(t *testing.T) {
+	dir := t.TempDir()
+	b, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The seam records, per sync, whether the expected blob was already
+	// in place, and fails the next failNext syncs.
+	var want string
+	var syncs, blobPresent, failNext int
+	b.syncDir = func(d string) error {
+		syncs++
+		if d != filepath.Join(dir, "blobs") {
+			t.Errorf("synced %s, want the blobs directory", d)
+		}
+		if _, err := os.Stat(filepath.Join(d, want)); err == nil {
+			blobPresent++
+		}
+		if failNext > 0 {
+			failNext--
+			return errInjected
+		}
+		return fsyncDir(d)
+	}
+	// put runs one PutBlob-backed call and checks it synced exactly
+	// once, after the blob was in place.
+	put := func(digest string, call func() error) error {
+		t.Helper()
+		want = digest
+		s0, p0 := syncs, blobPresent
+		err := call()
+		if syncs != s0+1 || blobPresent != p0+1 {
+			t.Fatalf("%d directory syncs, %d with the blob in place; want one, after the rename",
+				syncs-s0, blobPresent-p0)
+		}
+		return err
+	}
+
+	if err := put("d1", func() error { return b.PutBlob("d1", []byte("payload")) }); err != nil {
+		t.Fatal(err)
+	}
+	failNext = 1
+	if err := put("d2", func() error { return b.PutBlob("d2", []byte("payload")) }); !errors.Is(err, errInjected) {
+		t.Fatalf("PutBlob with a failing directory sync = %v, want the injected fault", err)
+	}
+	if err := put("d2", func() error { return b.PutBlob("d2", []byte("payload")) }); err != nil {
+		t.Fatalf("PutBlob retry over the left-behind blob: %v", err)
+	}
+
+	s, err := Open(0, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := payload(t, 300, 7, true)
+	digest := Digest(data)
+	failNext = 1
+	if err := put(digest, func() error { _, err := s.Ingest(data); return err }); !errors.Is(err, errInjected) {
+		t.Fatalf("Ingest with a failing directory sync = %v, want the injected fault", err)
+	}
+	if _, ok := s.Info(digest); ok {
+		t.Fatal("a failed ingest registered its digest")
+	}
+	if err := put(digest, func() error { _, err := s.Ingest(data); return err }); err != nil {
+		t.Fatalf("Ingest retry: %v", err)
+	}
+
+	failNext = 1
+	if _, err := s.ApplyDelta(digest, deltaDoc()); !errors.Is(err, errInjected) {
+		t.Fatalf("ApplyDelta with a failing directory sync = %v, want the injected fault", err)
+	}
+	var child api.DeltaResult
+	s0 := syncs
+	if child, err = s.ApplyDelta(digest, deltaDoc()); err != nil {
+		t.Fatalf("ApplyDelta retry: %v", err)
+	}
+	if syncs != s0+1 {
+		t.Fatalf("ApplyDelta retry made %d directory syncs, want 1", syncs-s0)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Both retried digests were journaled behind their synced blobs.
+	b2, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(0, b2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if st := s2.Stats(); st.RecoveredNetlists != 2 {
+		t.Fatalf("recovered %d netlists, want the ingested parent and the delta child", st.RecoveredNetlists)
+	}
+	if _, _, err := s2.Get(child.Netlist.Digest); err != nil {
+		t.Fatalf("recovered child: %v", err)
 	}
 }

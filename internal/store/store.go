@@ -330,8 +330,13 @@ func (s *Store) ApplyDelta(parent string, deltaJSON []byte) (api.DeltaResult, er
 	// behind its netlist record in the journal: a torn tail can strand
 	// a lineage-less netlist (harmless: it just loses incremental
 	// routing until the delta is re-applied) but never lineage
-	// pointing at an unknown digest.
-	if !s.backend.HasBlob(digest) {
+	// pointing at an unknown digest. An unregistered digest persists
+	// even when its blob exists: the blob may be left from an earlier
+	// attempt that failed before its record was written.
+	s.mu.Lock()
+	_, known := s.entries[digest]
+	s.mu.Unlock()
+	if !known || !s.backend.HasBlob(digest) {
 		if err := s.backend.PutBlob(digest, buf.Bytes()); err != nil {
 			return api.DeltaResult{}, err
 		}
@@ -519,9 +524,9 @@ func (s *Store) List() []api.NetlistInfo {
 
 // Stats reports the registry's memory state. EngineBytes is the
 // estimated footprint of the resident engines on top of the netlists
-// the pin budget tracks — their cached coarsening hierarchies and
-// relabel shadows — plus, counted once, the idle worker scratch of the
-// process-wide engine pool they all draw from.
+// the pin budget tracks — their cached coarsening hierarchies — plus,
+// counted once, the idle worker scratch of the process-wide engine
+// pool they all draw from.
 func (s *Store) Stats() api.StoreStats {
 	s.mu.Lock()
 	finders := make([]*tanglefind.Finder, 0, s.lru.Len())

@@ -207,9 +207,9 @@ func ParseOrdering(s string) (Ordering, error) { return core.ParseOrdering(s) }
 // draws it from one process-wide pool holding at most GOMAXPROCS idle
 // worker states (PooledScratchBytes reports them), resized to whichever
 // netlist the next run covers. Finder.MemoryEstimate reports what the
-// engine does cache — multilevel hierarchies and the relabel shadow —
-// and Options.Levels > 1 switches runs onto the multilevel coarsen →
-// detect → project + refine pipeline.
+// engine does cache — its multilevel hierarchies — and Options.Levels
+// > 1 switches runs onto the multilevel coarsen → detect → project +
+// refine pipeline.
 func NewFinder(nl *Netlist) (*Finder, error) { return core.NewFinder(nl) }
 
 // PooledScratchBytes reports the retained bytes of the idle worker
