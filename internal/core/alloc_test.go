@@ -10,9 +10,9 @@ import (
 
 // TestGrowAllocGuard pins the hot-path overhaul's zero-allocation
 // contract: once a worker's buffers are warm, Phase I growth performs
-// no heap allocations per seed — on the flat engine, on the optimized
-// and retained-baseline absorb loops, and on a multilevel run's coarse
-// sub-engine. (Replay and candidate extraction allocate by design —
+// no heap allocations per seed — on the flat engine over narrow nets
+// and over wide ones, and on a multilevel run's coarse sub-engine.
+// (Replay and candidate extraction allocate by design —
 // Eval copies members out of the grower's reusable buffers — so the
 // guard targets grow, the per-seed O(Σ|e|) loop.)
 //
@@ -20,7 +20,7 @@ import (
 // allocations" claim rests on; testing.AllocsPerRun makes it a test
 // instead of a benchmark eyeball.
 
-func allocWorkload(t *testing.T) *netlist.Netlist {
+func allocWorkload(t *testing.T) *generate.RandomGraph {
 	t.Helper()
 	rg, err := generate.NewRandomGraph(generate.RandomGraphSpec{
 		Cells:  4000,
@@ -30,7 +30,7 @@ func allocWorkload(t *testing.T) *netlist.Netlist {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rg.Netlist
+	return rg
 }
 
 // growAllocs warms a worker over a spread of seeds, then measures
@@ -56,7 +56,8 @@ func growAllocs(t *testing.T, f *Finder, opt *Options) float64 {
 }
 
 func TestGrowAllocGuard(t *testing.T) {
-	nl := allocWorkload(t)
+	rg := allocWorkload(t)
+	nl := rg.Netlist
 	opt := DefaultOptions()
 
 	t.Run("flat", func(t *testing.T) {
@@ -69,14 +70,13 @@ func TestGrowAllocGuard(t *testing.T) {
 		}
 	})
 
-	t.Run("flat_baseline", func(t *testing.T) {
-		f, err := NewFinder(nl)
+	t.Run("widenet", func(t *testing.T) {
+		f, err := NewFinder(withWideNets(t, rg))
 		if err != nil {
 			t.Fatal(err)
 		}
-		f.SetBaselineGrowth(true)
 		if got := growAllocs(t, f, &opt); got != 0 {
-			t.Fatalf("steady-state baseline grow allocates %.1f objects/seed, want 0", got)
+			t.Fatalf("steady-state wide-net grow allocates %.1f objects/seed, want 0", got)
 		}
 	})
 

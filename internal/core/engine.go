@@ -63,10 +63,6 @@ type Finder struct {
 	nl *netlist.Netlist
 	aG float64
 
-	// baseline routes every growth through the retained pre-overhaul
-	// absorb loop (see addCellBaseline); toggled by SetBaselineGrowth.
-	baseline atomic.Bool
-
 	mlMu    sync.Mutex
 	ml      map[mlKey]*mlEntry // cached hierarchies + per-level sub-engines
 	mlOrder []mlKey            // insertion order, for bounded eviction
@@ -91,19 +87,14 @@ type workerState struct {
 func (ws *workerState) memoryFootprint() int64 {
 	g := ws.gr
 	b := int64(cap(g.front)) * int64(unsafe.Sizeof(frontEntry{}))
-	b += int64(cap(g.outs)) * int64(unsafe.Sizeof(outsEntry{}))
-	b += int64(cap(g.arena))*4 + int64(cap(g.pend))*4
+	b += int64(cap(g.pend)) * 4
 	b += int64(cap(g.touched))*4 + int64(cap(g.examined))*4
 	b += int64(cap(g.combo.buf))*4 + int64(cap(g.combo.best))*4
 	for _, s := range g.combo.sorted {
 		b += int64(cap(s)) * 4
 	}
 	b += g.heap.MemoryFootprint()
-	b += g.bheap.MemoryFootprint()
 	b += g.tracker.MemoryFootprint()
-	if g.btracker != nil {
-		b += g.btracker.MemoryFootprint()
-	}
 	b += int64(cap(g.ord.Members))*4 + int64(cap(g.ord.Cuts))*4 + int64(cap(g.ord.Pins))*8
 	b += int64(cap(g.curve.Scores)) * 8
 	b += ws.ev.MemoryFootprint()
@@ -216,16 +207,6 @@ func (f *Finder) mlStates() []*mlState {
 	return states
 }
 
-// forEachSubFinder applies fn to the sub-engines of every cached
-// hierarchy (level 0 excluded — that is f itself).
-func (f *Finder) forEachSubFinder(fn func(*Finder)) {
-	for _, s := range f.mlStates() {
-		for l := 1; l < s.hier.NumLevels(); l++ {
-			fn(s.finders[l])
-		}
-	}
-}
-
 // acquire draws a worker state from the shared pool (allocating one
 // when it is empty) and binds it to this engine's netlist and the
 // run's options.
@@ -238,20 +219,7 @@ func (f *Finder) acquire(opt *Options) *workerState {
 	ws.gr.opt = opt
 	ws.gr.phases = phaseAcc{}
 	ws.gr.timed = !stageTimingOff.Load()
-	ws.gr.baseline = f.baseline.Load()
 	return ws
-}
-
-// SetBaselineGrowth switches the engine between the optimized absorb
-// loop (default) and the retained pre-overhaul reference loop. The two
-// produce bit-identical results; the reference exists as the timing
-// baseline for the hotpath experiment and as the golden oracle for the
-// differential tests. The switch applies to runs started after the
-// call, on this engine and on the sub-engines of its cached multilevel
-// hierarchies.
-func (f *Finder) SetBaselineGrowth(on bool) {
-	f.baseline.Store(on)
-	f.forEachSubFinder(func(sub *Finder) { sub.SetBaselineGrowth(on) })
 }
 
 // release returns a worker state to the shared pool, first dropping

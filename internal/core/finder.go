@@ -134,7 +134,7 @@ type seedOut struct {
 func runSeed(nl *netlist.Netlist, gr *grower, ev *group.Evaluator, rng *ds.RNG, seed netlist.CellID, opt *Options, aG float64, rec *seedRecord) (out seedOut) {
 	var t time.Time
 	if gr.timed {
-		t = time.Now()
+		t = clock()
 	}
 	ord := gr.grow(seed, opt.MaxOrderLen)
 	if gr.timed {

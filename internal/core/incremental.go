@@ -517,7 +517,7 @@ func (f *Finder) findIncrementalFlat(ctx context.Context, opt *Options, prev *Re
 		i := owners[k]
 		var t time.Time
 		if timed {
-			t = time.Now()
+			t = clock()
 		}
 		if rec := st.reusableRecord(i, plan.ids[i], region); rec != nil {
 			if o, ok := f.replaySeed(ws, rec, i, opt); ok {
@@ -527,7 +527,7 @@ func (f *Finder) findIncrementalFlat(ctx context.Context, opt *Options, prev *Re
 					recs[k] = rec // immutable; chains share it
 				}
 				if timed {
-					replayNS.Add(int64(time.Since(t)))
+					replayNS.Add(int64(clock().Sub(t)))
 				}
 				return o.cand != nil
 			}
@@ -540,7 +540,7 @@ func (f *Finder) findIncrementalFlat(ctx context.Context, opt *Options, prev *Re
 		o := runSeed(f.nl, ws.gr, ws.ev, seedRNG(opt.RandSeed, i), plan.ids[i], opt, f.aG, rec)
 		outs[k] = shardOut{idx: i, trace: o.trace, cand: o.candidate, score: o.score, rent: o.rent}
 		if timed {
-			reseedNS.Add(int64(time.Since(t)))
+			reseedNS.Add(int64(clock().Sub(t)))
 		}
 		return o.candidate != nil
 	})

@@ -30,24 +30,14 @@ func (o *OrderingStats) Prefix(k int) []netlist.CellID { return o.Members[:k] }
 //
 // The inner addCell loop is the finder's hottest path. Per absorbed
 // cell it walks CellPins(v) once (fused with the tracker's cut
-// bookkeeping) and then, per incident net, only that net's *live
-// outside pins*: each net's outside-pin list is materialized into the
-// shared arena on first touch and compacted order-preservingly as its
-// pins are absorbed, so a pin run is scanned in full exactly once per
-// growth and every later touch pays only for the pins still outside —
-// amortized O(Σ|e|) list maintenance instead of the former
-// O(Σ|e|·absorbs(e)) full re-walks. See addCellBaseline for the
-// retained pre-overhaul loop (benchmark baseline and golden oracle).
+// bookkeeping) and then, per incident net below the K-factor skip,
+// that net's pin run, skipping members. The reference grower in
+// reference_test.go is the pre-overhaul loop this one must stay
+// bit-identical to.
 type grower struct {
 	nl      *netlist.Netlist
 	tracker *group.Tracker
 	heap    ds.GainHeap
-	// bheap and btracker are the retained pre-overhaul frontier heap
-	// and group tracker; only the baseline engine touches them, and the
-	// tracker is allocated lazily on the first baseline growth (see
-	// ordering_baseline.go).
-	bheap    baselineHeap
-	btracker *baselineTracker
 	// front is the dense per-cell frontier state: one epoch-stamped
 	// 16-byte entry holding the cell's gain, tiebreak and discovery
 	// stamp. A cell is live in the current growth iff the epoch bits of
@@ -59,21 +49,11 @@ type grower struct {
 	// slot hint; see epochMask.
 	front []frontEntry
 	epoch uint32
-	// outs is the per-net live outside-pin descriptor: a window into
-	// arena, valid while its epoch matches the grower's. Nets that stay
-	// fully internal or above the K-factor skip are never materialized.
-	outs  []outsEntry
-	arena []netlist.CellID // backing store for outs windows, reset per growth
 	// pend lists the frontier cells whose gain the current addCell has
 	// bumped but not yet pushed: all of one absorb's bumps to a cell
 	// coalesce into a single heap push (see the flush at the end of
 	// addCell for why that is output-invariant).
 	pend []netlist.CellID
-	// baseline selects the retained pre-overhaul inner loop: full
-	// NetPins re-walks and one heap push per (net, cell) update. Used
-	// by the hotpath experiment as the timing baseline and by the
-	// differential tests as the bit-identity oracle.
-	baseline bool
 	// touched is the discovery list of the current growth (frontier
 	// and absorbed cells, in first-touch order — BFS ties index it);
 	// incremental footprints under OrderMinCut consume it.
@@ -109,14 +89,6 @@ type frontEntry struct {
 	stamp uint32  // epoch bits plus per-growth flag bits
 }
 
-// outsEntry locates one net's live outside pins inside grower.arena,
-// valid while epoch matches the grower's current epoch.
-type outsEntry struct {
-	off   int32
-	n     int32
-	epoch uint32
-}
-
 // Stamp layout: the low 23 bits are the growth epoch; above them sit
 // two per-growth flag bits and a 7-bit heap-buffer slot hint. Flags
 // and hint are implicitly cleared whenever the epoch bits go stale
@@ -131,20 +103,6 @@ const (
 	slotShift   = 25        // buffered-push slot hint (see GainHeap.PushHinted)
 	slotMask    = uint32(0x7F) << slotShift
 )
-
-// Nets below group.WideNetMin pins are walked directly off the pin CSR
-// instead of through a materialized live outside-pin list (see the
-// dispatch in addCell): list upkeep only amortizes when the same net's
-// pin run is re-walked many times, and for the narrow nets that
-// dominate real netlists the direct walk's member-skip is cheaper than
-// the arena traffic — skipping the list machinery also skips the
-// per-net g.outs epoch probe, the absorb loop's one remaining random
-// load besides the frontier itself. Wide nets are the asymptotic case
-// the lists exist for: a mostly-absorbed wide net re-walked directly
-// would cost its full pin run per absorb (the pre-overhaul
-// O(Σ|e|·absorbs) pathology) where the live list costs only λ. The
-// width test rides in on the AbsorbWideBit the tracker's Add already
-// computed, so the dispatch is branch-only.
 
 // invTab caches 1/k for small k: the weighted gain formula otherwise
 // spends one float divide per term per walked net, and λ is bounded by
@@ -166,28 +124,23 @@ func inv(k int) float64 {
 }
 
 func newGrower(nl *netlist.Netlist) *grower {
-	g := &grower{
+	return &grower{
 		nl:      nl,
 		tracker: group.NewTracker(nl),
 		front:   make([]frontEntry, nl.NumCells()),
-		outs:    make([]outsEntry, nl.NumNets()),
 	}
-	return g
 }
 
 // rebind points the grower at a different netlist: the tracker is
-// re-initialized for nl, the per-cell frontier and per-net outside-pin
-// arrays are resliced to nl's size (reallocated only when their
-// storage is too small), and the lazily built baseline tracker, sized
-// for the old netlist, is dropped. Entries left over from earlier
-// netlists need no clearing: their stamps hold past epochs, and the
-// next growth bumps the epoch before reading any of them.
+// re-initialized for nl and the per-cell frontier array is resliced to
+// nl's size (reallocated only when its storage is too small). Entries
+// left over from earlier netlists need no clearing: their stamps hold
+// past epochs, and the next growth bumps the epoch before reading any
+// of them.
 func (g *grower) rebind(nl *netlist.Netlist) {
 	g.nl = nl
 	g.tracker.Rebind(nl)
 	g.front = resized(g.front, nl.NumCells())
-	g.outs = resized(g.outs, nl.NumNets())
-	g.btracker = nil
 }
 
 // attach swaps the grower's netlist references without touching its
@@ -197,9 +150,6 @@ func (g *grower) rebind(nl *netlist.Netlist) {
 func (g *grower) attach(nl *netlist.Netlist) {
 	g.nl = nl
 	g.tracker.Attach(nl)
-	if g.btracker != nil {
-		g.btracker.nl = nl
-	}
 }
 
 // resized returns s with length n, reusing its storage when it is
@@ -214,24 +164,20 @@ func resized[T any](s []T, n int) []T {
 func (g *grower) reset() {
 	g.tracker.Reset()
 	g.heap.Reset()
-	g.bheap.Reset()
 	g.bumpEpoch()
 	g.touched = g.touched[:0]
 	g.examined = g.examined[:0]
-	g.arena = g.arena[:0]
 	g.pend = g.pend[:0]
 }
 
-// bumpEpoch invalidates every frontier entry and outside-pin list in
-// O(1). On the (once per 2^23 growths) wraparound both arrays are
-// cleared to their full capacity — a later rebind may reslice past the
-// current length — so stale stamps from eight million growths ago
-// cannot alias the fresh epoch.
+// bumpEpoch invalidates every frontier entry in O(1). On the (once per
+// 2^23 growths) wraparound the array is cleared to its full capacity —
+// a later rebind may reslice past the current length — so stale stamps
+// from eight million growths ago cannot alias the fresh epoch.
 func (g *grower) bumpEpoch() {
 	g.epoch++
 	if g.epoch > epochMask {
 		clear(g.front[:cap(g.front)])
-		clear(g.outs[:cap(g.outs)])
 		g.epoch = 1
 	}
 }
@@ -242,9 +188,6 @@ func (g *grower) bumpEpoch() {
 // until the next grow call; callers that keep prefixes copy them
 // through group.Evaluator.Eval.
 func (g *grower) grow(seed netlist.CellID, maxLen int) *OrderingStats {
-	if g.baseline {
-		return g.growBaseline(seed, maxLen)
-	}
 	g.reset()
 	if maxLen > g.nl.NumCells() {
 		maxLen = g.nl.NumCells()
@@ -295,7 +238,7 @@ func (g *grower) popBest() (netlist.CellID, bool) {
 		}
 		// The cut-delta tiebreak only decides between entries with
 		// EQUAL gain. When v's gain is strictly ahead of the new top,
-		// v wins whatever its tie is — the baseline would at worst
+		// v wins whatever its tie is — the reference would at worst
 		// requeue v at the fresh tie and immediately pop it again
 		// (nothing can overtake a strict maximum), returning the same
 		// cell with the same heap state. Skipping the verification is
@@ -308,7 +251,7 @@ func (g *grower) popBest() (netlist.CellID, bool) {
 		if fresh != tie {
 			fe.tie = fresh
 			// The cut delta drifted since this entry was pushed. The
-			// baseline requeues at the exact value and keeps popping —
+			// reference requeues at the exact value and keeps popping —
 			// but when the corrected entry still beats everything
 			// queued, that requeue is popped straight back (and pays a
 			// second, identical DeltaCut walk to verify the value just
@@ -333,29 +276,17 @@ func (g *grower) popBest() (netlist.CellID, bool) {
 
 // addCell absorbs v into the group and refreshes frontier weights.
 //
-// Output invariance of the two walk optimizations, relied on by the
-// golden tests against addCellBaseline:
-//
-//   - Live outside-pin lists: a list is materialized in pin-run order
-//     (minus already-absorbed members) and compacted in place, so the
-//     surviving pins keep exactly the relative order the baseline's
-//     full re-walk would visit them in. First-touch discovery order —
-//     and with it every BFS/MinCut tiebreak — is therefore unchanged,
-//     and within one net every outside pin receives the same gain
-//     delta, so accumulation order per cell (net by net along
-//     CellPins(v)) is unchanged too.
-//
-//   - Push coalescing: the baseline pushes after every per-net gain
-//     bump; this loop pushes once per touched cell per absorb, at the
-//     cell's final accumulated gain. Weighted deltas are strictly
-//     positive, so every intermediate value the baseline pushes is
-//     strictly below the cell's final gain of that absorb and can
-//     never match fe.gain again (gains only grow) — popBest discards
-//     such entries with zero side effects before they influence
-//     anything. The heap's (gain desc, tie asc, key asc) order is a
-//     total order, so dropping entries that could never win and
-//     reordering the survivors' pushes leaves the pop sequence
-//     bit-identical.
+// Output invariance of push coalescing, relied on by the differential
+// test against the reference grower: the reference pushes after every
+// per-net gain bump; this loop pushes once per touched cell per
+// absorb, at the cell's final accumulated gain. Weighted deltas are
+// strictly positive, so every intermediate value the reference pushes
+// is strictly below the cell's final gain of that absorb and can never
+// match fe.gain again (gains only grow) — popBest discards such
+// entries with zero side effects before they influence anything. The
+// heap's (gain desc, tie asc, key asc) order is a total order, so
+// dropping entries that could never win and reordering the survivors'
+// pushes leaves the pop sequence bit-identical.
 func (g *grower) addCell(v netlist.CellID) {
 	t := g.tracker
 	front := g.front // hoisted: the inner loops index it per pin
@@ -374,130 +305,18 @@ func (g *grower) addCell(v netlist.CellID) {
 		s := info[i]
 		lambda := int(s >> group.AbsorbShift) // pins still outside
 		if lambda == 0 {
-			// Fully internal: no frontier contribution left. The net's
-			// list (if materialized) still holds v, but λ can never
-			// grow, so it is dead for the rest of this growth.
-			continue
+			continue // fully internal: no frontier contribution left
 		}
 		if skip > 0 && lambda >= skip {
 			// The paper's K-factor optimization: weight changes on
 			// nets with many outside pins are negligible; skip them.
-			// λ only shrinks, so a skipped net has never been
-			// materialized either.
 			continue
 		}
-		var delta float64
-		if weighted {
-			wNew := inv(lambda + 1)
-			if s&group.AbsorbNewBit != 0 {
-				delta = wNew // net newly connected to the group
-			} else {
-				delta = wNew - inv(lambda+2)
-			}
-		}
-		var list []netlist.CellID
-		direct := false
-		if s&group.AbsorbWideBit == 0 {
-			// Narrow net: a direct pin-run walk with member skipping is
-			// cheaper than list upkeep. Members — v included — are
-			// filtered by the Has check in the loops below; the visit
-			// order equals the materialized order, so the two paths are
-			// interchangeable absorb by absorb. Width is a property of
-			// the net, not of λ — so the narrow majority never touches
-			// g.outs at all, while a wide net keeps its amortized list
-			// even once λ is small: its full pin run (the direct walk's
-			// cost) only grows more member-heavy as the group absorbs it.
-			list = g.nl.NetPins(e)
-			if s&group.AbsorbNewBit != 0 && weighted {
-				// Freshly connected: v is the net's only member, so the
-				// member skip degenerates to an id compare — no bitset
-				// load per pin. Same survivors, same order.
-				for _, w := range list {
-					if w == v {
-						continue
-					}
-					fe := &front[w]
-					st := fe.stamp
-					if st&epochMask != epoch {
-						fe.stamp = epoch | pendingBit
-						g.touched = append(g.touched, w)
-						fe.gain = delta
-						fe.tie = 0
-						g.pend = append(g.pend, w)
-						continue
-					}
-					fe.gain += delta
-					if st&pendingBit == 0 {
-						fe.stamp = st | pendingBit
-						g.pend = append(g.pend, w)
-					}
-				}
-				continue
-			}
-			direct = true
-		} else if oe := &g.outs[e]; oe.epoch == epoch {
-			// v was outside until this absorb: compact it out of the
-			// live list, preserving the remaining pins' order.
-			lst := g.arena[oe.off : oe.off+oe.n]
-			for j, w := range lst {
-				if w == v {
-					copy(lst[j:], lst[j+1:])
-					oe.n--
-					break
-				}
-			}
-			list = g.arena[oe.off : oe.off+oe.n]
-		} else {
-			// First walk of a wide net this growth: materialize its
-			// live outside pins (pin-run order) into the arena, so later
-			// walks cost λ live pins instead of |e| total. Offsets stay
-			// valid across arena regrowth; the window slice is taken
-			// afterwards.
-			start := len(g.arena)
-			if s&group.AbsorbNewBit != 0 {
-				// Freshly connected: the only member to filter is v.
-				for _, w := range g.nl.NetPins(e) {
-					if w != v {
-						g.arena = append(g.arena, w)
-					}
-				}
-			} else {
-				for _, w := range g.nl.NetPins(e) {
-					if !t.Has(int(w)) {
-						g.arena = append(g.arena, w)
-					}
-				}
-			}
-			oe.off = int32(start)
-			oe.n = int32(len(g.arena) - start)
-			oe.epoch = epoch
-			list = g.arena[start:]
-		}
-		if weighted {
-			for _, w := range list {
-				if direct && t.Has(int(w)) {
-					continue // direct pin-run walk: skip members
-				}
-				fe := &front[w]
-				st := fe.stamp
-				if st&epochMask != epoch {
-					fe.stamp = epoch | pendingBit
-					g.touched = append(g.touched, w)
-					fe.gain = delta
-					fe.tie = 0
-					g.pend = append(g.pend, w)
+		pins := g.nl.NetPins(e)
+		if !weighted {
+			for _, w := range pins {
+				if t.Has(int(w)) {
 					continue
-				}
-				fe.gain += delta
-				if st&pendingBit == 0 {
-					fe.stamp = st | pendingBit
-					g.pend = append(g.pend, w)
-				}
-			}
-		} else {
-			for _, w := range list {
-				if direct && t.Has(int(w)) {
-					continue // direct pin-run walk: skip members
 				}
 				fe := &front[w]
 				if fe.stamp&epochMask != epoch {
@@ -517,6 +336,34 @@ func (g *grower) addCell(v netlist.CellID) {
 				}
 				// OrderMinCut: gain stays 0; cut deltas are re-verified
 				// at pop. OrderBFS: nothing beyond discovery.
+			}
+			continue
+		}
+		delta := inv(lambda + 1)
+		fresh := s&group.AbsorbNewBit != 0 // net newly connected to the group
+		if !fresh {
+			delta -= inv(lambda + 2)
+		}
+		for _, w := range pins {
+			// A freshly connected net has v as its only member, so its
+			// member skip needs no bitset load.
+			if w == v || !fresh && t.Has(int(w)) {
+				continue
+			}
+			fe := &front[w]
+			st := fe.stamp
+			if st&epochMask != epoch {
+				fe.stamp = epoch | pendingBit
+				g.touched = append(g.touched, w)
+				fe.gain = delta
+				fe.tie = 0
+				g.pend = append(g.pend, w)
+				continue
+			}
+			fe.gain += delta
+			if st&pendingBit == 0 {
+				fe.stamp = st | pendingBit
+				g.pend = append(g.pend, w)
 			}
 		}
 	}

@@ -23,7 +23,7 @@ const (
 
 // The per-seed pipeline phases accumulated on each worker's grower.
 // Kept as a fixed array of plain int64 nanoseconds so the hot path
-// pays one time.Now pair per phase and no map or atomic traffic; the
+// pays one clock read per phase and no map or atomic traffic; the
 // totals are harvested once per worker when the pool drains.
 const (
 	phaseGrow = iota
@@ -69,11 +69,18 @@ func SetStageTiming(enabled bool) (prev bool) {
 // StageTimingEnabled reports whether per-seed stage accounting is on.
 func StageTimingEnabled() bool { return !stageTimingOff.Load() }
 
+// clock reads the time for every measurement SetStageTiming switches:
+// the per-seed phase stamps, the scheduler's busy and steal clocks and
+// the incremental replay/reseed split. Per-run stamps read time.Now
+// directly. The overhead guard swaps in a counting clock to bound
+// what the switched reads cost.
+var clock = time.Now
+
 // stamp folds the time elapsed since `from` into phase p and returns
 // the new timestamp, chaining consecutive phase boundaries through
 // one clock read each.
 func (g *grower) stamp(p int, from time.Time) time.Time {
-	now := time.Now()
+	now := clock()
 	g.phases[p] += int64(now.Sub(from))
 	return now
 }

@@ -3,7 +3,10 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"tanglefind/internal/generate"
 	"tanglefind/internal/netlist"
@@ -218,5 +221,111 @@ func TestSetStageTiming(t *testing.T) {
 		if on.GTLs[i].Score != off.GTLs[i].Score || on.GTLs[i].Size() != off.GTLs[i].Size() {
 			t.Fatalf("timing toggle changed GTL %d", i)
 		}
+	}
+}
+
+// overheadWorkload is a shrunk BenchmarkFind_Parallel: same shape (two
+// planted blocks, multilevel) at 30K cells.
+func overheadWorkload(t testing.TB) (*Finder, Options) {
+	t.Helper()
+	rg, err := generate.NewRandomGraph(generate.RandomGraphSpec{
+		Cells:  30_000,
+		Blocks: []generate.BlockSpec{{Size: 2000}, {Size: 2000}},
+		Seed:   19,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewFinder(rg.Netlist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := DefaultOptions()
+	opt.Seeds = 24
+	opt.MaxOrderLen = 3000
+	opt.Levels = 2
+	opt.MinCoarseCells = 4096
+	return f, opt
+}
+
+// TestStageTimingOverheadGuard bounds what the stage-timing
+// instrumentation costs: at most 2% of an untimed run of the
+// BenchmarkFind_Parallel shape. Wall-time differences of a run this
+// short cannot resolve 2% on a shared machine, so the guard measures
+// what SetStageTiming switches instead — the clock reads. It counts
+// them per timed run through a counting clock, times one read, and
+// holds reads × cost ÷ untimed run time to the bound. The read cost is
+// summed over every worker while the run time is wall time, so the
+// estimate errs high. The structural half checks that timing defaults
+// on, that an untimed run reads the clock not at all, and that the
+// toggle never changes detection results.
+func TestStageTimingOverheadGuard(t *testing.T) {
+	f, opt := overheadWorkload(t)
+	ctx := context.Background()
+	if !StageTimingEnabled() {
+		t.Fatal("stage timing must default on")
+	}
+	wall := clock
+	defer func() { clock = wall }()
+	var reads atomic.Int64
+	clock = func() time.Time {
+		reads.Add(1)
+		return wall()
+	}
+	find := func(timed bool) (*Result, int64, time.Duration) {
+		prev := SetStageTiming(timed)
+		defer SetStageTiming(prev)
+		reads.Store(0)
+		start := time.Now()
+		res, err := f.Find(ctx, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, reads.Load(), time.Since(start)
+	}
+
+	find(true) // builds the hierarchy and warms the worker-state pool
+	on, timedReads, _ := find(true)
+	if on.Stages[StageGrow] <= 0 {
+		t.Fatalf("instrumented run has no stage breakdown: %v", on.Stages)
+	}
+	off, untimedReads, untimed := find(false)
+	if untimedReads != 0 {
+		t.Errorf("an untimed run read the stage clock %d times", untimedReads)
+	}
+	if len(on.GTLs) != len(off.GTLs) {
+		t.Fatalf("timing toggle changed results: %d vs %d GTLs", len(on.GTLs), len(off.GTLs))
+	}
+	for i := range on.GTLs {
+		if on.GTLs[i].Score != off.GTLs[i].Score || !slices.Equal(on.GTLs[i].Members, off.GTLs[i].Members) {
+			t.Fatalf("timing toggle changed GTL %d", i)
+		}
+	}
+	for range 2 {
+		_, _, d := find(false)
+		untimed = min(untimed, d)
+	}
+
+	// One read's cost through the production clock, as the median of
+	// five batches so one preempted batch cannot skew it either way.
+	clock = wall
+	const batch = 1 << 16
+	var perRead [5]float64
+	for i := range perRead {
+		start := time.Now()
+		for range batch {
+			_ = clock()
+		}
+		perRead[i] = float64(time.Since(start)) / batch
+	}
+	slices.Sort(perRead[:])
+	cost := perRead[len(perRead)/2]
+
+	overhead := float64(timedReads) * cost / float64(untimed)
+	t.Logf("%d clock reads per timed run × %.1f ns = %.1f µs against an untimed run of %v: %.3f%%",
+		timedReads, cost, float64(timedReads)*cost/1e3, untimed, overhead*100)
+	if overhead > 0.02 {
+		t.Errorf("stage timing costs %.2f%% (> 2%% budget): %d clock reads × %.1f ns against an untimed run of %v",
+			overhead*100, timedReads, cost, untimed)
 	}
 }

@@ -198,9 +198,9 @@ func (g *stealGroup) run(ctx context.Context, w int, exec func(k int)) {
 				return
 			}
 			if g.timed {
-				t := time.Now()
+				t := clock()
 				exec(k)
-				busyNS += int64(time.Since(t))
+				busyNS += int64(clock().Sub(t))
 			} else {
 				exec(k)
 			}
@@ -211,7 +211,7 @@ func (g *stealGroup) run(ctx context.Context, w int, exec func(k int)) {
 		// range through the own queue (thieves can sub-steal its tail).
 		var scanStart time.Time
 		if g.timed {
-			scanStart = time.Now()
+			scanStart = clock()
 		}
 		victim, best := -1, 1
 		for v := range g.queues {
@@ -224,13 +224,13 @@ func (g *stealGroup) run(ctx context.Context, w int, exec func(k int)) {
 		}
 		if victim < 0 {
 			if g.timed {
-				stealWaitNS += int64(time.Since(scanStart))
+				stealWaitNS += int64(clock().Sub(scanStart))
 			}
 			return
 		}
 		lo, hi, ok := g.queues[victim].stealHalf()
 		if g.timed {
-			stealWaitNS += int64(time.Since(scanStart))
+			stealWaitNS += int64(clock().Sub(scanStart))
 		}
 		if !ok {
 			continue // lost the race; rescan

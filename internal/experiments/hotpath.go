@@ -10,44 +10,31 @@ import (
 	"time"
 
 	"tanglefind/internal/core"
-	"tanglefind/internal/netlist/deltatest"
 	"tanglefind/internal/report"
 	"tanglefind/internal/telemetry"
 )
 
 // ---------------------------------------------------------------------
-// Single-core hot path — the PR's before/after: the retained
-// pre-overhaul absorb loop (full NetPins re-walks, per-(net,cell)
-// heap pushes, binary heap) against the overhauled engine (amortized
-// outside-pin compaction, coalesced pushes, 4-ary heap). Every timed
-// pair is differentially verified first: optimized must be
-// bit-identical to baseline. Flat pipeline, Workers=1 throughout —
-// this is the single-core story; the parallel experiment owns scaling.
+// Single-core hot path: the flat pipeline at Workers=1, timed with its
+// stage breakdown — the single-core story; the parallel experiment
+// owns scaling.
 // ---------------------------------------------------------------------
 
-// HotPathResult is one workload row of the before/after comparison.
+// HotPathResult is one workload row of the single-core record.
 type HotPathResult struct {
 	Name  string `json:"name"`
 	Cells int    `json:"cells"`
 	Pins  int    `json:"pins"`
 	Seeds int    `json:"seeds"`
-	// BaselineMS times the retained pre-overhaul absorb loop
-	// (core.Finder.SetBaselineGrowth); OptimizedMS the default engine.
-	BaselineMS  float64 `json:"baseline_ms"`
+	// OptimizedMS is the wall time of one warm flat find.
 	OptimizedMS float64 `json:"optimized_ms"`
-	// Speedup = BaselineMS/OptimizedMS, the overhaul's single-core gain.
-	Speedup float64 `json:"speedup"`
-	GTLs    int     `json:"gtls"`
-	// Stage breakdowns of the timed baseline and optimized runs, so
-	// the record shows where the time went, not just that it shrank.
-	BaselineStages  telemetry.StageTimings `json:"baseline_stages_ms,omitempty"`
+	GTLs        int     `json:"gtls"`
+	// OptimizedStages is the timed run's stage breakdown, so the record
+	// shows where the time went.
 	OptimizedStages telemetry.StageTimings `json:"optimized_stages_ms,omitempty"`
-	// Match is the bit-identity verdict (optimized vs baseline, zero
-	// tolerance).
-	Match bool `json:"match"`
 }
 
-// HotPathRun executes the before/after on one case's workload.
+// HotPathRun times the engine on one case's workload.
 func HotPathRun(ctx context.Context, cs MultilevelCase, cfg Config) (*HotPathResult, error) {
 	rg, err := multilevelWorkload(cs, cfg)
 	if err != nil {
@@ -68,55 +55,28 @@ func HotPathRun(ctx context.Context, cs MultilevelCase, cfg Config) (*HotPathRes
 	if err != nil {
 		return nil, err
 	}
-
-	timed := func(o core.Options) (*core.Result, float64, error) {
-		start := time.Now()
-		res, err := f.Find(ctx, o)
-		return res, float64(time.Since(start)) / float64(time.Millisecond), err
-	}
-
 	// One warmup run pays cold scratch pools and page-faults the CSR
-	// once, so neither engine's timed run carries setup noise. Warm
-	// with the baseline engine: any residual warmup bias then favors
-	// the baseline, making the reported speedup conservative.
-	f.SetBaselineGrowth(true)
-	if _, _, err := timed(opt); err != nil {
+	// once, so the timed run carries no setup noise.
+	if _, err := f.Find(ctx, opt); err != nil {
 		return nil, fmt.Errorf("hotpath %s: warmup: %w", cs.Name, err)
 	}
-	baseRes, baseMS, err := timed(opt)
+	start := time.Now()
+	res, err := f.Find(ctx, opt)
 	if err != nil {
-		return nil, fmt.Errorf("hotpath %s: baseline: %w", cs.Name, err)
+		return nil, fmt.Errorf("hotpath %s: %w", cs.Name, err)
 	}
-
-	f.SetBaselineGrowth(false)
-	optRes, optMS, err := timed(opt)
-	if err != nil {
-		return nil, fmt.Errorf("hotpath %s: optimized: %w", cs.Name, err)
-	}
-	if err := deltatest.DiffResults(baseRes, optRes, 0); err != nil {
-		return nil, fmt.Errorf("hotpath %s: optimized diverged from baseline: %w", cs.Name, err)
-	}
-
-	row := &HotPathResult{
+	return &HotPathResult{
 		Name:            cs.Name,
 		Cells:           nl.NumCells(),
 		Pins:            nl.NumPins(),
 		Seeds:           opt.Seeds,
-		BaselineMS:      baseMS,
-		OptimizedMS:     optMS,
-		GTLs:            len(optRes.GTLs),
-		BaselineStages:  baseRes.Stages,
-		OptimizedStages: optRes.Stages,
-		Match:           true,
-	}
-	if optMS > 0 {
-		row.Speedup = baseMS / optMS
-	}
-	return row, nil
+		OptimizedMS:     float64(time.Since(start)) / float64(time.Millisecond),
+		GTLs:            len(res.GTLs),
+		OptimizedStages: res.Stages,
+	}, nil
 }
 
-// HotPath runs the before/after over both standard geometries and
-// renders the comparison table.
+// HotPath times both standard geometries and renders the table.
 func HotPath(ctx context.Context, cfg Config, w io.Writer) (*HotPathRecord, error) {
 	rec := &HotPathRecord{Scale: cfg.Scale, Seeds: cfg.Seeds, CPUs: runtime.GOMAXPROCS(0)}
 	for _, cs := range MultilevelCases {
@@ -129,11 +89,9 @@ func HotPath(ctx context.Context, cfg Config, w io.Writer) (*HotPathRecord, erro
 	if w != nil {
 		tbl := report.New(
 			fmt.Sprintf("Single-core hot path, flat pipeline, Workers=1 (%d CPUs)", rec.CPUs),
-			"Workload", "Cells", "Baseline ms", "Optimized ms", "Speedup", "GTLs", "Top stages", "Match")
+			"Workload", "Cells", "Find ms", "GTLs", "Top stages")
 		for _, r := range rec.Results {
-			tbl.Row(r.Name, r.Cells, fmt.Sprintf("%.0f", r.BaselineMS),
-				fmt.Sprintf("%.0f", r.OptimizedMS), fmt.Sprintf("%.2fx", r.Speedup),
-				r.GTLs, r.OptimizedStages.Top(3), r.Match)
+			tbl.Row(r.Name, r.Cells, fmt.Sprintf("%.0f", r.OptimizedMS), r.GTLs, r.OptimizedStages.Top(3))
 		}
 		if err := tbl.Render(w); err != nil {
 			return nil, err
@@ -142,7 +100,7 @@ func HotPath(ctx context.Context, cfg Config, w io.Writer) (*HotPathRecord, erro
 	return rec, nil
 }
 
-// HotPathRecord is the serialized before/after gtlexp -dump writes as
+// HotPathRecord is the serialized record gtlexp -dump writes as
 // BENCH_hotpath.json. A record with Scale < 1 documents a smoke
 // measurement, not the headline claim.
 type HotPathRecord struct {
@@ -152,7 +110,7 @@ type HotPathRecord struct {
 	Results []*HotPathResult `json:"results"`
 }
 
-// WriteHotPathRecord saves the comparison as indented JSON.
+// WriteHotPathRecord saves the record as indented JSON.
 func WriteHotPathRecord(path string, rec *HotPathRecord) error {
 	data, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {

@@ -25,18 +25,15 @@ import (
 type Tracker struct {
 	nl *netlist.Netlist
 	in *ds.Bitset
-	// state holds, per net, λ(e)<<2 | wide<<1 | connected: the net's
-	// outside-pin count, a frozen NetSize ≥ WideNetMin flag, and whether
-	// the group has reached the net yet. Untouched nets sit at
-	// NetSize<<2 | wide<<1. Encoding λ rather than the inside count lets
-	// Add and DeltaCut decide every cut transition from this single
-	// value — "becomes cut" is an untouched net with λ≥2 (state ≥ 8,
-	// low bit 0), "becomes internal" is a connected net at λ=1
-	// (state>>2 == 1, low bit 1) — so the hot loops touch one array
+	// state holds, per net, λ(e)<<1 | connected: the net's outside-pin
+	// count and whether the group has reached the net yet. Untouched
+	// nets sit at NetSize<<1. Encoding λ rather than the inside count
+	// lets Add and DeltaCut decide every cut transition from this
+	// single value — "becomes cut" is an untouched net with λ≥2
+	// (state ≥ 4, low bit 0), "becomes internal" is a connected net at
+	// λ=1 (state>>1 == 1, low bit 1) — so the hot loops touch one array
 	// where the inside-count encoding needed a NetSize load from a
-	// second one per net. The wide bit rides along into AbsorbInfo so
-	// the finder's absorb loop can pick its walk strategy without a
-	// NetSize load either.
+	// second one per net.
 	state   []int32
 	touched []netlist.NetID
 	members []netlist.CellID
@@ -49,26 +46,11 @@ type Tracker struct {
 	pins   int // Σ_{c∈S} deg(c)
 }
 
-// WideNetMin is the pin count from which a net carries the wide flag
-// in its state word and in AbsorbInfo. The finder's absorb loop keys
-// its walk strategy off it: wide nets amortize a materialized live
-// outside-pin list, narrow nets walk their pin run directly.
-const WideNetMin = 16
-
 // AbsorbInfo bit layout (see AbsorbInfo).
 const (
-	AbsorbNewBit  = 1 << 0 // the add connected the net to the group
-	AbsorbWideBit = 1 << 1 // NetSize(e) >= WideNetMin
-	AbsorbShift   = 2      // λ(e) lives in the bits above
+	AbsorbNewBit = 1 << 0 // the add connected the net to the group
+	AbsorbShift  = 1      // λ(e) lives in the bits above
 )
-
-func initialState(sz int) int32 {
-	s := int32(sz) << AbsorbShift
-	if sz >= WideNetMin {
-		s |= AbsorbWideBit
-	}
-	return s
-}
 
 // NewTracker returns an empty tracker over nl.
 func NewTracker(nl *netlist.Netlist) *Tracker {
@@ -90,7 +72,7 @@ func (t *Tracker) Rebind(nl *netlist.Netlist) {
 	}
 	t.state = t.state[:nets]
 	for n := range t.state {
-		t.state[n] = initialState(nl.NetSize(netlist.NetID(n)))
+		t.state[n] = int32(nl.NetSize(netlist.NetID(n))) << AbsorbShift
 	}
 	t.touched = t.touched[:0]
 	t.members = t.members[:0]
@@ -107,7 +89,7 @@ func (t *Tracker) Attach(nl *netlist.Netlist) { t.nl = nl }
 // Reset empties the group, retaining all allocations.
 func (t *Tracker) Reset() {
 	for _, n := range t.touched {
-		t.state[n] = initialState(t.nl.NetSize(n))
+		t.state[n] = int32(t.nl.NetSize(n)) << AbsorbShift
 	}
 	t.touched = t.touched[:0]
 	t.members = t.members[:0]
@@ -177,7 +159,7 @@ func (t *Tracker) Add(c netlist.CellID) {
 	for _, n := range nets {
 		s := t.state[n]
 		if s&AbsorbNewBit == 0 {
-			// Net newly connected to the group. λ≥2 (state ≥ 8) means it
+			// Net newly connected to the group. λ≥2 (state ≥ 4) means it
 			// had other pins, all outside: it becomes externally
 			// connected. A single-pin net goes straight to fully
 			// internal without ever counting toward the cut.
@@ -201,9 +183,8 @@ func (t *Tracker) Add(c netlist.CellID) {
 
 // AbsorbInfo describes the nets of the most recently Added cell,
 // aligned index-for-index with its CellPins run: each entry encodes
-// λ(e)<<AbsorbShift | wide | newlyConnected, where λ(e) is the net's
-// outside-pin count after the add, AbsorbWideBit marks nets of
-// WideNetMin or more pins, and AbsorbNewBit marks nets the add
+// λ(e)<<AbsorbShift | newlyConnected, where λ(e) is the net's
+// outside-pin count after the add and AbsorbNewBit marks nets the add
 // connected to the group for the first time. The slice aliases tracker
 // scratch — read it before the next Add and do not modify it. It
 // exists so the finder's absorb loop can reuse the state reads Add
