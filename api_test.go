@@ -190,20 +190,6 @@ func TestFacadeEngine(t *testing.T) {
 	if len(results[0].GTLs) != len(ref.GTLs) {
 		t.Errorf("batch result differs from solo run")
 	}
-
-	// The stage-timing toggle: it reports the enabled default and
-	// never changes results.
-	if prev := tanglefind.SetStageTiming(false); !prev {
-		t.Error("stage-timing toggle did not report the enabled default")
-	}
-	untimed, err := f.Find(ctx, opt)
-	tanglefind.SetStageTiming(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(untimed.GTLs) != len(ref.GTLs) {
-		t.Errorf("untimed run found %d GTLs, want %d", len(untimed.GTLs), len(ref.GTLs))
-	}
 }
 
 // TestFacadeOptionsWire covers the serving-layer exports: options

@@ -15,7 +15,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"testing"
 
@@ -543,82 +542,6 @@ func BenchmarkTraversal_Sliced(b *testing.B) {
 	}
 }
 
-// BenchmarkCliqueExpand_TwoPass measures the count-then-fill flat
-// expansion.
-func BenchmarkCliqueExpand_TwoPass(b *testing.B) {
-	nl := bench100K(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		adj := nl.CliqueExpand(20)
-		if adj.Degree(0) < 0 {
-			b.Fatal("bad adjacency")
-		}
-	}
-}
-
-// legacyCliqueExpand is the seed implementation (append into per-cell
-// edge slices, then sort/merge/copy), kept here as the baseline.
-func legacyCliqueExpand(nl *netlist.Netlist, maxNetSize int) *netlist.Adjacency {
-	n := nl.NumCells()
-	type edge struct {
-		to netlist.CellID
-		w  float64
-	}
-	adj := make([][]edge, n)
-	for ni := 0; ni < nl.NumNets(); ni++ {
-		cells := nl.NetPins(netlist.NetID(ni))
-		k := len(cells)
-		if k < 2 || (maxNetSize > 0 && k > maxNetSize) {
-			continue
-		}
-		w := 1.0 / float64(k-1)
-		for i := 0; i < k; i++ {
-			for j := i + 1; j < k; j++ {
-				adj[cells[i]] = append(adj[cells[i]], edge{cells[j], w})
-				adj[cells[j]] = append(adj[cells[j]], edge{cells[i], w})
-			}
-		}
-	}
-	out := &netlist.Adjacency{Start: make([]int32, n+1)}
-	for c := 0; c < n; c++ {
-		es := adj[c]
-		sort.Slice(es, func(i, j int) bool { return es[i].to < es[j].to })
-		m := 0
-		for i := 0; i < len(es); {
-			j := i
-			w := 0.0
-			for j < len(es) && es[j].to == es[i].to {
-				w += es[j].w
-				j++
-			}
-			es[m] = edge{es[i].to, w}
-			m++
-			i = j
-		}
-		es = es[:m]
-		out.Start[c+1] = out.Start[c] + int32(m)
-		for _, e := range es {
-			out.Adj = append(out.Adj, e.to)
-			out.Weight = append(out.Weight, e.w)
-		}
-		adj[c] = nil
-	}
-	return out
-}
-
-func BenchmarkCliqueExpand_LegacyAppend(b *testing.B) {
-	nl := bench100K(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		adj := legacyCliqueExpand(nl, 20)
-		if adj.Degree(0) < 0 {
-			b.Fatal("bad adjacency")
-		}
-	}
-}
-
 // BenchmarkLoad_TFNet and BenchmarkLoad_TFB parse the same 100K-cell
 // netlist from memory; the acceptance target is binary >= 5x faster.
 func BenchmarkLoad_TFNet(b *testing.B) {
@@ -815,47 +738,6 @@ func BenchmarkFind_Parallel(b *testing.B) {
 			}
 			b.ReportMetric(float64(steals), "steals")
 			b.ReportMetric(float64(stolen), "seeds-stolen")
-		})
-	}
-}
-
-// BenchmarkFind_Instrumented measures the stage-timing instrumentation
-// against the identical BenchmarkFind_Parallel workload with the
-// per-seed accounting toggled off — the two sub-benches show the
-// telemetry overhead (TestStageTimingOverheadGuard in internal/core
-// asserts the <2% budget).
-func BenchmarkFind_Instrumented(b *testing.B) {
-	rg, err := generate.NewRandomGraph(generate.RandomGraphSpec{
-		Cells:  60_000,
-		Blocks: []generate.BlockSpec{{Size: 3000}, {Size: 3000}},
-		Seed:   19,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	f, err := core.NewFinder(rg.Netlist)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opt := core.DefaultOptions()
-	opt.Seeds = 48
-	opt.MaxOrderLen = 6000
-	opt.Levels = 2
-	opt.MinCoarseCells = 4096
-	for _, timed := range []bool{true, false} {
-		b.Run(fmt.Sprintf("timing=%v", timed), func(b *testing.B) {
-			b.ReportAllocs()
-			prev := core.SetStageTiming(timed)
-			defer core.SetStageTiming(prev)
-			var total float64
-			for i := 0; i < b.N; i++ {
-				res, err := f.Find(context.Background(), opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				total = float64(res.Stages.Total().Milliseconds())
-			}
-			b.ReportMetric(total, "stage-ms")
 		})
 	}
 }

@@ -218,7 +218,6 @@ func (f *Finder) acquire(opt *Options) *workerState {
 	ws.bind(f.nl)
 	ws.gr.opt = opt
 	ws.gr.phases = phaseAcc{}
-	ws.gr.timed = !stageTimingOff.Load()
 	return ws
 }
 

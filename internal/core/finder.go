@@ -68,8 +68,7 @@ type Result struct {
 	// global pruning pass, and multilevel runs add "coarse_detect"
 	// (the coarse detection's wall time, which overlaps its own
 	// per-seed phases) and "project" (the projection/refinement
-	// descent). Always non-nil on a completed run; per-seed entries
-	// disappear under SetStageTiming(false). Purely diagnostic —
+	// descent). Always non-nil on a completed run. Purely diagnostic —
 	// timing never affects detection results.
 	Stages telemetry.StageTimings
 }
@@ -132,14 +131,9 @@ type seedOut struct {
 // state — orderings, score-curve inputs and the exact read footprint —
 // for later incremental replay; capture never changes the outcome.
 func runSeed(nl *netlist.Netlist, gr *grower, ev *group.Evaluator, rng *ds.RNG, seed netlist.CellID, opt *Options, aG float64, rec *seedRecord) (out seedOut) {
-	var t time.Time
-	if gr.timed {
-		t = clock()
-	}
+	t := clock()
 	ord := gr.grow(seed, opt.MaxOrderLen)
-	if gr.timed {
-		t = gr.stamp(phaseGrow, t)
-	}
+	t = gr.stamp(phaseGrow, t)
 	curve := gr.scoreCurve(ord, opt.Metric, aG, opt.KeepCurves)
 	if rec != nil {
 		rec.seed = seed
@@ -149,12 +143,10 @@ func runSeed(nl *netlist.Netlist, gr *grower, ev *group.Evaluator, rng *ds.RNG, 
 		rec.ord = copyOrdRecord(ord, curve.Rent)
 	}
 	ex := extract(curve, opt)
-	if gr.timed {
-		// Score covers curve scoring, extraction and the incremental
-		// footprint capture above; recombine starts here and runs
-		// through refinement.
-		t = gr.stamp(phaseScore, t)
-	}
+	// Score covers curve scoring, extraction and the incremental
+	// footprint capture above; recombine starts here and runs through
+	// refinement.
+	t = gr.stamp(phaseScore, t)
 	if rec != nil {
 		rec.extracted = ex.ok
 		rec.size = ex.size
@@ -176,9 +168,7 @@ func runSeed(nl *netlist.Netlist, gr *grower, ev *group.Evaluator, rng *ds.RNG, 
 		out.candidate = &base
 		out.score = ex.score
 		out.rent = ex.rent
-		if gr.timed {
-			gr.stamp(phaseRecombine, t)
-		}
+		gr.stamp(phaseRecombine, t)
 		return out
 	}
 	// Refinement's internal re-growths and re-scores are attributed to
@@ -187,9 +177,7 @@ func runSeed(nl *netlist.Netlist, gr *grower, ev *group.Evaluator, rng *ds.RNG, 
 	out.candidate = refined
 	out.score = score
 	out.rent = ex.rent
-	if gr.timed {
-		gr.stamp(phaseRecombine, t)
-	}
+	gr.stamp(phaseRecombine, t)
 	return out
 }
 

@@ -511,14 +511,10 @@ func (f *Finder) findIncrementalFlat(ctx context.Context, opt *Options, prev *Re
 	// that fails replay and falls through to the full pipeline counts
 	// wholly as reseed (its grow/score/recombine phases also land in
 	// the worker's phase clocks).
-	timed := !stageTimingOff.Load()
 	var replayNS, reseedNS atomic.Int64
 	completed, sched, phases := f.runSeedPool(ctx, opt, len(owners), func(ws *workerState, k int) bool {
 		i := owners[k]
-		var t time.Time
-		if timed {
-			t = clock()
-		}
+		t := clock()
 		if rec := st.reusableRecord(i, plan.ids[i], region); rec != nil {
 			if o, ok := f.replaySeed(ws, rec, i, opt); ok {
 				outs[k] = o
@@ -526,9 +522,7 @@ func (f *Finder) findIncrementalFlat(ctx context.Context, opt *Options, prev *Re
 				if recs != nil {
 					recs[k] = rec // immutable; chains share it
 				}
-				if timed {
-					replayNS.Add(int64(clock().Sub(t)))
-				}
+				replayNS.Add(int64(clock().Sub(t)))
 				return o.cand != nil
 			}
 		}
@@ -539,9 +533,7 @@ func (f *Finder) findIncrementalFlat(ctx context.Context, opt *Options, prev *Re
 		}
 		o := runSeed(f.nl, ws.gr, ws.ev, seedRNG(opt.RandSeed, i), plan.ids[i], opt, f.aG, rec)
 		outs[k] = shardOut{idx: i, trace: o.trace, cand: o.candidate, score: o.score, rent: o.rent}
-		if timed {
-			reseedNS.Add(int64(clock().Sub(t)))
-		}
+		reseedNS.Add(int64(clock().Sub(t)))
 		return o.candidate != nil
 	})
 

@@ -70,11 +70,9 @@ type grower struct {
 	opt      *Options
 
 	// phases accumulates the per-seed pipeline phase wall time (ns)
-	// this worker executed; timed snapshots the package stage-timing
-	// switch at acquire time so runSeed reads a plain bool. Harvested
-	// and zeroed by runSeedPool when the worker drains.
+	// this worker executed. Harvested and zeroed by runSeedPool when
+	// the worker drains.
 	phases phaseAcc
-	timed  bool
 
 	ord   OrderingStats // reusable Phase I output (aliased by grow's return)
 	curve Curve         // reusable Phase II score buffer (see scoreCurve)

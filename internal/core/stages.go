@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
 	"time"
 
 	"tanglefind/internal/telemetry"
@@ -49,31 +48,11 @@ func (p *phaseAcc) stages() telemetry.StageTimings {
 	return t
 }
 
-// stageTimingOff disables per-seed stage accounting (and the
-// per-exec busy/steal clocks in the scheduler) when set. Stored
-// inverted so the zero value means "timing on" — the default.
-// Growers and steal groups capture it once per run, so the seed loop
-// reads a plain bool.
-var stageTimingOff atomic.Bool
-
-// SetStageTiming switches the engine's per-seed stage accounting
-// (Result.Stages phase entries, SchedStats worker busy/steal clocks)
-// on or off, returning the previous setting. Per-run stamps (prune,
-// coarse_detect, project) are always recorded — they cost a handful
-// of clock reads per run. The toggle exists for overhead measurement
-// (BenchmarkFind_Instrumented); it never affects detection results.
-func SetStageTiming(enabled bool) (prev bool) {
-	return !stageTimingOff.Swap(!enabled)
-}
-
-// StageTimingEnabled reports whether per-seed stage accounting is on.
-func StageTimingEnabled() bool { return !stageTimingOff.Load() }
-
-// clock reads the time for every measurement SetStageTiming switches:
-// the per-seed phase stamps, the scheduler's busy and steal clocks and
-// the incremental replay/reseed split. Per-run stamps read time.Now
-// directly. The overhead guard swaps in a counting clock to bound
-// what the switched reads cost.
+// clock reads the time for every per-seed measurement: the phase
+// stamps, the scheduler's busy and steal clocks and the incremental
+// replay/reseed split. Per-run stamps read time.Now directly. The
+// overhead guard swaps in a counting clock to bound what these reads
+// cost.
 var clock = time.Now
 
 // stamp folds the time elapsed since `from` into phase p and returns

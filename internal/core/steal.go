@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"sync/atomic"
-	"time"
 )
 
 // Work-stealing seed scheduler.
@@ -48,9 +47,8 @@ type SchedStats struct {
 	WorkerSeeds []int64 `json:"worker_seeds,omitempty"`
 	// WorkerBusyNS[w] is the wall time (ns) worker w spent executing
 	// seeds; WorkerStealNS[w] is what it spent scanning for and
-	// performing steals. Empty under SetStageTiming(false). The gap
-	// between max(busy) and the run's elapsed time is the scheduling
-	// overhead picture.
+	// performing steals. The gap between max(busy) and the run's
+	// elapsed time is the scheduling overhead picture.
 	WorkerBusyNS  []int64 `json:"worker_busy_ns,omitempty"`
 	WorkerStealNS []int64 `json:"worker_steal_ns,omitempty"`
 }
@@ -147,12 +145,9 @@ type stealGroup struct {
 	exec   []int64
 	steals []int64
 	stolen []int64
-	// busy/stealNS are the per-worker execute and steal-scan clocks
-	// (ns); timed snapshots the stage-timing switch at construction so
-	// the schedule loop reads a plain bool.
+	// busy/stealNS are the per-worker execute and steal-scan clocks (ns).
 	busy    []int64
 	stealNS []int64
-	timed   bool
 }
 
 func newStealGroup(n, nWorkers int) *stealGroup {
@@ -163,7 +158,6 @@ func newStealGroup(n, nWorkers int) *stealGroup {
 		stolen:  make([]int64, nWorkers),
 		busy:    make([]int64, nWorkers),
 		stealNS: make([]int64, nWorkers),
-		timed:   !stageTimingOff.Load(),
 	}
 	for w := 0; w < nWorkers; w++ {
 		lo := w * n / nWorkers
@@ -197,22 +191,15 @@ func (g *stealGroup) run(ctx context.Context, w int, exec func(k int)) {
 			if ctx.Err() != nil {
 				return
 			}
-			if g.timed {
-				t := clock()
-				exec(k)
-				busyNS += int64(clock().Sub(t))
-			} else {
-				exec(k)
-			}
+			t := clock()
+			exec(k)
+			busyNS += int64(clock().Sub(t))
 			ran++
 		}
 		// Own queue dry: pick the victim with the largest backlog so a
 		// steal moves the most work per CAS, then re-expose the stolen
 		// range through the own queue (thieves can sub-steal its tail).
-		var scanStart time.Time
-		if g.timed {
-			scanStart = clock()
-		}
+		scanStart := clock()
 		victim, best := -1, 1
 		for v := range g.queues {
 			if v == w {
@@ -223,15 +210,11 @@ func (g *stealGroup) run(ctx context.Context, w int, exec func(k int)) {
 			}
 		}
 		if victim < 0 {
-			if g.timed {
-				stealWaitNS += int64(clock().Sub(scanStart))
-			}
+			stealWaitNS += int64(clock().Sub(scanStart))
 			return
 		}
 		lo, hi, ok := g.queues[victim].stealHalf()
-		if g.timed {
-			stealWaitNS += int64(clock().Sub(scanStart))
-		}
+		stealWaitNS += int64(clock().Sub(scanStart))
 		if !ok {
 			continue // lost the race; rescan
 		}
@@ -244,11 +227,7 @@ func (g *stealGroup) run(ctx context.Context, w int, exec func(k int)) {
 // stats aggregates the per-worker counters; call only after every
 // worker has returned.
 func (g *stealGroup) stats() SchedStats {
-	s := SchedStats{Workers: len(g.queues), WorkerSeeds: g.exec}
-	if g.timed {
-		s.WorkerBusyNS = g.busy
-		s.WorkerStealNS = g.stealNS
-	}
+	s := SchedStats{Workers: len(g.queues), WorkerSeeds: g.exec, WorkerBusyNS: g.busy, WorkerStealNS: g.stealNS}
 	for w := range g.queues {
 		s.Steals += g.steals[w]
 		s.SeedsStolen += g.stolen[w]

@@ -10,7 +10,7 @@ package ds
 import "math/bits"
 
 // Bitset is a fixed-capacity set of non-negative integers.
-// The zero value is an empty set of capacity 0; use NewBitset or Grow.
+// The zero value is an empty set of capacity 0; use NewBitset or Resize.
 type Bitset struct {
 	words []uint64
 	n     int // number of set bits, maintained incrementally
@@ -19,16 +19,6 @@ type Bitset struct {
 // NewBitset returns an empty bitset able to hold values in [0, capacity).
 func NewBitset(capacity int) *Bitset {
 	return &Bitset{words: make([]uint64, (capacity+63)/64)}
-}
-
-// Grow extends the bitset capacity to at least capacity values.
-func (b *Bitset) Grow(capacity int) {
-	need := (capacity + 63) / 64
-	if need > len(b.words) {
-		w := make([]uint64, need)
-		copy(w, b.words)
-		b.words = w
-	}
 }
 
 // Resize empties the set and sets its capacity to exactly capacity
@@ -94,13 +84,6 @@ func (b *Bitset) Clear() {
 	b.n = 0
 }
 
-// Clone returns a deep copy of the set.
-func (b *Bitset) Clone() *Bitset {
-	w := make([]uint64, len(b.words))
-	copy(w, b.words)
-	return &Bitset{words: w, n: b.n}
-}
-
 // ForEach calls f for every element in ascending order.
 func (b *Bitset) ForEach(f func(v int)) {
 	for wi, w := range b.words {
@@ -128,14 +111,4 @@ func (b *Bitset) IntersectsWith(o *Bitset) bool {
 		}
 	}
 	return false
-}
-
-// IntersectionLen returns |b ∩ o|.
-func (b *Bitset) IntersectionLen(o *Bitset) int {
-	n := min(len(b.words), len(o.words))
-	c := 0
-	for i := 0; i < n; i++ {
-		c += bits.OnesCount64(b.words[i] & o.words[i])
-	}
-	return c
 }

@@ -45,19 +45,6 @@ func TestBitsetHasOutOfRange(t *testing.T) {
 	}
 }
 
-func TestBitsetGrow(t *testing.T) {
-	b := NewBitset(10)
-	b.Add(3)
-	b.Grow(1000)
-	if !b.Has(3) {
-		t.Error("Grow lost contents")
-	}
-	b.Add(999)
-	if !b.Has(999) {
-		t.Error("Grow did not extend capacity")
-	}
-}
-
 // TestBitsetMatchesMap is a property test: a bitset driven by a random
 // operation sequence behaves exactly like a map[int]bool.
 func TestBitsetMatchesMap(t *testing.T) {
@@ -113,13 +100,6 @@ func TestBitsetIntersection(t *testing.T) {
 	}
 	if !a.IntersectsWith(b) {
 		t.Error("multiples of 6 exist; should intersect")
-	}
-	want := 0
-	for i := 0; i < 256; i += 6 {
-		want++
-	}
-	if got := a.IntersectionLen(b); got != want {
-		t.Errorf("IntersectionLen = %d, want %d", got, want)
 	}
 	c := NewBitset(256)
 	c.Add(1)
@@ -202,9 +182,6 @@ func TestDSU(t *testing.T) {
 	}
 	if d.Find(1) == d.Find(4) {
 		t.Error("1 and 4 should be separate")
-	}
-	if d.SetSize(3) != 3 {
-		t.Errorf("SetSize = %d, want 3", d.SetSize(3))
 	}
 }
 

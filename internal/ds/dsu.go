@@ -39,6 +39,3 @@ func (d *DSU) Union(a, b int32) bool {
 	d.size[ra] += d.size[rb]
 	return true
 }
-
-// SetSize returns the size of the set containing x.
-func (d *DSU) SetSize(x int32) int32 { return d.size[d.Find(x)] }

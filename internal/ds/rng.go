@@ -25,14 +25,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int31n returns a uniform int32 in [0, n). It panics if n <= 0.
-func (r *RNG) Int31n(n int32) int32 {
-	if n <= 0 {
-		panic("ds: Int31n with non-positive n")
-	}
-	return int32(r.Uint64() % uint64(n))
-}
-
 // Float64 returns a uniform float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)

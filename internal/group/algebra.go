@@ -1,8 +1,6 @@
 package group
 
 import (
-	"sort"
-
 	"tanglefind/internal/ds"
 	"tanglefind/internal/netlist"
 )
@@ -18,89 +16,9 @@ type Set struct {
 // Size returns |C|.
 func (s Set) Size() int { return len(s.Members) }
 
-// AvgPins returns A_C (0 for an empty set).
-func (s Set) AvgPins() float64 {
-	if len(s.Members) == 0 {
-		return 0
-	}
-	return float64(s.Pins) / float64(len(s.Members))
-}
-
-// sortedCopy returns the members sorted ascending.
-func sortedCopy(a []netlist.CellID) []netlist.CellID {
-	out := make([]netlist.CellID, len(a))
-	copy(out, a)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Union returns a ∪ b as a sorted id slice.
-func Union(a, b []netlist.CellID) []netlist.CellID {
-	sa, sb := sortedCopy(a), sortedCopy(b)
-	out := make([]netlist.CellID, 0, len(sa)+len(sb))
-	i, j := 0, 0
-	for i < len(sa) && j < len(sb) {
-		switch {
-		case sa[i] < sb[j]:
-			out = append(out, sa[i])
-			i++
-		case sa[i] > sb[j]:
-			out = append(out, sb[j])
-			j++
-		default:
-			out = append(out, sa[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, sa[i:]...)
-	out = append(out, sb[j:]...)
-	return out
-}
-
-// Intersect returns a ∩ b as a sorted id slice.
-func Intersect(a, b []netlist.CellID) []netlist.CellID {
-	sa, sb := sortedCopy(a), sortedCopy(b)
-	var out []netlist.CellID
-	i, j := 0, 0
-	for i < len(sa) && j < len(sb) {
-		switch {
-		case sa[i] < sb[j]:
-			i++
-		case sa[i] > sb[j]:
-			j++
-		default:
-			out = append(out, sa[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// Difference returns a − b as a sorted id slice.
-func Difference(a, b []netlist.CellID) []netlist.CellID {
-	sa, sb := sortedCopy(a), sortedCopy(b)
-	var out []netlist.CellID
-	i, j := 0, 0
-	for i < len(sa) {
-		switch {
-		case j >= len(sb) || sa[i] < sb[j]:
-			out = append(out, sa[i])
-			i++
-		case sa[i] > sb[j]:
-			j++
-		default:
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// MergeUnion appends a ∪ b to dst and returns it. Unlike Union it
-// allocates nothing beyond dst's growth, but requires both inputs
-// sorted ascending and duplicate-free; the output is sorted too.
+// MergeUnion appends a ∪ b to dst and returns it. It allocates nothing
+// beyond dst's growth, but requires both inputs sorted ascending and
+// duplicate-free; the output is sorted too.
 func MergeUnion(dst, a, b []netlist.CellID) []netlist.CellID {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {

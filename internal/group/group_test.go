@@ -2,7 +2,7 @@ package group
 
 import (
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -120,52 +120,83 @@ func TestTrackerSnapshot(t *testing.T) {
 	}
 }
 
+// mergeOp is one sorted-merge set operation Phase III's closure runs,
+// with the membership rule its map-based reference applies.
+type mergeOp struct {
+	name  string
+	merge func(dst, a, b []netlist.CellID) []netlist.CellID
+	keep  func(inA, inB bool) bool
+}
+
+var mergeOps = []mergeOp{
+	{"MergeUnion", MergeUnion, func(inA, inB bool) bool { return inA || inB }},
+	{"MergeIntersect", MergeIntersect, func(inA, inB bool) bool { return inA && inB }},
+	{"MergeDifference", MergeDifference, func(inA, inB bool) bool { return inA && !inB }},
+}
+
+// check runs the merge on sorted, duplicate-free a and b (ids below
+// 64) after a non-empty dst prefix. The result must be that prefix,
+// unchanged, followed by exactly the ids keep admits, each once and in
+// ascending order — the reference scans the ids upward.
+func (op mergeOp) check(t *testing.T, a, b []netlist.CellID) bool {
+	t.Helper()
+	inA, inB := map[netlist.CellID]bool{}, map[netlist.CellID]bool{}
+	for _, c := range a {
+		inA[c] = true
+	}
+	for _, c := range b {
+		inB[c] = true
+	}
+	prefix := []netlist.CellID{-1, 1 << 20}
+	want := slices.Clone(prefix)
+	for c := netlist.CellID(0); c < 64; c++ {
+		if op.keep(inA[c], inB[c]) {
+			want = append(want, c)
+		}
+	}
+	if got := op.merge(slices.Clone(prefix), a, b); !slices.Equal(got, want) {
+		t.Errorf("%s(%v, %v) after prefix %v = %v, want %v", op.name, a, b, prefix, got, want)
+		return false
+	}
+	return true
+}
+
 func TestSetAlgebra(t *testing.T) {
-	a := []netlist.CellID{5, 1, 3}
-	b := []netlist.CellID{3, 7, 1}
-	if got := Union(a, b); !reflect.DeepEqual(got, []netlist.CellID{1, 3, 5, 7}) {
-		t.Errorf("Union = %v", got)
+	cases := [][2][]netlist.CellID{
+		{{1, 3, 5}, {1, 3, 7}},
+		{{1, 3, 7}, {1, 3, 5}},
+		{{1, 3}, nil},
+		{nil, {2, 4}},
+		{{1, 2}, {5, 8, 9}}, // b's tail outlives a
+		{{5, 8, 9}, {1, 2}}, // a's tail outlives b
+		{{2, 4, 6}, {2, 4, 6}},
+		{nil, nil},
 	}
-	if got := Intersect(a, b); !reflect.DeepEqual(got, []netlist.CellID{1, 3}) {
-		t.Errorf("Intersect = %v", got)
-	}
-	if got := Difference(a, b); !reflect.DeepEqual(got, []netlist.CellID{5}) {
-		t.Errorf("Difference = %v", got)
-	}
-	if got := Difference(b, a); !reflect.DeepEqual(got, []netlist.CellID{7}) {
-		t.Errorf("Difference = %v", got)
-	}
-	if got := Intersect(a, nil); len(got) != 0 {
-		t.Errorf("Intersect with empty = %v", got)
+	for _, op := range mergeOps {
+		for _, c := range cases {
+			op.check(t, c[0], c[1])
+		}
 	}
 }
 
-// TestSetAlgebraProperties: |A∪B| + |A∩B| == |A| + |B| for sets, and
-// difference/intersection partition A.
+// TestSetAlgebraProperties drives each merge with random sorted,
+// duplicate-free sets and checks it against the map reference.
 func TestSetAlgebraProperties(t *testing.T) {
-	f := func(av, bv []uint8) bool {
-		dedupe := func(v []uint8) []netlist.CellID {
-			seen := map[netlist.CellID]bool{}
-			var out []netlist.CellID
-			for _, x := range v {
-				id := netlist.CellID(x % 64)
-				if !seen[id] {
-					seen[id] = true
-					out = append(out, id)
-				}
-			}
-			return out
+	sortedSet := func(v []uint8) []netlist.CellID {
+		out := make([]netlist.CellID, len(v))
+		for i, x := range v {
+			out[i] = netlist.CellID(x % 64)
 		}
-		a, b := dedupe(av), dedupe(bv)
-		u, i := Union(a, b), Intersect(a, b)
-		if len(u)+len(i) != len(a)+len(b) {
-			return false
-		}
-		d := Difference(a, b)
-		return len(d)+len(i) == len(a)
+		slices.Sort(out)
+		return slices.Compact(out)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
+	for _, op := range mergeOps {
+		f := func(av, bv []uint8) bool {
+			return op.check(t, sortedSet(av), sortedSet(bv))
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+			t.Error(err)
+		}
 	}
 }
 

@@ -98,9 +98,6 @@ func (t *Tracker) Reset() {
 	t.pins = 0
 }
 
-// Netlist returns the netlist the tracker operates on.
-func (t *Tracker) Netlist() *netlist.Netlist { return t.nl }
-
 // MemoryFootprint returns the tracker's retained bytes (membership
 // bitset, per-net pin counts and scratch capacity), for engine memory
 // accounting.
@@ -118,14 +115,6 @@ func (t *Tracker) Cut() int { return t.cut }
 
 // Pins returns the total pin count of the group's cells.
 func (t *Tracker) Pins() int { return t.pins }
-
-// AvgPins returns A_C = Pins/|S| (0 for an empty group).
-func (t *Tracker) AvgPins() float64 {
-	if len(t.members) == 0 {
-		return 0
-	}
-	return float64(t.pins) / float64(len(t.members))
-}
 
 // Has reports whether cell c is in the group.
 func (t *Tracker) Has(c int) bool { return t.in.Has(c) }

@@ -4,9 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"tanglefind/internal/ds"
-	"tanglefind/internal/netlist"
 )
 
 func TestScoresKnownValues(t *testing.T) {
@@ -50,9 +47,6 @@ func TestScoreEdgeCases(t *testing.T) {
 	if !math.IsInf(RatioCut(5, 0), 1) || !math.IsInf(RentMetric(0, 10), 1) {
 		t.Error("degenerate baselines should be +Inf")
 	}
-	if !math.IsInf(ScaledCost(5, 10, 10), 1) {
-		t.Error("whole-netlist scaled cost should be +Inf")
-	}
 }
 
 // TestRentExponentInvertsRentsRule: if T = A_C·|C|^p exactly, the
@@ -94,129 +88,5 @@ func TestNGTLSSizeFairness(t *testing.T) {
 	rcLarge := RatioCut(large, 10000)
 	if rcLarge >= rcSmall {
 		t.Errorf("ratio cut should favor the large group: %v vs %v", rcSmall, rcLarge)
-	}
-}
-
-func cliqueNetlist(n int) *netlist.Netlist {
-	var b netlist.Builder
-	b.AddCells(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			b.AddNet("", netlist.CellID(i), netlist.CellID(j))
-		}
-	}
-	return b.MustBuild()
-}
-
-func TestAbsorption(t *testing.T) {
-	// A fully internal 2-pin net contributes 1; a net half-inside
-	// contributes (|e∩C|-1)/(|e|-1).
-	var b netlist.Builder
-	b.AddCells(4)
-	b.AddNet("", 0, 1)    // internal to {0,1}
-	b.AddNet("", 1, 2, 3) // 1 pin inside
-	nl := b.MustBuild()
-	got := Absorption(nl, []netlist.CellID{0, 1})
-	if math.Abs(got-1.0) > 1e-12 {
-		t.Errorf("Absorption = %v, want 1 (1 + 0)", got)
-	}
-	// Absorption grows with group size — the paper's objection to it.
-	bigger := Absorption(nl, []netlist.CellID{0, 1, 2})
-	if bigger <= got {
-		t.Errorf("absorption should grow with size: %v <= %v", bigger, got)
-	}
-}
-
-func TestDegreeSeparationClique(t *testing.T) {
-	nl := cliqueNetlist(6)
-	adj := nl.CliqueExpand(0)
-	members := []netlist.CellID{0, 1, 2, 3, 4, 5}
-	deg, sep, dsv := DegreeSeparation(nl, adj, members, 0, nil)
-	if deg != 5 {
-		t.Errorf("degree = %v, want 5", deg)
-	}
-	if sep != 1 {
-		t.Errorf("separation = %v, want 1 (clique)", sep)
-	}
-	if dsv != 5 {
-		t.Errorf("DS = %v, want 5", dsv)
-	}
-}
-
-func TestDegreeSeparationSampled(t *testing.T) {
-	nl := cliqueNetlist(10)
-	adj := nl.CliqueExpand(0)
-	members := []netlist.CellID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	_, sep, _ := DegreeSeparation(nl, adj, members, 10, ds.NewRNG(1))
-	if sep != 1 {
-		t.Errorf("sampled separation = %v, want 1", sep)
-	}
-}
-
-func TestKLConnectivity(t *testing.T) {
-	// Path a-b-c: a and c are (1,2)-connected via b, not (2,2).
-	var b netlist.Builder
-	b.AddCells(3)
-	b.AddNet("", 0, 1)
-	b.AddNet("", 1, 2)
-	nl := b.MustBuild()
-	adj := nl.CliqueExpand(0)
-	if !KLConnected(adj, 0, 2, 1) {
-		t.Error("a,c should be (1,2)-connected")
-	}
-	if KLConnected(adj, 0, 2, 2) {
-		t.Error("a,c should not be (2,2)-connected")
-	}
-	// Clique: every pair of a 5-clique is (4,2)-connected (1 direct +
-	// 3 common neighbors).
-	cl := cliqueNetlist(5)
-	cadj := cl.CliqueExpand(0)
-	if !KLConnected(cadj, 0, 1, 4) {
-		t.Error("clique pair should be (4,2)-connected")
-	}
-	if KLConnected(cadj, 0, 1, 5) {
-		t.Error("clique pair should not be (5,2)-connected")
-	}
-	if !KLClusterConnected(cadj, []netlist.CellID{0, 1, 2, 3, 4}, 4, 0, nil) {
-		t.Error("whole clique should be (4,2)-connected")
-	}
-}
-
-func TestEdgeSeparability(t *testing.T) {
-	// Two triangles joined by one bridge: separability of the bridge
-	// is 1 (each triangle edge has weight 1 per 2-pin net).
-	var b netlist.Builder
-	b.AddCells(6)
-	for _, e := range [][2]netlist.CellID{{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}, {0, 3}} {
-		b.AddNet("", e[0], e[1])
-	}
-	nl := b.MustBuild()
-	adj := nl.CliqueExpand(0)
-	if got := EdgeSeparability(adj, 0, 3, 0); math.Abs(got-1) > 1e-9 {
-		t.Errorf("bridge separability = %v, want 1", got)
-	}
-	// Inside a triangle: two paths (direct + around) = 2.
-	if got := EdgeSeparability(adj, 0, 1, 0); math.Abs(got-2) > 1e-9 {
-		t.Errorf("triangle separability = %v, want 2", got)
-	}
-	// Hop-limited computation agrees when the cut is local.
-	if got := EdgeSeparability(adj, 0, 1, 2); math.Abs(got-2) > 1e-9 {
-		t.Errorf("hop-limited separability = %v, want 2", got)
-	}
-}
-
-func TestAdhesion(t *testing.T) {
-	nl := cliqueNetlist(4)
-	adj := nl.CliqueExpand(0)
-	members := []netlist.CellID{0, 1, 2, 3}
-	// In K4 with unit edges, every pairwise min-cut is 3; 6 pairs.
-	got := Adhesion(adj, members, 0, nil)
-	if math.Abs(got-18) > 1e-9 {
-		t.Errorf("K4 adhesion = %v, want 18", got)
-	}
-	// Sampled estimate should land in the right ballpark.
-	est := Adhesion(adj, members, 3, ds.NewRNG(7))
-	if est < 12 || est > 24 {
-		t.Errorf("sampled adhesion = %v, want ~18", est)
 	}
 }

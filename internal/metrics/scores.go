@@ -1,9 +1,8 @@
 // Package metrics implements the paper's tangled-logic scores —
-// GTL-Score, normalized GTL-Score and density-aware GTL-Score — plus
-// every baseline clustering metric the paper surveys (net cut, ratio
-// cut, scaled cost, Rent metric, absorption, degree separation,
-// (K,L)-connectivity, edge separability, adhesion) so the comparisons
-// in its evaluation can be regenerated.
+// GTL-Score, normalized GTL-Score and density-aware GTL-Score — the
+// per-group Rent exponent estimate, and two of the baselines the paper
+// argues against: ratio cut (plotted beside the GTL scores in its
+// Figure 5) and Ng's Rent metric.
 //
 // Conventions: T = net cut T(C); size = |C|; pins = Σ_{c∈C} deg(c) so
 // A_C = pins/size; aG = A(G) the netlist-wide average pins per cell;
@@ -62,15 +61,6 @@ func RatioCut(cut, size int) float64 {
 		return math.Inf(1)
 	}
 	return float64(cut) / float64(size)
-}
-
-// ScaledCost returns the scaled-cost variant T/(|C|·(n−|C|)) for a
-// netlist of n cells, the two-sided form of ratio cut.
-func ScaledCost(cut, size, n int) float64 {
-	if size < 1 || size >= n {
-		return math.Inf(1)
-	}
-	return float64(cut) / (float64(size) * float64(n-size))
 }
 
 // RentMetric returns Ng's cluster-quality measure ln T / ln |C| — the

@@ -85,7 +85,7 @@ func BuildHierarchy(nl *Netlist, o CoarsenOptions) (*Hierarchy, error) {
 	case maxNet == 0:
 		maxNet = DefaultCoarsenMaxNet
 	case maxNet < 0:
-		maxNet = 0 // CliqueExpand's "no limit"
+		maxNet = 0 // coarsenStep's "no limit"
 	}
 	h := &Hierarchy{levels: []*Netlist{nl}}
 	for len(h.levels) < o.Levels {
@@ -177,11 +177,10 @@ func (h *Hierarchy) RepresentativeAtFinest(l int, c CellID) CellID {
 // The matching accumulates clique-expansion weights (each net e
 // contributes 1/(|e|-1) between every pair of its cells) directly off
 // the net-side CSR, one cell at a time with an epoch-free scatter
-// buffer — it never materializes the full Adjacency. Only each cell's
+// buffer — it never materializes the expanded graph. Only each cell's
 // best unmatched neighbor is needed, so building and sorting tens of
-// millions of expanded edges (the CliqueExpand path) would be pure
-// overhead; the direct walk is O(Σ_c Σ_{e∋c} |e|) with two O(cells)
-// scratch arrays.
+// millions of expanded edges would be pure overhead; the direct walk
+// is O(Σ_c Σ_{e∋c} |e|) with two O(cells) scratch arrays.
 func coarsenStep(nl *Netlist, maxNetSize int) (*Netlist, levelMap, error) {
 	n := nl.NumCells()
 

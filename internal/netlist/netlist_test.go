@@ -203,48 +203,6 @@ func TestIORoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestCliqueExpand(t *testing.T) {
-	nl := buildSmall(t)
-	adj := nl.CliqueExpand(0)
-	// c1 neighbors: c0 (via n0), c2 and c3 (via n1).
-	nb := adj.NeighborsOf(1)
-	if len(nb) != 3 {
-		t.Fatalf("c1 neighbors = %v", nb)
-	}
-	// c0-c3 edge: only via n2 (2-pin, weight 1). c1-c2 via n1: 1/2.
-	found := false
-	for i, v := range adj.NeighborsOf(1) {
-		if v == 2 {
-			found = true
-			if w := adj.WeightsOf(1)[i]; w != 0.5 {
-				t.Errorf("c1-c2 weight = %v, want 0.5", w)
-			}
-		}
-	}
-	if !found {
-		t.Error("c1-c2 edge missing")
-	}
-	if adj.Degree(0) != 2 {
-		t.Errorf("c0 degree = %d, want 2", adj.Degree(0))
-	}
-}
-
-func TestCliqueExpandSkipsBigNets(t *testing.T) {
-	var b Builder
-	b.AddCells(30)
-	pins := make([]CellID, 30)
-	for i := range pins {
-		pins[i] = CellID(i)
-	}
-	b.AddNet("huge", pins...)
-	b.AddNet("small", 0, 1)
-	nl := b.MustBuild()
-	adj := nl.CliqueExpand(10)
-	if adj.Degree(0) != 1 {
-		t.Errorf("degree = %d, want 1 (huge net skipped)", adj.Degree(0))
-	}
-}
-
 func TestValidateCatchesCorruption(t *testing.T) {
 	// Swap a pin on the net side only: cell 2 takes cell 1's slot on
 	// net n0, breaking the incidence symmetry.
@@ -323,33 +281,5 @@ func TestComponentsEmpty(t *testing.T) {
 	nl := b.MustBuild()
 	if got := nl.Components(); got != nil {
 		t.Errorf("empty netlist components = %v", got)
-	}
-}
-
-// TestCliqueExpandHubCell: a star cell on thousands of 2-pin nets has
-// a raw pre-merge degree far beyond any net-size bound; the expansion
-// must stay fast (heapsort path) and correct.
-func TestCliqueExpandHubCell(t *testing.T) {
-	var b Builder
-	const leaves = 3000
-	hub := b.AddCell("hub")
-	for i := 0; i < leaves; i++ {
-		leaf := b.AddCell("")
-		b.AddNet("", hub, leaf)
-		b.AddNet("", hub, leaf) // parallel net: weights must merge to 2
-	}
-	nl := b.MustBuild()
-	adj := nl.CliqueExpand(10)
-	if adj.Degree(hub) != leaves {
-		t.Fatalf("hub degree = %d, want %d", adj.Degree(hub), leaves)
-	}
-	nb, ws := adj.NeighborsOf(hub), adj.WeightsOf(hub)
-	for i := range nb {
-		if i > 0 && nb[i-1] >= nb[i] {
-			t.Fatalf("hub neighbors not sorted at %d", i)
-		}
-		if ws[i] != 2 {
-			t.Fatalf("hub weight[%d] = %v, want 2 (two parallel 2-pin nets)", i, ws[i])
-		}
 	}
 }

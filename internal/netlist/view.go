@@ -86,9 +86,6 @@ func (v *View) NumPins() int { return v.pins }
 // GlobalCell maps a local cell id back to the parent netlist.
 func (v *View) GlobalCell(c int32) CellID { return v.cells[c] }
 
-// GlobalNet maps a local net id back to the parent netlist.
-func (v *View) GlobalNet(n int32) NetID { return v.nets[n] }
-
 // LocalCell maps a parent cell id into the view (-1 when outside).
 func (v *View) LocalCell(c CellID) int32 { return v.localCell[c] }
 

@@ -31,8 +31,8 @@ func (t StageTimings) Merge(o StageTimings) {
 }
 
 // Total sums all stages. Stages may overlap in wall time (worker-
-// summed phases, nested spans), so this is an accounting total, not an
-// elapsed time.
+// summed phases, nested stages), so this is an accounting total, not
+// an elapsed time.
 func (t StageTimings) Total() time.Duration {
 	var sum time.Duration
 	for _, d := range t {
@@ -102,31 +102,4 @@ func (t *StageTimings) UnmarshalJSON(data []byte) error {
 	}
 	*t = out
 	return nil
-}
-
-// Span is one in-flight stage measurement. Start one with StartSpan,
-// finish it with End; the elapsed time folds into the destination map.
-type Span struct {
-	name  string
-	start time.Time
-	into  StageTimings
-}
-
-// StartSpan begins timing the named stage; End records it into `into`
-// (which may be nil to just measure).
-func StartSpan(into StageTimings, name string) Span {
-	return Span{name: name, start: time.Now(), into: into}
-}
-
-// End stops the span, folds the elapsed time into the destination map
-// and returns it. Safe to call on the zero Span (returns 0).
-func (s Span) End() time.Duration {
-	if s.start.IsZero() {
-		return 0
-	}
-	d := time.Since(s.start)
-	if s.into != nil {
-		s.into.Add(s.name, d)
-	}
-	return d
 }

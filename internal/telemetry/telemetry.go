@@ -1,9 +1,8 @@
 // Package telemetry is the project's dependency-free observability
 // core: atomic counters, gauges and fixed-bucket histograms with
 // pre-declared label sets, a Prometheus text-format exposition writer,
-// and the stage-span API (Span/StageTimings, see span.go) the engine,
-// the job manager and the HTTP server stamp their per-stage wall time
-// with.
+// and StageTimings (stages.go), the per-stage wall-time map the engine
+// and the job manager report their breakdowns in.
 //
 // The design is deliberately small. Metrics are registered once, up
 // front, on a Registry (duplicate or malformed registrations panic —

@@ -206,22 +206,6 @@ func TestStageTimings(t *testing.T) {
 	}
 }
 
-func TestSpan(t *testing.T) {
-	st := StageTimings{}
-	sp := StartSpan(st, "work")
-	time.Sleep(2 * time.Millisecond)
-	d := sp.End()
-	if d <= 0 || st["work"] != d {
-		t.Errorf("span: d=%v map=%v", d, st)
-	}
-	if (Span{}).End() != 0 {
-		t.Error("zero Span End should be 0")
-	}
-	if d := StartSpan(nil, "x").End(); d < 0 {
-		t.Errorf("nil-dest span: %v", d)
-	}
-}
-
 func TestFormatFloat(t *testing.T) {
 	if got := formatFloat(math.Inf(1)); got != "+Inf" {
 		t.Errorf("formatFloat(+Inf) = %q", got)

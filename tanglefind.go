@@ -117,11 +117,6 @@ type SchedStats = core.SchedStats
 // for the stage names and their overlap semantics.
 type StageTimings = telemetry.StageTimings
 
-// SetStageTiming switches the engine's per-seed stage accounting on
-// or off (default on), returning the previous setting. It exists for
-// overhead measurement and never affects detection results.
-func SetStageTiming(enabled bool) (prev bool) { return core.SetStageTiming(enabled) }
-
 // ErrUnsupportedOptions is returned for option combinations an engine
 // entry point does not implement. The full feature matrix — multilevel
 // × incremental × sharded — now composes, so it is reserved for
