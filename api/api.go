@@ -242,12 +242,12 @@ type Event struct {
 }
 
 // JobStats is the "jobs" half of the GET /v1/stats payload. Two kinds
-// of field live here: cumulative counters since process start
-// (Submitted through WorkerGrantsCapped) and point-in-time gauges
-// sampled at the stats call (Queued, Running, QueueDepth,
-// InFlightByKind, CachedSets, IncrStateBytes). The same values back
-// the gtl_jobs_* families on GET /metrics — both surfaces read the
-// manager's counters, so they always agree in a quiesced server.
+// of field live here: point-in-time gauges sampled at the stats call
+// (Queued, Running, QueueDepth, InFlightByKind, CachedSets,
+// IncrStateBytes) and cumulative counters since process start (every
+// other field). The same values back the gtl_jobs_* families on
+// GET /metrics — both surfaces read the manager's counters, so they
+// always agree in a quiesced server.
 type JobStats struct {
 	Submitted  int64 `json:"submitted"`
 	Completed  int64 `json:"completed"`
@@ -271,7 +271,7 @@ type JobStats struct {
 	// hierarchy levels they actually used ("1" = flat), so operators
 	// can see how much traffic rides the multilevel pipeline.
 	RunsByLevels map[string]int64 `json:"runs_by_levels,omitempty"`
-	// IncrementalRuns counts completed find_incremental engine runs;
+	// IncrementalRuns counts find_incremental engine runs started;
 	// IncrementalFallbacks counts those that degraded to a full run
 	// (no usable parent state or an oversized dirty region).
 	IncrementalRuns      int64 `json:"incremental_runs,omitempty"`
@@ -290,16 +290,15 @@ type JobStats struct {
 	// runs — sustained zero under parallel load means seed costs are
 	// balanced; high values mean stealing is doing real rebalancing.
 	ParallelSeedsStolen int64 `json:"parallel_seeds_stolen,omitempty"`
-	// WorkerGrantsCapped counts jobs whose engine-worker request was
+	// WorkerGrantsCapped counts engine runs whose worker request was
 	// trimmed to fit the pool-wide budget (Config.EngineWorkers), the
 	// fairness clamp that keeps concurrent jobs from oversubscribing
 	// the machine.
 	WorkerGrantsCapped int64 `json:"worker_grants_capped,omitempty"`
-	// CoalescedJobs counts submissions that attached as followers of
-	// an identical in-flight job (same digest+kind+options while a
-	// matching job was queued or running): they received their own job
-	// id, stream and result without an extra engine run. Exactly one
-	// engine run serves a coalesced group.
+	// CoalescedJobs counts submissions that attached to an identical
+	// queued or running run (same digest, kind, options and timeout)
+	// instead of starting their own: they received their own job id,
+	// stream and result without an extra engine run.
 	CoalescedJobs int64 `json:"coalesced_jobs,omitempty"`
 	// RewarmedResults counts result-cache entries restored from the
 	// store's journal at startup (durable serving only).

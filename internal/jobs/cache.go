@@ -3,167 +3,70 @@ package jobs
 import (
 	"container/list"
 	"sync"
-
-	"tanglefind"
-	"tanglefind/api"
 )
 
-// resultCache is an LRU map from compute identity (see cacheKey) to a
-// completed job result. Results are immutable once cached — every hit
-// shares the same *api.JobResult.
-type resultCache struct {
+// lru is a bounded map that evicts its least recently used entry past
+// max. The manager keeps three: finished wire results keyed by compute
+// identity (see cacheKey), shared by every hit and immutable once
+// cached; recorded incremental states (engine results with state
+// attached, O(Seeds × MaxOrderLen) bytes each, so their bound is much
+// tighter); and lint reports, retained so delta-derived digests lint
+// incrementally against their parent's report.
+type lru[V any] struct {
 	mu    sync.Mutex
 	max   int
 	byKey map[string]*list.Element
 	order *list.List // front = most recently used
 }
 
-type cacheEnt struct {
+type lruEntry[V any] struct {
 	key string
-	res *api.JobResult
+	val V
 }
 
-func newResultCache(max int) *resultCache {
-	return &resultCache{max: max, byKey: make(map[string]*list.Element), order: list.New()}
+func newLRU[V any](max int) *lru[V] {
+	return &lru[V]{max: max, byKey: make(map[string]*list.Element), order: list.New()}
 }
 
-func (c *resultCache) get(key string) (*api.JobResult, bool) {
+func (c *lru[V]) get(key string) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
 	if !ok {
-		return nil, false
+		var zero V
+		return zero, false
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*cacheEnt).res, true
+	return el.Value.(*lruEntry[V]).val, true
 }
 
-func (c *resultCache) put(key string, res *api.JobResult) {
+func (c *lru[V]) put(key string, val V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
-		el.Value.(*cacheEnt).res = res
+		el.Value.(*lruEntry[V]).val = val
 		c.order.MoveToFront(el)
 		return
 	}
-	c.byKey[key] = c.order.PushFront(&cacheEnt{key: key, res: res})
+	c.byKey[key] = c.order.PushFront(&lruEntry[V]{key: key, val: val})
 	for c.order.Len() > c.max {
 		el := c.order.Back()
-		delete(c.byKey, el.Value.(*cacheEnt).key)
+		delete(c.byKey, el.Value.(*lruEntry[V]).key)
 		c.order.Remove(el)
 	}
 }
 
-func (c *resultCache) len() int {
+func (c *lru[V]) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()
 }
 
-// incrCache is a small LRU from (digest, incremental options key) to
-// the engine Result that recorded incremental state for that netlist.
-// It is separate from resultCache because entries are heavy —
-// O(Seeds × MaxOrderLen) of recorded orderings and footprints — so
-// the bound is much tighter, and because values are engine results
-// (with state attached), not wire results.
-type incrCache struct {
-	mu    sync.Mutex
-	max   int
-	byKey map[string]*list.Element
-	order *list.List
-}
-
-type incrEnt struct {
-	key string
-	res *tanglefind.Result
-}
-
-func newIncrCache(max int) *incrCache {
-	return &incrCache{max: max, byKey: make(map[string]*list.Element), order: list.New()}
-}
-
-func (c *incrCache) get(key string) (*tanglefind.Result, bool) {
+// each calls fn on every retained value, most recently used first.
+func (c *lru[V]) each(fn func(V)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok {
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*incrEnt).res, true
-}
-
-func (c *incrCache) put(key string, res *tanglefind.Result) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
-		el.Value.(*incrEnt).res = res
-		c.order.MoveToFront(el)
-		return
-	}
-	c.byKey[key] = c.order.PushFront(&incrEnt{key: key, res: res})
-	for c.order.Len() > c.max {
-		el := c.order.Back()
-		delete(c.byKey, el.Value.(*incrEnt).key)
-		c.order.Remove(el)
-	}
-}
-
-// memoryEstimate sums the retained state bytes of every cached entry.
-func (c *incrCache) memoryEstimate() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var b int64
 	for el := c.order.Front(); el != nil; el = el.Next() {
-		if st := el.Value.(*incrEnt).res.IncrState; st != nil {
-			b += st.MemoryEstimate()
-		}
-	}
-	return b
-}
-
-// lintCache is a small LRU from lintKey (digest + canonical rule
-// config) to a finished lint report, retained so delta-derived digests
-// can lint incrementally against their parent's report.
-type lintCache struct {
-	mu    sync.Mutex
-	max   int
-	byKey map[string]*list.Element
-	order *list.List
-}
-
-type lintEnt struct {
-	key string
-	rep *tanglefind.LintReport
-}
-
-func newLintCache(max int) *lintCache {
-	return &lintCache{max: max, byKey: make(map[string]*list.Element), order: list.New()}
-}
-
-func (c *lintCache) get(key string) (*tanglefind.LintReport, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok {
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*lintEnt).rep, true
-}
-
-func (c *lintCache) put(key string, rep *tanglefind.LintReport) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
-		el.Value.(*lintEnt).rep = rep
-		c.order.MoveToFront(el)
-		return
-	}
-	c.byKey[key] = c.order.PushFront(&lintEnt{key: key, rep: rep})
-	for c.order.Len() > c.max {
-		el := c.order.Back()
-		delete(c.byKey, el.Value.(*lintEnt).key)
-		c.order.Remove(el)
+		fn(el.Value.(*lruEntry[V]).val)
 	}
 }

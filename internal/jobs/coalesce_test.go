@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -36,7 +37,7 @@ func blockWorker(t *testing.T, m *Manager, digest string) api.JobStatus {
 }
 
 // TestCoalescedSubmissionsShareOneRun: identical submissions arriving
-// while a matching job is queued attach as followers — one engine run,
+// while a matching run is queued attach to it — one engine run,
 // every job id completing with the full result and its own queue_wait.
 func TestCoalescedSubmissionsShareOneRun(t *testing.T) {
 	s, digest := registered(t, 30000, 2000, 13)
@@ -107,9 +108,10 @@ func TestCoalescedSubmissionsShareOneRun(t *testing.T) {
 	}
 }
 
-// TestCoalescedCancelSemantics: cancelling a follower detaches only
-// that submission; cancelling a queued leader promotes a follower so
-// the group still gets its one engine run.
+// TestCoalescedCancelSemantics: cancelling a job on a shared run
+// detaches only that job; cancelling the run's first submitter while
+// it is queued leaves the run to the remaining job, so it still gets
+// its one engine run.
 func TestCoalescedCancelSemantics(t *testing.T) {
 	s, digest := registered(t, 30000, 2000, 13)
 	m := New(Config{Store: s, Workers: 1, QueueDepth: 16})
@@ -133,7 +135,7 @@ func TestCoalescedCancelSemantics(t *testing.T) {
 	if st, _ := m.Status(lead.ID); st.State != api.StateQueued {
 		t.Fatalf("leader state after follower cancel = %s", st.State)
 	}
-	// Cancelling the queued leader promotes the remaining follower.
+	// Cancelling the queued first submitter leaves the run to f2.
 	if st, err := m.Cancel(lead.ID); err != nil || st.State != api.StateCancelled {
 		t.Fatalf("cancel leader: %+v, %v", st, err)
 	}
@@ -142,11 +144,11 @@ func TestCoalescedCancelSemantics(t *testing.T) {
 	}
 	fin := wait(t, m, f2.ID)
 	if fin.State != api.StateDone || fin.Result == nil {
-		t.Fatalf("promoted follower finished %s (%s)", fin.State, fin.Error)
+		t.Fatalf("remaining job finished %s (%s)", fin.State, fin.Error)
 	}
 	st := m.Stats()
 	if st.EngineRuns != 2 {
-		t.Errorf("engine_runs = %d, want 2 (blocker + promoted run)", st.EngineRuns)
+		t.Errorf("engine_runs = %d, want 2 (blocker + the shared run)", st.EngineRuns)
 	}
 	if st.Cancelled != 3 { // blocker, f1, lead
 		t.Errorf("cancelled = %d, want 3", st.Cancelled)
@@ -262,5 +264,68 @@ func TestCacheHitReportsOwnQueueWait(t *testing.T) {
 	if again.Result.Stages["queue_wait"] != qw1 {
 		t.Errorf("first job's queue_wait changed from %s to %s after the hit",
 			qw1, again.Result.Stages["queue_wait"])
+	}
+}
+
+// TestCoalescedConcurrentCancel submits identical jobs from several
+// goroutines while half of them cancel their own job at once, so
+// attaching, cancelling, progress fan-out and finishing all reach the
+// shared runs concurrently. Every job must end cancelled (if its
+// Cancel settled it) or done, and the manager must be left with no
+// live record, run or queue entry.
+func TestCoalescedConcurrentCancel(t *testing.T) {
+	s, digest := registered(t, 30000, 2000, 13)
+	m := New(Config{Store: s, Workers: 2, QueueDepth: 16})
+	defer m.Shutdown(context.Background())
+
+	const n = 8
+	opts := rawOpts(t, map[string]any{"seeds": 24, "max_order_len": 6000, "rand_seed": 32})
+	ids := make([]string, n)
+	cancelled := make([]bool, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st, err := m.Submit(api.JobRequest{Kind: api.KindFind, Digest: digest, Options: opts})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			ids[i] = st.ID
+			if i%2 == 1 {
+				got, err := m.Cancel(st.ID)
+				if err != nil {
+					t.Error(err)
+				}
+				cancelled[i] = got.State == api.StateCancelled
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	for i, id := range ids {
+		fin := wait(t, m, id)
+		want := api.StateDone
+		if cancelled[i] {
+			want = api.StateCancelled
+		}
+		if fin.State != want {
+			t.Errorf("job %s ended %s (%q), want %s", id, fin.State, fin.Error, want)
+		}
+	}
+	if err := m.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	st := m.Stats()
+	if st.Completed+st.Cancelled != n || st.Failed != 0 {
+		t.Errorf("completed %d + cancelled %d, failed %d; want %d settled, none failed", st.Completed, st.Cancelled, st.Failed, n)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.live != 0 || len(m.inflight) != 0 || len(m.pending) != 0 {
+		t.Errorf("after drain: %d live records, %d single-flight entries, %d pending runs; want none", m.live, len(m.inflight), len(m.pending))
 	}
 }

@@ -1,15 +1,20 @@
 // Package jobs runs detection work over registered netlists: a
-// bounded submission queue feeding a fixed worker pool, each job a
-// Finder run (optionally followed by the cluster/decompose
+// bounded queue of engine runs feeding a fixed worker pool, each run a
+// Finder pass (optionally followed by the cluster/decompose
 // mitigation) with its own cancellation context and optional compute
-// deadline, a queued → running → done/failed/cancelled state machine,
-// per-job progress fan-out to any number of subscribers, and a
-// digest+options result cache so identical requests are answered
-// without touching the engine.
+// deadline, a digest+options result cache so identical requests are
+// answered without touching the engine, and per-job records moving
+// queued → running → done/failed/cancelled with progress fan-out to
+// any number of subscribers.
+//
+// A run serves every job that asked for it: a submission identical to
+// a queued or running run (same compute identity and timeout) attaches
+// to that run as a job of its own instead of queueing a second one.
+// Cancelling a job detaches only that job; the run is cancelled when
+// its last job is.
 //
 // Everything here speaks the facade (package tanglefind) and the wire
-// types (package api); no internal/core import is needed — the point
-// of the PR-3 facade exports.
+// types (package api); no internal/core import is needed.
 package jobs
 
 import (
@@ -43,16 +48,21 @@ var (
 	ErrBadRequest = errors.New("jobs: bad request")
 )
 
+// lintStates bounds how many lint reports (one per digest+rule config)
+// are retained so delta-derived digests lint incrementally against
+// their parent's report.
+const lintStates = 16
+
 // Config sizes a Manager. Zero fields take the documented defaults.
 type Config struct {
 	// Store resolves digests to netlists and shared engines. Required.
 	Store *store.Store
-	// Workers is the number of concurrent jobs (default 2). Each job
+	// Workers is the number of concurrent runs (default 2). Each run
 	// is itself internally parallel per its Options.Workers.
 	Workers int
 	// EngineWorkers is the pool-wide budget of engine goroutines
 	// shared by all concurrently running jobs (default GOMAXPROCS).
-	// Each job is granted min(its requested Options.Workers, what the
+	// Each run is granted min(its requested Options.Workers, what the
 	// budget has free) — never less than 1 — when it starts, and
 	// returns the grant when it finishes, so one greedy job cannot
 	// oversubscribe the machine under concurrent load. Grants never
@@ -67,21 +77,12 @@ type Config struct {
 	// digest+options, each O(Seeds × MaxOrderLen) bytes) are retained
 	// for find_incremental jobs (default 8).
 	IncrStates int
-	// LintStates bounds how many lint reports (one per digest+rule
-	// config) are retained so delta-derived digests lint incrementally
-	// against their parent's report (default 16).
-	LintStates int
-	// MaxJobs bounds retained job records; the oldest terminal records
-	// are retired past this (default 1024).
+	// MaxJobs bounds retained terminal job records; the oldest are
+	// retired past this (default 1024). Live records are never retired.
 	MaxJobs int
-	// Metrics is the telemetry registry the manager registers its job
-	// families in (stage histograms, outcome counters, scrape-mirrored
-	// stats). Nil gets a private registry; the serving layer shares it
-	// through Manager.Registry so one /metrics covers both.
-	Metrics *telemetry.Registry
 	// Logger receives structured job-lifecycle records (queued,
-	// started, finished — with the submitting request's ID and the
-	// stage durations). Nil discards.
+	// finished — with the submitting request's ID and the stage
+	// durations). Nil discards.
 	Logger *slog.Logger
 }
 
@@ -101,61 +102,62 @@ func (c *Config) fill() {
 	if c.IncrStates <= 0 {
 		c.IncrStates = 8
 	}
-	if c.LintStates <= 0 {
-		c.LintStates = 16
-	}
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 1024
-	}
-	if c.Metrics == nil {
-		c.Metrics = telemetry.NewRegistry()
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
 	}
 }
 
-// Manager owns the queue, the worker pool, the job records and the
-// result cache. Construct with New, dispose with Shutdown.
+// Manager owns the queue of runs, the worker pool, the job records and
+// the caches. Construct with New, dispose with Shutdown.
 //
-// The queue is an explicit pending list (not a channel) so that
-// cancelling a queued job frees its slot immediately — buffered
-// cancelled jobs must not hold QueueDepth against live submissions.
+// The queue is an explicit pending list (not a channel) so that a run
+// cancelled while queued frees its slot immediately — cancelled runs
+// must not hold QueueDepth against live submissions. Every job count
+// is kept once, here; Stats reads them and the /metrics families
+// mirror Stats at scrape time.
 type Manager struct {
 	cfg   Config
-	cache *resultCache
-	incr  *incrCache
-	lints *lintCache
+	reg   *telemetry.Registry
+	log   *slog.Logger
+	cache *lru[*api.JobResult]
+	incr  *lru[*tanglefind.Result]
+	lints *lru[*tanglefind.LintReport]
 	wg    sync.WaitGroup
 
+	// mu guards the queue, the records, every run's job list and start
+	// time, and every job's run pointer. Each job leaves its run and
+	// turns terminal under mu, so a job with a run is live.
 	mu      sync.Mutex
 	cond    *sync.Cond // signals workers that pending grew or closed flipped
-	pending []*Job     // queued jobs awaiting a worker, FIFO
-	jobs    map[string]*Job
-	order   []string // submission order, for listing and retirement
-	closed  bool
-	// inflight is the single-flight table: cacheKey → the job whose
-	// engine run will serve every identical submission arriving while
-	// it is queued or running (those attach as followers instead of
-	// consuming a queue slot and an engine run). Guarded by mu; the
-	// running worker removes its entry before finishing the job, so a
-	// submission can never attach to a run that will not publish to it.
-	inflight map[string]*Job
+	pending []*run     // runs awaiting a worker, FIFO
+	// inflight is the single-flight table: run.flight → the queued or
+	// running run that serves every identical submission. A run leaves
+	// it when it finishes or loses its last job, so a submission can
+	// never attach to a run that will not publish to it.
+	inflight map[string]*run
+	jobs     map[string]*Job
+	order    []string // submission order, for listing and retirement
+	live     int      // records with a run
+	closed   bool
+	// Submission counts. Job ids are numbered in acceptance order, so
+	// the last id issued is the number of accepted submissions.
+	lastID    int64
+	cacheHits int64
+	coalesced int64
+	// finished counts jobs that reached a terminal state other than by
+	// a cache hit; runsByLevel counts engine runs by the hierarchy
+	// levels they used (1 = flat).
+	finished    map[finishKey]int64
+	runsByLevel map[int]int64
 
-	nextID        atomic.Int64
-	submitted     atomic.Int64
-	completed     atomic.Int64
-	failed        atomic.Int64
-	cancelled     atomic.Int64
-	cacheHits     atomic.Int64
-	engineRuns    atomic.Int64
 	incrRuns      atomic.Int64
 	incrFallbacks atomic.Int64
 	lintRuns      atomic.Int64
 	lintIncr      atomic.Int64
 	seedsStolen   atomic.Int64
-	grantsCapped  atomic.Int64
-	coalesced     atomic.Int64
 	rewarmed      atomic.Int64
 	journalErrs   atomic.Int64
 
@@ -165,24 +167,20 @@ type Manager struct {
 	// Decompose cannot be made to fail through the public API.
 	testMitigationErr error
 
-	// grantMu guards the engine-worker budget (see Config.EngineWorkers).
-	grantMu     sync.Mutex
-	grantsInUse int
+	// grantMu guards the engine-worker budget (see Config.EngineWorkers)
+	// and the count of grants made from it, one per engine run.
+	grantMu      sync.Mutex
+	grantsInUse  int
+	engineRuns   int64
+	grantsCapped int64
 
-	levelMu     sync.Mutex
-	runsByLevel map[int]int64 // engine runs keyed by hierarchy levels used (1 = flat)
-
-	// Live metric handles (children resolved once at construction so
-	// terminal paths pay one atomic op per update). The cumulative
-	// stats atomics above are additionally mirrored into counter
-	// families at scrape time — see registerMetrics.
-	log          *slog.Logger
 	stageSeconds *telemetry.HistogramVec
-	jobsFinished *telemetry.CounterVec
-	cacheHitC    *telemetry.Counter
-	cacheMissC   *telemetry.Counter
-	grantFullC   *telemetry.Counter
-	grantCapC    *telemetry.Counter
+}
+
+// finishKey labels a terminal outcome.
+type finishKey struct {
+	kind  api.Kind
+	state api.State
 }
 
 // New starts a manager and its worker pool. When the store recovered
@@ -193,15 +191,17 @@ func New(cfg Config) *Manager {
 	cfg.fill()
 	m := &Manager{
 		cfg:         cfg,
-		cache:       newResultCache(cfg.CacheResults),
-		incr:        newIncrCache(cfg.IncrStates),
-		lints:       newLintCache(cfg.LintStates),
+		reg:         telemetry.NewRegistry(),
+		log:         cfg.Logger,
+		cache:       newLRU[*api.JobResult](cfg.CacheResults),
+		incr:        newLRU[*tanglefind.Result](cfg.IncrStates),
+		lints:       newLRU[*tanglefind.LintReport](lintStates),
+		inflight:    make(map[string]*run),
 		jobs:        make(map[string]*Job),
-		inflight:    make(map[string]*Job),
+		finished:    make(map[finishKey]int64),
 		runsByLevel: make(map[int]int64),
 	}
 	m.cond = sync.NewCond(&m.mu)
-	m.log = cfg.Logger
 	m.registerMetrics()
 	if cfg.Store != nil {
 		for key, raw := range cfg.Store.RecoveredResults() {
@@ -223,39 +223,34 @@ func New(cfg Config) *Manager {
 
 // Registry returns the registry the manager's job metrics live in, so
 // the serving layer can add its own families and expose one /metrics.
-func (m *Manager) Registry() *telemetry.Registry { return m.cfg.Metrics }
+func (m *Manager) Registry() *telemetry.Registry { return m.reg }
 
-// registerMetrics declares the manager's metric families. Live
-// counters/histograms are updated on the job paths; everything the
-// Stats() call already counts is mirrored into families at scrape
-// time instead, so GET /metrics and GET /v1/stats can never disagree.
+// registerMetrics declares the manager's metric families. The stage
+// histogram is observed as runs and jobs finish; every counter and
+// gauge is copied from the manager's own counts at scrape time, through
+// Stats where it reports them, so GET /metrics and GET /v1/stats can
+// never disagree.
 func (m *Manager) registerMetrics() {
-	reg := m.cfg.Metrics
+	reg := m.reg
 	m.stageSeconds = reg.HistogramVec("gtl_job_stage_seconds",
 		"Completed-job stage latency in seconds by job kind and stage: queue_wait, engine, merge, plus the engine's own engine_* phases.",
 		nil, "kind", "stage")
-	m.jobsFinished = reg.CounterVec("gtl_jobs_finished_total",
+	finished := reg.CounterVec("gtl_jobs_finished_total",
 		"Jobs reaching a terminal state by running, by kind and outcome (done, failed, cancelled). Cache hits are not counted here.",
 		"kind", "outcome")
-	cacheVec := reg.CounterVec("gtl_job_cache_total",
+	cache := reg.CounterVec("gtl_job_cache_total",
 		"Result-cache consultations for accepted submissions, by outcome (hit, miss).", "result")
-	m.cacheHitC = cacheVec.With("hit")
-	m.cacheMissC = cacheVec.With("miss")
-	grantVec := reg.CounterVec("gtl_worker_grants_total",
+	grants := reg.CounterVec("gtl_worker_grants_total",
 		"Engine-worker grants at job start, by outcome: full means the request fit the pool budget, capped means it was trimmed.", "outcome")
-	m.grantFullC = grantVec.With("full")
-	m.grantCapC = grantVec.With("capped")
-
-	// Scrape-time mirrors of the /v1/stats payload.
 	submitted := reg.Counter("gtl_jobs_submitted_total", "Accepted job submissions (including cache hits) since process start.")
 	cacheHits := reg.Counter("gtl_job_cache_hits_total", "Submissions answered from the result cache without engine work.")
 	engineRuns := reg.Counter("gtl_engine_runs_total", "Jobs that actually ran the finder engine.")
-	incrRuns := reg.Counter("gtl_incremental_runs_total", "Completed find_incremental engine runs.")
+	incrRuns := reg.Counter("gtl_incremental_runs_total", "find_incremental engine runs started.")
 	incrFallbacks := reg.Counter("gtl_incremental_fallbacks_total", "Incremental runs that degraded to a full re-detection.")
 	lintRuns := reg.Counter("gtl_lint_runs_total", "Completed lint engine runs.")
 	lintIncr := reg.Counter("gtl_lint_incremental_total", "Lint runs answered incrementally from a parent report.")
 	seedsStolen := reg.Counter("gtl_parallel_seeds_stolen_total", "Seeds migrated between engine workers by the work-stealing scheduler.")
-	coalesced := reg.Counter("gtl_jobs_coalesced_total", "Submissions attached as followers of an identical in-flight job (one engine run serves the whole group).")
+	coalesced := reg.Counter("gtl_jobs_coalesced_total", "Submissions attached to an identical queued or running run instead of starting their own.")
 	rewarmed := reg.Counter("gtl_job_results_rewarmed_total", "Result-cache entries restored from the store journal at startup.")
 	journalErrs := reg.Counter("gtl_job_journal_errors_total", "Finished job results the store journal failed to persist: still served and cached, but lost on restart.")
 	queueDepth := reg.Gauge("gtl_jobs_queue_depth", "Jobs accepted but not yet picked up by a worker.")
@@ -269,7 +264,11 @@ func (m *Manager) registerMetrics() {
 		st := m.Stats()
 		submitted.Set(float64(st.Submitted))
 		cacheHits.Set(float64(st.CacheHits))
+		cache.With("hit").Set(float64(st.CacheHits))
+		cache.With("miss").Set(float64(st.Submitted - st.CacheHits))
 		engineRuns.Set(float64(st.EngineRuns))
+		grants.With("full").Set(float64(st.EngineRuns - st.WorkerGrantsCapped))
+		grants.With("capped").Set(float64(st.WorkerGrantsCapped))
 		incrRuns.Set(float64(st.IncrementalRuns))
 		incrFallbacks.Set(float64(st.IncrementalFallbacks))
 		lintRuns.Set(float64(st.LintRuns))
@@ -289,60 +288,70 @@ func (m *Manager) registerMetrics() {
 		for lv, n := range st.RunsByLevels {
 			byLevels.With(lv).Set(float64(n))
 		}
+		m.mu.Lock()
+		for k, n := range m.finished {
+			finished.With(string(k.kind), string(k.state)).Set(float64(n))
+		}
+		m.mu.Unlock()
 	})
 }
 
-// Job is one unit of work. All mutable state is behind mu; the
-// identity fields are immutable after Submit.
+// Job is one submission's record. The identity fields are immutable
+// after Submit; run is guarded by the manager's mu, everything else by
+// the job's own mu.
 type Job struct {
 	id   string
 	kind api.Kind
 	// reqID is the HTTP request ID that submitted the job, carried
 	// through statuses and logs so one curl correlates end to end.
-	reqID    string
-	digest   string
-	opt      tanglefind.Options
-	maxPins  int
-	timeout  time.Duration
-	cacheKey string
-	// Incremental and lint jobs resolve their lineage parent at submit
-	// time; the parent's recorded state is looked up at run time (it
-	// may still be computing when the job is queued).
-	parent  string
-	lintCfg tanglefind.LintConfig
-	ctx     context.Context
-	cancel  context.CancelFunc
+	reqID   string
+	digest  string
+	created time.Time
+	// run is the engine execution serving the job. It is nil once the
+	// job is terminal (and always for a cache hit), so finished records
+	// — retained up to MaxJobs — never keep an engine or netlist
+	// reachable.
+	run *run
 
-	// leader, when non-nil, marks this job a coalesced follower: its
-	// result comes from the leader's engine run, not a run of its own.
-	// Guarded by the manager's mu (it is only set at accept time and
-	// cleared by promotion inside Cancel).
-	leader *Job
-
-	mu sync.Mutex
-	// h is what the job's run needs from the store. Only a job that
-	// will queue resolves it, and the record drops it on reaching a
-	// terminal state, so finished records — retained up to MaxJobs —
-	// never keep an engine or netlist reachable.
-	h        handles
+	mu       sync.Mutex
 	state    api.State
 	cached   bool
 	errMsg   string
 	result   *api.JobResult
 	progress *tanglefind.Progress
-	created  time.Time
 	started  *time.Time
 	finished *time.Time
 	subs     map[int]chan api.Event
 	nextSub  int
-	// followers are identical submissions riding this job's engine
-	// run (see Manager.inflight). Guarded by this job's mu.
-	followers []*Job
 }
 
-// handles are a job run's references into the store: the shared
-// engine (find kinds) or the netlist (lint), plus the dirty cells of
-// the digest's delta lineage.
+// run is one engine execution: what to compute, the store handles and
+// context it computes with, and the jobs it serves. The fields from
+// started down are guarded by the manager's mu.
+type run struct {
+	kind     api.Kind
+	digest   string
+	opt      tanglefind.Options
+	maxPins  int
+	timeout  time.Duration
+	cacheKey string // result-cache identity
+	flight   string // single-flight identity: cacheKey plus timeout
+	// Incremental and lint runs resolve their lineage parent at submit
+	// time; the parent's recorded state is looked up when the run
+	// starts (it may still be computing while this run is queued).
+	parent  string
+	lintCfg tanglefind.LintConfig
+	h       handles
+	ctx     context.Context
+	cancel  context.CancelFunc
+
+	started time.Time // zero while queued
+	jobs    []*Job    // the live jobs the run serves
+}
+
+// handles are a run's references into the store: the shared engine
+// (find kinds) or the netlist (lint), plus the dirty cells of the
+// digest's delta lineage. Only a run that will queue resolves them.
 type handles struct {
 	finder *tanglefind.Finder
 	lintNl *tanglefind.Netlist
@@ -351,10 +360,11 @@ type handles struct {
 
 // Submit validates a request against the digest's metadata, consults
 // the result cache, and either answers from cache (state done, Cached
-// true, no engine work), attaches the job to an identical in-flight
-// run, or resolves its engine and enqueues it. The returned status is
-// the job's state at return time. A cached result stays servable after
-// its netlist is evicted: only a job that must run needs the netlist.
+// true, no engine work), attaches the job to an identical queued or
+// running run, or resolves the store handles and queues a new run. The
+// returned status is the job's state at return time. A cached result
+// stays servable after its netlist is evicted: only a run needs the
+// netlist.
 func (m *Manager) Submit(req api.JobRequest) (api.JobStatus, error) {
 	if !req.Kind.Valid() {
 		return api.JobStatus{}, fmt.Errorf("%w: unknown kind %q (want find, cluster, decompose, find_incremental or lint)", ErrBadRequest, req.Kind)
@@ -403,33 +413,22 @@ func (m *Manager) Submit(req api.JobRequest) (api.JobStatus, error) {
 	if req.TimeoutMS < 0 {
 		return api.JobStatus{}, fmt.Errorf("%w: timeout_ms must be non-negative", ErrBadRequest)
 	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &Job{
-		kind:     req.Kind,
-		reqID:    req.RequestID,
-		digest:   req.Digest,
+	r := &run{
 		opt:      opt,
 		maxPins:  maxPins,
-		timeout:  time.Duration(req.TimeoutMS) * time.Millisecond,
 		cacheKey: cacheKey(req.Kind, req.Digest, maxPins, opt),
 		parent:   parent,
-		ctx:      ctx,
-		cancel:   cancel,
-		state:    api.StateQueued,
-		created:  time.Now(),
-		subs:     make(map[int]chan api.Event),
 	}
-	return m.accept(j, func() (handles, error) {
+	return m.accept(req, r, func() (handles, error) {
 		finder, _, err := m.cfg.Store.Engine(req.Digest)
 		return handles{finder: finder, dirty: dirty}, err
 	})
 }
 
-// submitLint validates a lint request and builds its job. Lint jobs
-// run on the raw netlist (no finder engine) and key the result cache
-// on the canonical rule configuration; a digest with delta lineage
-// also records its parent so the run can lint incrementally.
+// submitLint validates a lint request and builds its run. Lint runs
+// use the raw netlist (no finder engine) and key the result cache on
+// the canonical rule configuration; a digest with delta lineage also
+// records its parent so the run can lint incrementally.
 func (m *Manager) submitLint(req api.JobRequest) (api.JobStatus, error) {
 	if _, ok := m.cfg.Store.Info(req.Digest); !ok {
 		return api.JobStatus{}, store.ErrNotFound
@@ -446,32 +445,34 @@ func (m *Manager) submitLint(req api.JobRequest) (api.JobStatus, error) {
 	if lin, ok := m.cfg.Store.Lineage(req.Digest); ok {
 		parent, dirty = lin.Parent, lin.Dirty
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &Job{
-		kind:     req.Kind,
-		reqID:    req.RequestID,
-		digest:   req.Digest,
-		timeout:  time.Duration(req.TimeoutMS) * time.Millisecond,
+	r := &run{
 		cacheKey: lintKey(req.Digest, cfg),
 		lintCfg:  cfg,
 		parent:   parent,
-		ctx:      ctx,
-		cancel:   cancel,
-		state:    api.StateQueued,
-		created:  time.Now(),
-		subs:     make(map[int]chan api.Event),
 	}
-	return m.accept(j, func() (handles, error) {
+	return m.accept(req, r, func() (handles, error) {
 		nl, _, err := m.cfg.Store.Get(req.Digest)
 		return handles{lintNl: nl, dirty: dirty}, err
 	})
 }
 
-// accept enqueues the job and, off the manager lock, emits the
-// structured submission record. resolve fetches the job's handles from
-// the store; it is called only if the job will queue.
-func (m *Manager) accept(j *Job, resolve func() (handles, error)) (api.JobStatus, error) {
-	st, err := m.enqueue(j, resolve)
+// accept completes the candidate run r with the request's identity,
+// makes the job's record, hands both to enqueue and, off the manager
+// lock, emits the structured submission record. resolve fetches r's
+// handles from the store; it is called only if r will queue.
+func (m *Manager) accept(req api.JobRequest, r *run, resolve func() (handles, error)) (api.JobStatus, error) {
+	r.kind, r.digest = req.Kind, req.Digest
+	r.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+	r.flight = fmt.Sprintf("%s|%d", r.cacheKey, r.timeout)
+	j := &Job{
+		kind:    req.Kind,
+		reqID:   req.RequestID,
+		digest:  req.Digest,
+		created: time.Now(),
+		state:   api.StateQueued,
+		subs:    make(map[int]chan api.Event),
+	}
+	st, err := m.enqueue(j, r, resolve)
 	if err != nil {
 		return st, err
 	}
@@ -485,51 +486,45 @@ func (m *Manager) accept(j *Job, resolve func() (handles, error)) (api.JobStatus
 	return st, nil
 }
 
-// enqueue answers the job without a run of its own when it can
-// (answerLocked) and otherwise appends it to the pending list. Its
-// handles are resolved only on that last path, outside m.mu — a store
-// reload re-parses a blob — after which the cache and the single-flight
-// table are consulted again, since an identical run may have finished
-// or started in between.
-func (m *Manager) enqueue(j *Job, resolve func() (handles, error)) (api.JobStatus, error) {
+// enqueue answers the job without a new run when it can (answerLocked)
+// and otherwise queues r with the job attached. The run's handles are
+// resolved only on that last path, outside m.mu — a store reload
+// re-parses a blob — after which the cache and the single-flight table
+// are consulted again, since an identical run may have finished or
+// started in between.
+func (m *Manager) enqueue(j *Job, r *run, resolve func() (handles, error)) (api.JobStatus, error) {
 	m.mu.Lock()
-	st, answered, err := m.answerLocked(j)
+	st, answered, err := m.answerLocked(j, r)
 	m.mu.Unlock()
 	if answered {
 		return st, err
 	}
 	h, err := resolve()
 	if err != nil {
-		j.cancel()
 		return api.JobStatus{}, err
 	}
-	j.h = h // not yet shared: the job is published by addJobLocked below
+	r.h = h
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if st, answered, err := m.answerLocked(j); answered {
+	if st, answered, err := m.answerLocked(j, r); answered {
 		return st, err
 	}
-	// Accepted: only now does the submission count, so rejected
-	// requests don't inflate the stats.
-	m.submitted.Add(1)
-	m.cacheMissC.Inc()
-	j.id = fmt.Sprintf("job-%06d", m.nextID.Add(1))
-	m.pending = append(m.pending, j)
-	m.inflight[j.cacheKey] = j
+	r.ctx, r.cancel = context.WithCancel(context.Background())
+	m.pending = append(m.pending, r)
+	m.inflight[r.flight] = r
 	m.cond.Signal()
-	m.addJobLocked(j)
+	m.attachLocked(j, r)
 	return j.Status(), nil
 }
 
-// answerLocked settles a submission that needs no queue slot: refused
+// answerLocked settles a submission that needs no new run: refused
 // when the manager is closed or the queue is full, answered from the
-// result cache (state done, Cached true), or attached as a follower of
-// an identical in-flight job. It reports false when the job must
-// queue. Callers hold m.mu.
-func (m *Manager) answerLocked(j *Job) (api.JobStatus, bool, error) {
+// result cache (state done, Cached true), or attached to an identical
+// queued or running run. It reports false when r must queue. Callers
+// hold m.mu.
+func (m *Manager) answerLocked(j *Job, r *run) (api.JobStatus, bool, error) {
 	if m.closed {
-		j.cancel()
 		return api.JobStatus{}, true, ErrClosed
 	}
 
@@ -538,82 +533,65 @@ func (m *Manager) answerLocked(j *Job) (api.JobStatus, bool, error) {
 	// the cached wire result alone cannot do that — skip the shortcut
 	// and run the engine again.
 	statePrimed := false
-	if j.opt.RecordIncremental {
-		_, statePrimed = m.incr.get(incrKey(j.digest, j.opt))
+	if r.opt.RecordIncremental {
+		_, statePrimed = m.incr.get(incrKey(r.digest, r.opt))
 	}
-	if res, ok := m.cache.get(j.cacheKey); ok && (!j.opt.RecordIncremental || statePrimed) {
+	if res, ok := m.cache.get(r.cacheKey); ok && (!r.opt.RecordIncremental || statePrimed) {
 		// Identical digest+kind+options already computed: serve the
 		// cached result without consuming a queue slot or worker. The
 		// hit gets its own shallow copy of the result: engine stages
 		// carry over (they describe the run that produced the data,
-		// clearly attributed by Cached=true), but queue_wait and merge
-		// belong to that first job alone — a hit reports its own,
-		// effectively zero, queue wait instead of another job's.
-		m.submitted.Add(1)
-		m.cacheHits.Add(1)
-		m.cacheHitC.Inc()
-		j.cancel()
-		j.id = fmt.Sprintf("job-%06d", m.nextID.Add(1))
+		// clearly attributed by Cached=true), but queue_wait is the
+		// hit's own, effectively zero.
+		m.lastID++
+		m.cacheHits++
+		j.id = fmt.Sprintf("job-%06d", m.lastID)
 		now := time.Now()
 		hit := *res
 		hit.Stages = ownQueueWait(res.Stages, now.Sub(j.created))
-		j.mu.Lock()
-		j.h = handles{} // resolved just before an identical run finished
 		j.state = api.StateDone
 		j.cached = true
 		j.result = &hit
 		j.finished = &now
-		j.mu.Unlock()
 		m.addJobLocked(j)
 		return j.Status(), true, nil
 	}
 
-	// Single-flight: an identical job already queued or running means
-	// this submission attaches as a follower of that engine run — its
-	// own job id, stream and completion, no queue slot, no second run.
-	// The follower's context stays live: if the leader is cancelled
-	// while queued, a follower is promoted to run in its place (taking
-	// the leader's handles, since a follower holds none).
-	if leader := m.inflight[j.cacheKey]; leader != nil {
-		leader.mu.Lock()
-		if !leader.state.Terminal() {
-			m.submitted.Add(1)
-			m.coalesced.Add(1)
-			m.cacheMissC.Inc()
-			j.id = fmt.Sprintf("job-%06d", m.nextID.Add(1))
-			j.leader = leader
-			j.h = handles{}
-			if leader.state == api.StateRunning {
-				// The run is already underway: the follower waited for
-				// nothing, and its state says so immediately.
-				now := time.Now()
-				j.state = api.StateRunning
-				j.started = &now
-			}
-			leader.followers = append(leader.followers, j)
-			leader.mu.Unlock()
-			m.addJobLocked(j)
-			return j.Status(), true, nil
-		}
-		// The leader reached a terminal state between removing itself
-		// from the table and now — impossible while the worker clears
-		// inflight first, but never attach to a finished run.
-		leader.mu.Unlock()
-		delete(m.inflight, j.cacheKey)
+	// Single-flight: an identical run already queued or running serves
+	// this submission too — its own job id, stream and completion, no
+	// queue slot, no second engine run.
+	if live := m.inflight[r.flight]; live != nil {
+		m.coalesced++
+		m.attachLocked(j, live)
+		return j.Status(), true, nil
 	}
 
 	if len(m.pending) >= m.cfg.QueueDepth {
-		j.cancel()
 		return api.JobStatus{}, true, ErrQueueFull
 	}
 	return api.JobStatus{}, false, nil
 }
 
-// ownQueueWait copies a finished run's stage breakdown for a job that
-// did not run (a cache hit or a coalesced follower): the engine and
-// merge stages carry over (they describe the run that produced the
-// data, clearly attributed by Cached or the coalesced lineage), but
-// the producing run's queue_wait is replaced by this job's own.
+// attachLocked numbers the job, adds it to run r and records it. A job
+// attaching to a run already underway waited for nothing, and its
+// state says so immediately. Callers hold m.mu.
+func (m *Manager) attachLocked(j *Job, r *run) {
+	m.lastID++
+	j.id = fmt.Sprintf("job-%06d", m.lastID)
+	j.run = r
+	r.jobs = append(r.jobs, j)
+	m.live++
+	if !r.started.IsZero() {
+		now := time.Now()
+		j.state = api.StateRunning
+		j.started = &now
+	}
+	m.addJobLocked(j)
+}
+
+// ownQueueWait copies a finished run's stage breakdown for one job:
+// the engine and merge stages carry over (they describe the run that
+// produced the data), and queue_wait is the job's own.
 func ownQueueWait(stages tanglefind.StageTimings, wait time.Duration) tanglefind.StageTimings {
 	out := tanglefind.StageTimings{}
 	for name, d := range stages {
@@ -630,17 +608,18 @@ func ownQueueWait(stages tanglefind.StageTimings, wait time.Duration) tanglefind
 }
 
 // addJobLocked records a job and retires the oldest terminal records
-// past the retention bound. Callers hold m.mu.
+// while more than MaxJobs are retained, skipping live ones. Callers
+// hold m.mu.
 func (m *Manager) addJobLocked(j *Job) {
 	m.jobs[j.id] = j
 	m.order = append(m.order, j.id)
-	for len(m.order) > m.cfg.MaxJobs {
-		oldest := m.jobs[m.order[0]]
-		if oldest != nil && !oldest.Status().State.Terminal() {
-			break // never retire a live job record
+	for i := 0; len(m.order)-m.live > m.cfg.MaxJobs; {
+		if m.jobs[m.order[i]].run != nil {
+			i++
+			continue
 		}
-		delete(m.jobs, m.order[0])
-		m.order = m.order[1:]
+		delete(m.jobs, m.order[i])
+		m.order = slices.Delete(m.order, i, i+1)
 	}
 }
 
@@ -661,9 +640,7 @@ func (m *Manager) List() []api.JobStatus {
 	m.mu.Lock()
 	js := make([]*Job, 0, len(m.order))
 	for i := len(m.order) - 1; i >= 0; i-- {
-		if j := m.jobs[m.order[i]]; j != nil {
-			js = append(js, j)
-		}
+		js = append(js, m.jobs[m.order[i]])
 	}
 	m.mu.Unlock()
 	out := make([]api.JobStatus, len(js))
@@ -673,15 +650,12 @@ func (m *Manager) List() []api.JobStatus {
 	return out
 }
 
-// Cancel stops a job: a queued job flips to cancelled immediately, a
-// running job's context is cancelled and its worker returns with
-// partial work discarded (the worker is freed for the next job).
-// Coalesced groups narrow the blast radius to the one submission
-// being cancelled: a follower detaches from its leader's run; a
-// queued leader hands the run to its first follower (promotion — the
-// group still gets exactly one engine run); a running leader detaches
-// its own record while the run keeps serving the remaining followers.
-// It is a no-op on terminal jobs.
+// Cancel stops one job: it leaves its run and turns cancelled at once
+// ("cancelled before start" if the run was still queued). The run goes
+// on serving its other jobs; when none is left, its context is
+// cancelled and it leaves the queue and the single-flight table, which
+// frees a queued run's slot and a running run's worker. Cancel is a
+// no-op on terminal jobs.
 func (m *Manager) Cancel(id string) (api.JobStatus, error) {
 	m.mu.Lock()
 	j := m.jobs[id]
@@ -689,108 +663,44 @@ func (m *Manager) Cancel(id string) (api.JobStatus, error) {
 		m.mu.Unlock()
 		return api.JobStatus{}, ErrNoJob
 	}
-	// Follower: detach from the leader so the run no longer publishes
-	// to this record, then settle it. The run itself is untouched.
-	if l := j.leader; l != nil {
-		l.mu.Lock()
-		for i, f := range l.followers {
-			if f == j {
-				l.followers = append(l.followers[:i], l.followers[i+1:]...)
-				break
-			}
+	r := j.run
+	if r != nil {
+		r.jobs = slices.DeleteFunc(r.jobs, func(o *Job) bool { return o == j })
+		if len(r.jobs) == 0 {
+			m.dropLocked(r)
 		}
-		l.mu.Unlock()
-		m.mu.Unlock()
-		if j.finish(api.StateCancelled, nil, "cancelled") {
-			m.cancelled.Add(1)
-			m.observeFinish(j, "cancelled", nil)
+		msg := "cancelled"
+		if r.started.IsZero() {
+			msg = "cancelled before start"
 		}
-		return j.Status(), nil
-	}
-	detached := false
-	if m.inflight[j.cacheKey] == j {
-		j.mu.Lock()
-		switch {
-		case j.state == api.StateQueued && len(j.followers) > 0:
-			// Promote the first follower: it inherits the pending slot,
-			// the remaining followers and the single-flight entry, so
-			// the group still runs exactly once. The promoted job keeps
-			// its own submission time, so its queue_wait stays honest.
-			// Followers hold no handles, so the promoted job gets a
-			// copy of the leader's; j keeps its own until it finishes,
-			// in case a worker that already popped it wins tryStart.
-			promoted := j.followers[0]
-			rest := j.followers[1:]
-			j.followers = nil
-			h := j.h
-			j.mu.Unlock()
-			promoted.leader = nil
-			promoted.mu.Lock()
-			promoted.h = h
-			promoted.followers = append(promoted.followers, rest...)
-			promoted.mu.Unlock()
-			for _, f := range rest {
-				f.leader = promoted
-			}
-			m.inflight[j.cacheKey] = promoted
-			replaced := false
-			for i, p := range m.pending {
-				if p == j {
-					m.pending[i] = promoted
-					replaced = true
-					break
-				}
-			}
-			if !replaced {
-				// A worker already popped j; its tryStart will lose to
-				// the finish below and the worker returns empty-handed,
-				// so the promoted job needs a fresh slot at the front.
-				m.pending = append([]*Job{promoted}, m.pending...)
-				m.cond.Signal()
-			}
-		case j.state == api.StateRunning && len(j.followers) > 0:
-			// The run must survive for its followers: detach only this
-			// job's record and leave the context alone.
-			detached = true
-			j.mu.Unlock()
-		default:
-			// No followers ride this run; drop the single-flight entry
-			// so an identical submission starts fresh instead of
-			// attaching to a dying run.
-			j.mu.Unlock()
-			delete(m.inflight, j.cacheKey)
-		}
-	}
-	// Drop it from the pending list so its queue slot frees
-	// immediately instead of when a worker eventually pops it
-	// (no-op when promotion already replaced the slot).
-	for i, p := range m.pending {
-		if p == j {
-			m.pending = slices.Delete(m.pending, i, i+1) // zeroes the vacated tail slot
-			break
-		}
+		m.settleLocked(j, api.StateCancelled, nil, msg)
 	}
 	m.mu.Unlock()
-	if detached {
-		if j.finishNoCancel(api.StateCancelled, nil, "cancelled") {
-			m.cancelled.Add(1)
-			m.observeFinish(j, "cancelled", nil)
-		}
-		return j.Status(), nil
+	if r != nil {
+		m.logFinish(j)
 	}
-	j.mu.Lock()
-	queued := j.state == api.StateQueued
-	j.mu.Unlock()
-	if queued {
-		// finish is a no-op if the worker won the race to start it; in
-		// that case the context cancellation below still stops it.
-		if j.finish(api.StateCancelled, nil, "cancelled before start") {
-			m.cancelled.Add(1)
-			m.observeFinish(j, "cancelled", nil)
-		}
-	}
-	j.cancel()
 	return j.Status(), nil
+}
+
+// dropLocked cancels run r's context and removes the run from the
+// queue and the single-flight table. Callers hold m.mu.
+func (m *Manager) dropLocked(r *run) {
+	r.cancel()
+	if m.inflight[r.flight] == r {
+		delete(m.inflight, r.flight)
+	}
+	if i := slices.Index(m.pending, r); i >= 0 {
+		m.pending = slices.Delete(m.pending, i, i+1) // zeroes the vacated tail slot
+	}
+}
+
+// settleLocked detaches a live job from its run, moves it to a
+// terminal state and counts the outcome. Callers hold m.mu.
+func (m *Manager) settleLocked(j *Job, state api.State, res *api.JobResult, errMsg string) {
+	j.run = nil
+	m.live--
+	j.finish(state, res, errMsg)
+	m.finished[finishKey{j.kind, state}]++
 }
 
 // Subscribe attaches a progress consumer to a job. The channel
@@ -811,57 +721,65 @@ func (m *Manager) Subscribe(id string) (<-chan api.Event, func(), error) {
 // Stats reports cumulative counters and current queue occupancy.
 func (m *Manager) Stats() api.JobStats {
 	st := api.JobStats{
-		Submitted:            m.submitted.Load(),
-		Completed:            m.completed.Load(),
-		Failed:               m.failed.Load(),
-		Cancelled:            m.cancelled.Load(),
-		CacheHits:            m.cacheHits.Load(),
-		EngineRuns:           m.engineRuns.Load(),
 		IncrementalRuns:      m.incrRuns.Load(),
 		IncrementalFallbacks: m.incrFallbacks.Load(),
 		LintRuns:             m.lintRuns.Load(),
 		LintIncremental:      m.lintIncr.Load(),
 		CachedSets:           m.cache.len(),
-		IncrStateBytes:       m.incr.memoryEstimate(),
 		ParallelSeedsStolen:  m.seedsStolen.Load(),
-		WorkerGrantsCapped:   m.grantsCapped.Load(),
-		CoalescedJobs:        m.coalesced.Load(),
 		RewarmedResults:      m.rewarmed.Load(),
 		JournalErrors:        m.journalErrs.Load(),
 	}
-	m.levelMu.Lock()
+	m.incr.each(func(res *tanglefind.Result) {
+		if res.IncrState != nil {
+			st.IncrStateBytes += res.IncrState.MemoryEstimate()
+		}
+	})
+	m.grantMu.Lock()
+	st.EngineRuns, st.WorkerGrantsCapped = m.engineRuns, m.grantsCapped
+	m.grantMu.Unlock()
+
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	st.Submitted, st.CacheHits, st.CoalescedJobs = m.lastID, m.cacheHits, m.coalesced
+	for k, n := range m.finished {
+		switch k.state {
+		case api.StateDone:
+			st.Completed += n
+		case api.StateFailed:
+			st.Failed += n
+		case api.StateCancelled:
+			st.Cancelled += n
+		}
+	}
 	if len(m.runsByLevel) > 0 {
 		st.RunsByLevels = make(map[string]int64, len(m.runsByLevel))
 		for lv, n := range m.runsByLevel {
 			st.RunsByLevels[fmt.Sprintf("%d", lv)] = n
 		}
 	}
-	m.levelMu.Unlock()
-	m.mu.Lock()
 	st.QueueDepth = len(m.pending)
 	for _, j := range m.jobs {
-		jst := j.Status()
-		switch jst.State {
-		case api.StateQueued:
+		if j.run == nil {
+			continue
+		}
+		if j.run.started.IsZero() {
 			st.Queued++
-		case api.StateRunning:
+		} else {
 			st.Running++
 		}
-		if !jst.State.Terminal() {
-			if st.InFlightByKind == nil {
-				st.InFlightByKind = make(map[string]int)
-			}
-			st.InFlightByKind[string(jst.Kind)]++
+		if st.InFlightByKind == nil {
+			st.InFlightByKind = make(map[string]int)
 		}
+		st.InFlightByKind[string(j.kind)]++
 	}
-	m.mu.Unlock()
 	return st
 }
 
 // Shutdown drains the manager: no new submissions, queued and running
 // jobs keep going until done. If ctx expires first, every remaining
-// job is cancelled and Shutdown still waits for the workers to
-// return before reporting the deadline error.
+// run is cancelled and Shutdown still waits for the workers to return
+// before reporting the deadline error.
 func (m *Manager) Shutdown(ctx context.Context) error {
 	m.mu.Lock()
 	if !m.closed {
@@ -881,7 +799,9 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		m.mu.Lock()
 		for _, j := range m.jobs {
-			j.cancel()
+			if j.run != nil {
+				j.run.cancel()
+			}
 		}
 		m.mu.Unlock()
 		<-done
@@ -890,7 +810,7 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 }
 
 // worker consumes the pending list until it is empty after Shutdown —
-// jobs queued before the shutdown still drain.
+// runs queued before the shutdown still drain.
 func (m *Manager) worker() {
 	defer m.wg.Done()
 	for {
@@ -902,67 +822,67 @@ func (m *Manager) worker() {
 			m.mu.Unlock()
 			return
 		}
-		j := m.pending[0]
-		m.pending[0] = nil // the backing array must not keep j reachable
+		r := m.pending[0]
+		m.pending[0] = nil // the backing array must not keep r reachable
 		m.pending = m.pending[1:]
 		m.mu.Unlock()
-		m.run(j)
+		m.execute(r)
 	}
 }
 
-// run executes one job end to end.
-func (m *Manager) run(j *Job) {
-	if j.ctx.Err() != nil {
-		// Cancelled while queued (explicitly or by a forced shutdown);
-		// any followers go down with the run they were waiting on.
-		m.finishGroup(j, api.StateCancelled, nil, "cancelled before start", nil, "cancelled")
+// execute carries one run from start to its jobs' terminal states.
+func (m *Manager) execute(r *run) {
+	m.mu.Lock()
+	if r.ctx.Err() != nil {
+		// Cancelled while queued: by its last job (none is left) or by a
+		// forced shutdown (its jobs go down with it).
+		m.mu.Unlock()
+		m.finishRun(r, api.StateCancelled, nil, "cancelled before start")
 		return
 	}
-	// The run works from its own copy of the handles: a running leader
-	// cancelled out of its group drops the record's copy while the run
-	// keeps serving the followers.
-	h, ok := j.tryStart()
-	if !ok {
-		return // lost the race with Cancel, which settled the group
+	r.started = time.Now()
+	for _, j := range r.jobs {
+		j.start(r.started)
 	}
-	m.startFollowers(j)
-	stages := tanglefind.StageTimings{}
-	stages.Add("queue_wait", j.queueWait())
-	if j.kind == api.KindLint {
-		m.runLint(j, h, stages)
+	m.mu.Unlock()
+
+	if r.kind == api.KindLint {
+		m.runLint(r)
 		return
 	}
-	ctx, cancel := j.ctx, func() {}
-	if j.timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, j.timeout)
+	ctx, cancel := r.ctx, func() {}
+	if r.timeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, r.timeout)
 	}
 	defer cancel()
 
-	opt := j.opt
-	opt.Progress = j.setProgress
-	grant := m.acquireWorkers(opt.Workers)
-	defer m.releaseWorkers(grant)
-	opt.Workers = grant
-	m.engineRuns.Add(1)
+	opt := r.opt
+	opt.Progress = func(p tanglefind.Progress) {
+		m.mu.Lock()
+		for _, j := range r.jobs {
+			j.setProgress(p)
+		}
+		m.mu.Unlock()
+	}
+	opt.Workers = m.acquireWorkers(opt.Workers)
+	defer m.releaseWorkers(opt.Workers)
+	stages := tanglefind.StageTimings{}
 	engineStart := time.Now()
 	var res *tanglefind.Result
 	var err error
-	if j.kind == api.KindFindIncremental {
+	if r.kind == api.KindFindIncremental {
 		// The parent's recorded state is optional: absent (never run,
 		// evicted from the bounded state cache, or recorded under
 		// different options) the engine degrades to a full run and
 		// reports the fallback in the result breakdown.
-		var prev *tanglefind.Result
-		if p, ok := m.incr.get(incrKey(j.parent, j.opt)); ok {
-			prev = p
-		}
+		prev, _ := m.incr.get(incrKey(r.parent, r.opt))
 		m.incrRuns.Add(1)
-		res, err = h.finder.FindIncremental(ctx, opt, prev, h.dirty)
+		res, err = r.h.finder.FindIncremental(ctx, opt, prev, r.h.dirty)
 		if res != nil && res.Incremental != nil && res.Incremental.FullFallback {
 			m.incrFallbacks.Add(1)
 		}
 	} else {
-		res, err = h.finder.Find(ctx, opt)
+		res, err = r.h.finder.Find(ctx, opt)
 	}
 	stages.Add("engine", time.Since(engineStart))
 	mergeStart := time.Now()
@@ -973,30 +893,26 @@ func (m *Manager) run(j *Job) {
 		// Count by the levels the run actually used: a Levels=4 request
 		// over a small netlist may coarsen less than asked (or not at
 		// all), and that is what operators need to see.
-		used := len(res.Levels)
-		if used == 0 {
-			used = 1
-		}
-		m.levelMu.Lock()
+		used := max(len(res.Levels), 1)
+		m.mu.Lock()
 		m.runsByLevel[used]++
-		m.levelMu.Unlock()
+		m.mu.Unlock()
 	}
 	if err != nil {
-		switch {
-		case errors.Is(err, context.Canceled):
-			m.finishGroup(j, api.StateCancelled, nil, "cancelled", stages, "cancelled")
-		default: // deadline exceeded or an engine error
-			m.finishGroup(j, api.StateFailed, nil, err.Error(), stages, "failed")
+		if errors.Is(err, context.Canceled) {
+			m.finishRun(r, api.StateCancelled, nil, "cancelled")
+		} else { // deadline exceeded or an engine error
+			m.finishRun(r, api.StateFailed, nil, err.Error())
 		}
 		return
 	}
 	out := findResult(res)
 	mitErr := m.testMitigationErr
 	if mitErr == nil {
-		mitErr = j.applyMitigation(h.finder.Netlist(), res, out)
+		mitErr = r.applyMitigation(r.h.finder.Netlist(), res, out)
 	}
 	if mitErr != nil {
-		m.finishGroup(j, api.StateFailed, nil, mitErr.Error(), stages, "failed")
+		m.finishRun(r, api.StateFailed, nil, mitErr.Error())
 		return
 	}
 	// Only a run that is known good primes the incremental-state
@@ -1004,92 +920,54 @@ func (m *Manager) run(j *Job) {
 	// must leave no state behind, or the next identical submission
 	// would be served (or incrementally seeded) by a failed job.
 	if res.IncrState != nil {
-		m.incr.put(incrKey(j.digest, j.opt), res)
+		m.incr.put(incrKey(r.digest, r.opt), res)
 	}
 	for name, d := range res.Stages {
 		stages.Add("engine_"+name, d)
 	}
+	stages.Add("merge", time.Since(mergeStart))
+	m.complete(r, out, stages)
+}
+
+// complete publishes a run's finished result: into the result cache
+// and the journal, into the stage histograms (once per run; finishRun
+// adds each job's own queue wait), and to every job the run serves.
+func (m *Manager) complete(r *run, out *api.JobResult, stages tanglefind.StageTimings) {
 	// The breakdown must be complete before the cache put: cached
 	// JobResult pointers are shared across submissions and immutable.
-	stages.Add("merge", time.Since(mergeStart))
 	out.Stages = stages
-	m.cache.put(j.cacheKey, out)
-	m.journalResult(j.cacheKey, out)
-	m.finishGroup(j, api.StateDone, out, "", stages, "done")
+	m.cache.put(r.cacheKey, out)
+	m.journalResult(r.cacheKey, out)
+	for stage, d := range stages {
+		m.stageSeconds.With(string(r.kind), stage).Observe(d.Seconds())
+	}
+	m.finishRun(r, api.StateDone, out, "")
 }
 
-// finishGroup drives the job that owned an engine run — and every
-// follower coalesced onto it — to a terminal state. The single-flight
-// entry is cleared first, so no submission can attach once the group
-// starts finishing; each follower gets a shallow result copy carrying
-// its own queue_wait, and counts its own terminal outcome.
-func (m *Manager) finishGroup(j *Job, state api.State, out *api.JobResult, errMsg string, stages tanglefind.StageTimings, outcome string) {
+// finishRun drives every job run r serves to a terminal state. The
+// single-flight entry is cleared in the same critical section, so no
+// submission can attach once the run starts finishing. Given a result,
+// each job gets a shallow copy carrying its own queue_wait, which the
+// stage histogram records.
+func (m *Manager) finishRun(r *run, state api.State, out *api.JobResult, errMsg string) {
 	m.mu.Lock()
-	if m.inflight[j.cacheKey] == j {
-		delete(m.inflight, j.cacheKey)
-	}
-	m.mu.Unlock()
-	j.mu.Lock()
-	followers := j.followers
-	j.followers = nil
-	var start time.Time
-	if j.started != nil {
-		start = *j.started
-	}
-	j.mu.Unlock()
-	if j.finish(state, out, errMsg) {
-		m.countOutcome(outcome)
-		m.observeFinish(j, outcome, stages)
-	}
-	for _, f := range followers {
-		wait := time.Since(f.created)
-		if !start.IsZero() {
-			wait = start.Sub(f.created)
-		}
-		if wait < 0 {
-			wait = 0
-		}
-		var fres *api.JobResult
+	m.dropLocked(r)
+	js := r.jobs
+	r.jobs = nil
+	for _, j := range js {
+		var res *api.JobResult
 		if out != nil {
+			wait := max(r.started.Sub(j.created), 0)
+			m.stageSeconds.With(string(j.kind), "queue_wait").Observe(wait.Seconds())
 			cp := *out
 			cp.Stages = ownQueueWait(out.Stages, wait)
-			fres = &cp
+			res = &cp
 		}
-		if f.finish(state, fres, errMsg) {
-			m.countOutcome(outcome)
-			// Followers observe only their own wait: the engine stages
-			// belong to the one run and must not be double-counted in
-			// the latency histograms.
-			m.observeFinish(f, outcome, tanglefind.StageTimings{"queue_wait": wait})
-		}
+		m.settleLocked(j, state, res, errMsg)
 	}
-}
-
-// countOutcome bumps the cumulative counter for one terminal outcome.
-func (m *Manager) countOutcome(outcome string) {
-	switch outcome {
-	case "done":
-		m.completed.Add(1)
-	case "failed":
-		m.failed.Add(1)
-	case "cancelled":
-		m.cancelled.Add(1)
-	}
-}
-
-// startFollowers mirrors the leader's queued→running transition onto
-// followers attached before the run started (followers attaching after
-// it stamp their own start at accept time).
-func (m *Manager) startFollowers(j *Job) {
-	j.mu.Lock()
-	followers := append([]*Job(nil), j.followers...)
-	var start time.Time
-	if j.started != nil {
-		start = *j.started
-	}
-	j.mu.Unlock()
-	for _, f := range followers {
-		f.mirrorStart(start)
+	m.mu.Unlock()
+	for _, j := range js {
+		m.logFinish(j)
 	}
 }
 
@@ -1111,25 +989,22 @@ func (m *Manager) journalResult(key string, out *api.JobResult) {
 	}
 }
 
-// observeFinish records a terminal outcome off the job and manager
-// locks: the per-kind outcome counter, the stage-latency histograms
-// (completed runs only — failures have no meaningful breakdown) and a
-// structured lifecycle record correlated by request ID.
-func (m *Manager) observeFinish(j *Job, outcome string, stages tanglefind.StageTimings) {
-	m.jobsFinished.With(string(j.kind), outcome).Inc()
-	if outcome == "done" {
-		for stage, d := range stages {
-			m.stageSeconds.With(string(j.kind), stage).Observe(d.Seconds())
-		}
+// logFinish emits a settled job's structured lifecycle record,
+// correlated by request ID, off the manager lock.
+func (m *Manager) logFinish(j *Job) {
+	st := j.Status()
+	var stages tanglefind.StageTimings
+	if st.Result != nil {
+		stages = st.Result.Stages
 	}
 	m.log.Info("job finished",
-		"job_id", j.id, "kind", string(j.kind), "outcome", outcome,
+		"job_id", j.id, "kind", string(j.kind), "outcome", string(st.State),
 		"request_id", j.reqID, "stages", stages.String())
 }
 
-// acquireWorkers grants a starting job its engine-goroutine share:
+// acquireWorkers grants a starting run its engine-goroutine share:
 // min(requested, what the pool budget has free), never below 1 — a
-// job always makes progress even when concurrent jobs hold the whole
+// run always makes progress even when concurrent runs hold the whole
 // budget. requested <= 0 means "all of it" (the engine's own
 // GOMAXPROCS default), so unconfigured jobs split the budget instead
 // of each assuming an idle machine.
@@ -1139,45 +1014,37 @@ func (m *Manager) acquireWorkers(requested int) int {
 	}
 	m.grantMu.Lock()
 	defer m.grantMu.Unlock()
-	free := m.cfg.EngineWorkers - m.grantsInUse
-	grant := requested
-	if grant > free {
-		grant = free
-	}
-	if grant < 1 {
-		grant = 1
-	}
+	grant := max(min(requested, m.cfg.EngineWorkers-m.grantsInUse), 1)
+	m.engineRuns++
 	if grant < requested {
-		m.grantsCapped.Add(1)
-		m.grantCapC.Inc()
-	} else {
-		m.grantFullC.Inc()
+		m.grantsCapped++
 	}
 	m.grantsInUse += grant
 	return grant
 }
 
-// releaseWorkers returns a finished job's grant to the budget.
+// releaseWorkers returns a finished run's grant to the budget.
 func (m *Manager) releaseWorkers(grant int) {
 	m.grantMu.Lock()
 	m.grantsInUse -= grant
 	m.grantMu.Unlock()
 }
 
-// runLint executes a lint job: incrementally against the parent's
+// runLint executes a lint run: incrementally against the parent's
 // retained report when the digest has delta lineage and both the
 // parent netlist and its report (under the same rule config) are still
 // available, from scratch otherwise. The finished report is retained
 // in the lint-state LRU so the next delta in the chain stays
 // incremental.
-func (m *Manager) runLint(j *Job, h handles, stages tanglefind.StageTimings) {
+func (m *Manager) runLint(r *run) {
 	m.lintRuns.Add(1)
+	stages := tanglefind.StageTimings{}
 	engineStart := time.Now()
 	var rep *tanglefind.LintReport
-	if j.parent != "" {
-		if prev, ok := m.lints.get(lintKey(j.parent, j.lintCfg)); ok {
-			if parentNl, _, err := m.cfg.Store.Get(j.parent); err == nil {
-				rep = tanglefind.LintDelta(prev, parentNl, h.lintNl, h.dirty, j.lintCfg)
+	if r.parent != "" {
+		if prev, ok := m.lints.get(lintKey(r.parent, r.lintCfg)); ok {
+			if parentNl, _, err := m.cfg.Store.Get(r.parent); err == nil {
+				rep = tanglefind.LintDelta(prev, parentNl, r.h.lintNl, r.h.dirty, r.lintCfg)
 				if rep.Incremental {
 					m.lintIncr.Add(1)
 				}
@@ -1185,17 +1052,13 @@ func (m *Manager) runLint(j *Job, h handles, stages tanglefind.StageTimings) {
 		}
 	}
 	if rep == nil {
-		rep = tanglefind.Lint(h.lintNl, j.lintCfg)
+		rep = tanglefind.Lint(r.h.lintNl, r.lintCfg)
 	}
 	stages.Add("engine", time.Since(engineStart))
 	mergeStart := time.Now()
-	m.lints.put(j.cacheKey, rep)
-	out := &api.JobResult{Lint: rep}
+	m.lints.put(r.cacheKey, rep)
 	stages.Add("merge", time.Since(mergeStart))
-	out.Stages = stages
-	m.cache.put(j.cacheKey, out)
-	m.journalResult(j.cacheKey, out)
-	m.finishGroup(j, api.StateDone, out, "", stages, "done")
+	m.complete(r, &api.JobResult{Lint: rep}, stages)
 }
 
 // lintKey is a lint job's compute identity: the digest plus the
@@ -1207,15 +1070,15 @@ func lintKey(digest string, cfg tanglefind.LintConfig) string {
 
 // applyMitigation attaches the cluster/decompose summary for the
 // non-find kinds, operating on the groups the finder detected in nl.
-func (j *Job) applyMitigation(nl *tanglefind.Netlist, res *tanglefind.Result, out *api.JobResult) error {
-	if j.kind == api.KindFind || j.kind == api.KindFindIncremental {
+func (r *run) applyMitigation(nl *tanglefind.Netlist, res *tanglefind.Result, out *api.JobResult) error {
+	if r.kind == api.KindFind || r.kind == api.KindFindIncremental {
 		return nil
 	}
 	groups := make([][]tanglefind.CellID, len(res.GTLs))
 	for i := range res.GTLs {
 		groups[i] = res.GTLs[i].Members
 	}
-	switch j.kind {
+	switch r.kind {
 	case api.KindCluster:
 		cl, err := tanglefind.Cluster(nl, groups)
 		if err != nil {
@@ -1227,7 +1090,7 @@ func (j *Job) applyMitigation(nl *tanglefind.Netlist, res *tanglefind.Result, ou
 			MacroNets:  cl.Clustered.NumNets(),
 		}
 	case api.KindDecompose:
-		rs, err := tanglefind.Decompose(nl, groups, j.maxPins)
+		rs, err := tanglefind.Decompose(nl, groups, r.maxPins)
 		if err != nil {
 			return err
 		}
@@ -1298,86 +1161,28 @@ func incrKey(digest string, opt tanglefind.Options) string {
 
 // ---- Job state machine ----
 
-// tryStart moves queued → running and hands the run the job's
-// handles; false means the job was already finished (cancelled) and
-// must not run.
-func (j *Job) tryStart() (handles, bool) {
+// start moves a queued job to running at its run's start time.
+func (j *Job) start(at time.Time) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != api.StateQueued {
-		return handles{}, false
-	}
 	j.state = api.StateRunning
-	now := time.Now()
-	j.started = &now
+	j.started = &at
 	j.publishLocked()
-	return j.h, true
 }
 
-// queueWait reports how long the job sat between submission and its
-// worker picking it up. Called by the running worker after tryStart.
-func (j *Job) queueWait() time.Duration {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.started != nil {
-		return j.started.Sub(j.created)
-	}
-	return time.Since(j.created)
-}
-
-// setProgress records the latest engine snapshot, fans it out, and
-// forwards it to any coalesced followers. A terminal job skips its own
-// record (a late callback after cancellation; subscribers are gone)
-// but still forwards: a running leader cancelled out of the group
-// keeps relaying progress to the followers its run is serving.
+// setProgress records the latest engine snapshot and fans it out.
 func (j *Job) setProgress(p tanglefind.Progress) {
 	j.mu.Lock()
-	if !j.state.Terminal() {
-		cp := p
-		j.progress = &cp
-		j.publishLocked()
-	}
-	followers := append([]*Job(nil), j.followers...)
-	j.mu.Unlock()
-	for _, f := range followers {
-		f.setProgress(p)
-	}
-}
-
-// mirrorStart flips a queued follower to running at the leader's start
-// time; a no-op once the follower left the queued state.
-func (j *Job) mirrorStart(at time.Time) {
-	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != api.StateQueued {
-		return
-	}
-	j.state = api.StateRunning
-	t := at
-	j.started = &t
+	j.progress = &p
 	j.publishLocked()
 }
 
-// finish moves the job to a terminal state exactly once, publishes
-// the terminal event and closes all subscriber channels. It reports
-// whether this call performed the transition (so callers count each
-// outcome once).
-func (j *Job) finish(state api.State, res *api.JobResult, errMsg string) bool {
-	j.cancel()
-	return j.finishNoCancel(state, res, errMsg)
-}
-
-// finishNoCancel is finish without cancelling the job's context — for
-// the one case where a record goes terminal while its engine run must
-// stay alive: a running leader cancelled out of a coalesced group. The
-// record drops its handles here; a run in progress holds its own copy.
-func (j *Job) finishNoCancel(state api.State, res *api.JobResult, errMsg string) bool {
+// finish moves a live job to a terminal state, publishes the terminal
+// event and closes all subscriber channels.
+func (j *Job) finish(state api.State, res *api.JobResult, errMsg string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.Terminal() {
-		return false
-	}
-	j.h = handles{}
 	j.state = state
 	j.result = res
 	if state != api.StateDone {
@@ -1390,14 +1195,13 @@ func (j *Job) finishNoCancel(state api.State, res *api.JobResult, errMsg string)
 		close(ch)
 		delete(j.subs, id)
 	}
-	return true
 }
 
 // Status snapshots the job for the API.
 func (j *Job) Status() api.JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := api.JobStatus{
+	return api.JobStatus{
 		ID:         j.id,
 		Kind:       j.kind,
 		RequestID:  j.reqID,
@@ -1411,7 +1215,6 @@ func (j *Job) Status() api.JobStatus {
 		StartedAt:  j.started,
 		FinishedAt: j.finished,
 	}
-	return st
 }
 
 // subscribe registers a fan-out channel; see Manager.Subscribe.

@@ -17,18 +17,20 @@ import (
 	"tanglefind/internal/store"
 )
 
-// heldHandles reads what a job record still references in the store.
+// heldHandles reads what a job record still references in the store,
+// which it reaches only through its run.
 func heldHandles(t *testing.T, m *Manager, id string) handles {
 	t.Helper()
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	j := m.jobs[id]
-	m.mu.Unlock()
 	if j == nil {
 		t.Fatalf("job %s not retained", id)
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.h
+	if j.run == nil {
+		return handles{}
+	}
+	return j.run.h
 }
 
 // assertReleased fails when a terminal record still holds an engine,
@@ -69,7 +71,7 @@ func waitRunning(t *testing.T, m *Manager, id string) {
 
 // TestTerminalRecordsReleaseHandles drives a job record down every
 // terminal path — done (find, find_incremental, lint), failed,
-// cancelled while queued, follower cancel, running-leader detach and
+// cancelled while queued or running, alone or off a shared run, and
 // cache hit — and checks that none keeps an engine or netlist
 // reachable afterwards.
 func TestTerminalRecordsReleaseHandles(t *testing.T) {
@@ -120,7 +122,7 @@ func TestTerminalRecordsReleaseHandles(t *testing.T) {
 	m.testMitigationErr = nil
 	assertReleased(t, m, failed.ID, "failed")
 
-	// Cancelled while queued, and a follower cancelled off its leader.
+	// Cancelled while queued, alone and as the later job on a shared run.
 	blocker := blockWorker(t, m, digest)
 	queued := submit(find(smallOpts(t, 7)))
 	follower := submit(find(smallOpts(t, 7)))
@@ -138,8 +140,8 @@ func TestTerminalRecordsReleaseHandles(t *testing.T) {
 	wait(t, m, blocker.ID)
 	assertReleased(t, m, blocker.ID, "cancelled while running")
 
-	// A running leader cancelled out of its group: its record settles
-	// at once while the run keeps serving the follower.
+	// The first job cancelled off a running shared run: its record
+	// settles at once while the run keeps serving the other job.
 	slow, err := json.Marshal(map[string]any{"seeds": 48, "max_order_len": 6000, "rand_seed": 31})
 	if err != nil {
 		t.Fatal(err)

@@ -244,6 +244,74 @@ func TestMetricsParseBack(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The whole catalog by name, type and label names: a renamed,
+	// retyped, relabeled, added or dropped family fails here.
+	catalog := map[string]string{
+		"gtl_engine_runs_by_levels_total":   "counter{levels}",
+		"gtl_engine_runs_total":             "counter{}",
+		"gtl_http_request_seconds":          "histogram{route,status}",
+		"gtl_incremental_fallbacks_total":   "counter{}",
+		"gtl_incremental_runs_total":        "counter{}",
+		"gtl_incremental_state_bytes":       "gauge{}",
+		"gtl_job_cache_hits_total":          "counter{}",
+		"gtl_job_cache_total":               "counter{result}",
+		"gtl_job_cached_results":            "gauge{}",
+		"gtl_job_journal_errors_total":      "counter{}",
+		"gtl_job_results_rewarmed_total":    "counter{}",
+		"gtl_job_stage_seconds":             "histogram{kind,stage}",
+		"gtl_jobs_coalesced_total":          "counter{}",
+		"gtl_jobs_finished_total":           "counter{kind,outcome}",
+		"gtl_jobs_in_flight":                "gauge{kind}",
+		"gtl_jobs_queue_depth":              "gauge{}",
+		"gtl_jobs_queued":                   "gauge{}",
+		"gtl_jobs_running":                  "gauge{}",
+		"gtl_jobs_submitted_total":          "counter{}",
+		"gtl_lint_incremental_total":        "counter{}",
+		"gtl_lint_runs_total":               "counter{}",
+		"gtl_parallel_seeds_stolen_total":   "counter{}",
+		"gtl_store_durable":                 "gauge{}",
+		"gtl_store_engine_bytes":            "gauge{}",
+		"gtl_store_evictions_total":         "counter{}",
+		"gtl_store_journal_truncated_bytes": "gauge{}",
+		"gtl_store_lazy_reloads_total":      "counter{}",
+		"gtl_store_netlists_loaded":         "gauge{}",
+		"gtl_store_pin_budget":              "gauge{}",
+		"gtl_store_pins_loaded":             "gauge{}",
+		"gtl_store_recovered_netlists":      "gauge{}",
+		"gtl_store_recovered_results":       "gauge{}",
+		"gtl_store_tombstones":              "gauge{}",
+		"gtl_worker_grants_total":           "counter{outcome}",
+	}
+	if len(catalog) != 34 {
+		t.Fatalf("catalog lists %d families, want 34", len(catalog))
+	}
+	for name, f := range fams {
+		names := map[string]bool{}
+		for _, s := range f.samples {
+			for k := range s.labels {
+				if k != "le" {
+					names[k] = true
+				}
+			}
+		}
+		labels := make([]string, 0, len(names))
+		for k := range names {
+			labels = append(labels, k)
+		}
+		sort.Strings(labels)
+		got := f.typ + "{" + strings.Join(labels, ",") + "}"
+		if want, ok := catalog[name]; !ok {
+			t.Errorf("family %s (%s) is not in the catalog", name, got)
+		} else if got != want {
+			t.Errorf("family %s is %s, want %s", name, got, want)
+		}
+	}
+	for name := range catalog {
+		if fams[name] == nil {
+			t.Errorf("family %s missing from /metrics", name)
+		}
+	}
+
 	// Every mirrored counter/gauge equals the stats payload (the stack
 	// is quiesced: one done job, one cache hit, nothing running).
 	checks := []struct {
