@@ -55,6 +55,11 @@ type ProgressFunc func(Progress)
 // MemoryEstimate reports only what it caches (PooledScratchBytes
 // reports the pool).
 //
+// Every entry point — Find, FindIncremental, FindShard and Merge —
+// first picks the level a run's seeds execute on (pickLevel): the
+// engine's own netlist, or under Options.Levels > 1 the coarsest level
+// of a cached hierarchy, whose winners are projected back down.
+//
 // Finder is safe for concurrent use. Results are deterministic for a
 // fixed Options.RandSeed regardless of scheduling, worker count, which
 // pooled state a worker draws, or whether a run executes whole (Find)
@@ -290,11 +295,12 @@ func (f *Finder) plan(opt *Options) seedPlan {
 
 // shardOut is the raw outcome of one executed (owner) seed.
 type shardOut struct {
-	idx   int // seed index in the full schedule
-	trace SeedTrace
-	cand  *group.Set // refined candidate B̂ (nil if none)
-	score float64
-	rent  float64
+	idx      int // seed index in the full schedule
+	trace    SeedTrace
+	cand     *group.Set // refined candidate B̂ (nil if none)
+	score    float64
+	rent     float64
+	replayed bool // answered from a recorded seed instead of grown
 }
 
 // ShardResult holds the raw per-seed outcomes for the seed-index range
@@ -308,15 +314,11 @@ type ShardResult struct {
 	Lo, Hi  int
 	Elapsed time.Duration
 	outs    []shardOut    // executed owner seeds, ascending by idx
-	recs    []*seedRecord // positional with outs; only under RecordIncremental via Find
+	recs    []*seedRecord // positional with outs; only in recorded runs
 	sched   SchedStats    // how the shard's schedule was executed
-	levels  int           // Options.Levels the shard ran under (<=1: flat)
+	levels  int           // levelTag of the level the shard ran on
 	stages  telemetry.StageTimings
 }
-
-// Sched reports how the shard's seed schedule was executed across
-// workers (steal traffic, per-worker seed counts).
-func (s *ShardResult) Sched() SchedStats { return s.sched }
 
 // Stages reports the shard's per-seed phase wall time, summed across
 // workers (see Result.Stages for the semantics).
@@ -349,33 +351,24 @@ func (f *Finder) FindShard(ctx context.Context, opt Options, lo, hi int) (*Shard
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if opt.Levels > 1 {
-		ms, err := f.multilevelState(&opt)
-		if err != nil {
-			return nil, err
-		}
-		if L := ms.hier.NumLevels(); L > 1 {
-			// Shard the coarsest level's deterministic schedule; the
-			// seed count is unchanged (coarseOptions rescales only the
-			// size-dependent knobs), so [lo,hi) bounds carry over.
-			top := ms.finders[L-1]
-			copt := coarseOptions(&opt, f.nl.NumCells(), top.nl.NumCells(), L-1)
-			sr, err := top.findShard(ctx, &copt, top.plan(&copt), lo, hi, false)
-			if sr != nil {
-				sr.levels = opt.Levels
-			}
-			return sr, err
-		}
-		// Degenerate hierarchy (netlist at or below the coarsening
-		// floor): the flat schedule is the multilevel schedule.
+	// The seed count is the same on every level (coarseOptions rescales
+	// only the size-dependent knobs), so [lo,hi) bounds carry over.
+	lv, err := f.pickLevel(&opt)
+	if err != nil {
+		return nil, err
 	}
-	return f.findShard(ctx, &opt, f.plan(&opt), lo, hi, false)
+	sr, err := lv.f.findShard(ctx, lv.opt, lv.f.plan(lv.opt), lo, hi, false, nil)
+	sr.levels = lv.levelTag
+	return sr, err
 }
 
-// findShard is the validated core of FindShard, taking a precomputed
-// plan so Find does not derive the schedule twice per run. With record
-// set it captures per-seed incremental state alongside the outcomes.
-func (f *Finder) findShard(ctx context.Context, opt *Options, plan seedPlan, lo, hi int, record bool) (*ShardResult, error) {
+// findShard is the one seed loop: it executes the owner seeds of
+// [lo, hi) of a precomputed plan on the worker pool. With record set
+// it captures each seed's incremental state alongside its outcome.
+// Given a replay source, a seed whose recorded footprint misses the
+// dirty region replays its record, and every other seed grows; only
+// such runs read the clock for the replay/reseed split.
+func (f *Finder) findShard(ctx context.Context, opt *Options, plan seedPlan, lo, hi int, record bool, src *replaySrc) (*ShardResult, error) {
 	start := time.Now()
 
 	// Only first occurrences run; duplicates inherit the owner's result.
@@ -391,22 +384,48 @@ func (f *Finder) findShard(ctx context.Context, opt *Options, plan seedPlan, lo,
 	if record {
 		recs = make([]*seedRecord, len(run))
 	}
+	// A seed whose replay diverges falls through to the full pipeline
+	// and counts wholly as reseed (its grow/score/recombine phases also
+	// land in the worker's phase clocks).
+	var replayNS, reseedNS atomic.Int64
 	completed, sched, phases := f.runSeedPool(ctx, opt, len(run), func(ws *workerState, k int) bool {
 		i := run[k]
-		// Per-seed RNG derived from (RandSeed, i): identical streams
-		// no matter which worker runs the job.
-		rng := seedRNG(opt.RandSeed, i)
+		var t time.Time
+		if src != nil {
+			t = clock()
+			if rec := src.st.seeds[i]; rec != nil && rec.seed == plan.ids[i] && !rec.foot.IntersectsWith(src.region) {
+				if o, ok := f.replaySeed(ws, rec, i, opt); ok {
+					outs[k] = o
+					if record {
+						recs[k] = rec // immutable; chains share it
+					}
+					replayNS.Add(int64(clock().Sub(t)))
+					return o.cand != nil
+				}
+			}
+		}
 		var rec *seedRecord
 		if record {
 			rec = &seedRecord{}
 			recs[k] = rec
 		}
-		o := runSeed(f.nl, ws.gr, ws.ev, rng, plan.ids[i], opt, f.aG, rec)
+		// Per-seed RNG derived from (RandSeed, i): identical streams
+		// no matter which worker runs the job.
+		o := runSeed(f.nl, ws.gr, ws.ev, seedRNG(opt.RandSeed, i), plan.ids[i], opt, f.aG, rec)
 		outs[k] = shardOut{idx: i, trace: o.trace, cand: o.candidate, score: o.score, rent: o.rent}
+		if src != nil {
+			reseedNS.Add(int64(clock().Sub(t)))
+		}
 		return o.candidate != nil
 	})
 
 	sr := &ShardResult{Lo: lo, Hi: hi, Elapsed: time.Since(start), sched: sched, stages: phases.stages()}
+	if v := replayNS.Load(); v > 0 {
+		sr.stages.Add(StageReplay, time.Duration(v))
+	}
+	if v := reseedNS.Load(); v > 0 {
+		sr.stages.Add(StageReseed, time.Duration(v))
+	}
 	if err := ctx.Err(); err != nil {
 		for k := range outs {
 			if completed[k] {
@@ -438,8 +457,8 @@ func seedRNG(randSeed uint64, i int) *ds.RNG {
 // runSeedPool executes fn(ws, k) for every k in [0, n) on a
 // work-stealing worker pool (see steal.go) with per-worker pooled
 // scratch, Options.Progress reporting after each completion, and
-// cooperative cancellation — the shared scaffolding of findShard,
-// FindIncremental and the multilevel projection sweep. fn reports
+// cooperative cancellation — the shared scaffolding of findShard and
+// the multilevel projection sweep. fn reports
 // whether index k produced a candidate (for the progress counter);
 // the returned flags mark which indexes completed before
 // cancellation, and the phase accumulator sums the per-seed stage
@@ -511,37 +530,27 @@ func (f *Finder) Merge(opt Options, shards ...*ShardResult) (*Result, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	if opt.Levels > 1 {
-		ms, err := f.multilevelState(&opt)
-		if err != nil {
-			return nil, err
-		}
-		if L := ms.hier.NumLevels(); L > 1 {
-			// The shards hold coarse-level outcomes: assemble and prune
-			// them on the coarsest level, then run the same projection
-			// descent Find's multilevel path runs.
-			top := ms.finders[L-1]
-			copt := coarseOptions(&opt, f.nl.NumCells(), top.nl.NumCells(), L-1)
-			cres, err := top.mergeShards(&copt, opt.Levels, shards)
-			if err != nil {
-				return nil, err
-			}
-			start := time.Now()
-			res, err := f.projectDown(context.Background(), &opt, ms, cres,
-				float64(cres.Elapsed)/float64(time.Millisecond), nil)
-			if res != nil {
-				res.Elapsed = cres.Elapsed + time.Since(start)
-			}
-			return res, err
-		}
+	lv, err := f.pickLevel(&opt)
+	if err != nil {
+		return nil, err
 	}
-	return f.mergeShards(&opt, 0, shards)
+	cres, err := lv.f.mergeShards(lv.opt, lv.levelTag, shards)
+	if err != nil || lv.ms == nil {
+		return cres, err
+	}
+	// The shards hold coarse-level outcomes, now pruned on the coarsest
+	// level: run the projection descent Find runs.
+	start := time.Now()
+	res, err := f.projectDown(context.Background(), &opt, lv.ms, cres,
+		float64(cres.Elapsed)/float64(time.Millisecond), nil)
+	res.Elapsed = cres.Elapsed + time.Since(start)
+	return res, err
 }
 
-// mergeShards is the flat merge: coverage validation, owner-outcome
-// reassembly and global pruning. wantLevels is the Levels tag every
-// shard must carry (0 for flat schedules), guarding against mixing
-// shards produced under a different hierarchy configuration.
+// mergeShards is the merge on one level: coverage validation,
+// owner-outcome reassembly and global pruning. wantLevels is the
+// levelTag every shard must carry, guarding against mixing shards
+// produced under a different hierarchy configuration.
 func (f *Finder) mergeShards(opt *Options, wantLevels int, shards []*ShardResult) (*Result, error) {
 	ordered := make([]*ShardResult, len(shards))
 	copy(ordered, shards)
@@ -606,28 +615,74 @@ func (f *Finder) Find(ctx context.Context, opt Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if opt.Levels > 1 {
-		return f.findMultilevel(ctx, &opt)
-	}
-	return f.findFlat(ctx, &opt)
-}
-
-// findFlat is the validated single-level pipeline Find has always run.
-// Under Options.RecordIncremental a completed run carries the per-seed
-// incremental state on the Result.
-func (f *Finder) findFlat(ctx context.Context, opt *Options) (*Result, error) {
 	start := time.Now()
-	plan := f.plan(opt)
-	sr, err := f.findShard(ctx, opt, plan, 0, opt.Seeds, opt.RecordIncremental)
-	if err != nil && sr == nil {
+	lv, err := f.pickLevel(&opt)
+	if err != nil {
 		return nil, err
 	}
-	res := f.assemble(opt, plan, sr.outs)
-	res.Elapsed = time.Since(start)
-	res.Sched = &sr.sched
+	return f.run(ctx, &opt, lv, nil, start)
+}
+
+// detectLevel is where a run's seeds execute: the engine itself, or
+// the coarsest level's sub-engine under its rescaled options together
+// with the hierarchy its winners project down through.
+type detectLevel struct {
+	f   *Finder
+	opt *Options
+	ms  *mlState // nil when the seeds run on the engine's own netlist
+	// levelTag is the tag this level's shards carry: the run's Levels
+	// on a coarse level, 0 otherwise.
+	levelTag int
+}
+
+// pickLevel decides where a run's seeds execute. A hierarchy that
+// cannot coarsen (netlist at or below the coarsening floor) makes the
+// flat run the multilevel run.
+func (f *Finder) pickLevel(opt *Options) (detectLevel, error) {
+	if opt.Levels > 1 {
+		ms, err := f.multilevelState(opt)
+		if err != nil {
+			return detectLevel{}, err
+		}
+		if L := ms.hier.NumLevels(); L > 1 {
+			top := ms.finders[L-1]
+			copt := coarseOptions(opt, f.nl.NumCells(), top.nl.NumCells(), L-1)
+			return detectLevel{f: top, opt: &copt, ms: ms, levelTag: opt.Levels}, nil
+		}
+	}
+	return detectLevel{f: f, opt: opt}, nil
+}
+
+// maxLen is the level's effective ordering cap.
+func (lv *detectLevel) maxLen() int { return min(lv.opt.MaxOrderLen, lv.f.nl.NumCells()) }
+
+// run executes a whole run on level lv: every seed (replaying from src
+// where it can), global pruning on that level (on a coarse level its
+// survivors are the only groups worth projecting down), the projection
+// descent when the level is coarse, and — under RecordIncremental, for
+// a run that completed — the recording. start stamps Result.Elapsed,
+// so a cold multilevel run includes its coarsening.
+func (f *Finder) run(ctx context.Context, opt *Options, lv detectLevel, src *replaySrc, start time.Time) (*Result, error) {
+	detectStart := start
+	if lv.ms != nil {
+		detectStart = time.Now()
+	}
+	plan := lv.f.plan(lv.opt)
+	sr, err := lv.f.findShard(ctx, lv.opt, plan, 0, lv.opt.Seeds, opt.RecordIncremental, src)
+	res := lv.f.assemble(lv.opt, plan, sr.outs)
+	sched := sr.sched // a copy: a pointer into sr would pin its seed records
+	res.Sched = &sched
 	res.Stages.Merge(sr.stages)
+	if src != nil {
+		res.Incremental = src.stats(sr.outs, res.GTLs)
+	}
+	if lv.ms != nil {
+		res, err = f.projectDown(ctx, opt, lv.ms, res,
+			float64(time.Since(detectStart))/float64(time.Millisecond), err)
+	}
+	res.Elapsed = time.Since(start)
 	if err == nil && opt.RecordIncremental {
-		res.IncrState = f.buildIncrState(opt, sr.outs, sr.recs)
+		res.IncrState = lv.record(opt, sr)
 	}
 	return res, err
 }

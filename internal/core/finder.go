@@ -56,10 +56,11 @@ type Result struct {
 	// Incremental is the reuse breakdown of a FindIncremental run
 	// (nil for plain runs).
 	Incremental *IncrStats
-	// IncrState is the recorded per-seed structural state of a flat
-	// run made with Options.RecordIncremental; FindIncremental
-	// consumes it as the previous run. It is in-memory only (never
-	// serialized) and can be sizable — O(Seeds × MaxOrderLen).
+	// IncrState is the recorded per-seed structural state of a
+	// completed run made with Options.RecordIncremental (flat or
+	// multilevel); FindIncremental consumes it as the previous run. It
+	// is in-memory only (never serialized) and can be sizable —
+	// O(Seeds × MaxOrderLen).
 	IncrState *IncrementalState
 	// Stages is the run's flat per-stage wall-time breakdown. The
 	// per-seed phases ("grow", "score", "recombine", and the

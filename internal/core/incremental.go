@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"tanglefind/internal/ds"
@@ -107,71 +106,28 @@ func (rec *seedRecord) markFootprint(gr *grower) {
 	}
 }
 
-// IncrementalState is the recorded per-seed state of one run, attached
-// to its Result under Options.RecordIncremental and consumed by
-// FindIncremental. For a flat run it holds the per-seed records
-// directly; for a multilevel run it wraps the coarsest level's state
-// together with the coarse netlist it was recorded on, so a later run
-// can diff its own coarsening against the recorded one and replay
-// coarse seeds. It is immutable once built; replayed seeds of an
-// incremental run share their records with the previous state, so
-// chains of deltas stay cheap.
+// IncrementalState is the recorded per-seed state of one run,
+// attached to its Result under Options.RecordIncremental and consumed
+// by FindIncremental. It holds one record per seed of the level the
+// seeds ran on; a multilevel recording ran them on its coarsest level
+// and also keeps that level's netlist, which a later run diffs its own
+// coarsening against, and that level's options key. It is immutable
+// once built; replayed seeds of an incremental run share their records
+// with the previous state, so chains of deltas stay cheap.
 type IncrementalState struct {
-	cells  int    // NumCells of the recorded run's netlist
-	maxLen int    // effective ordering cap min(MaxOrderLen, cells)
-	key    string // Options.IncrementalKey of the recorded run
-	seeds  []*seedRecord
+	key    string        // Options.IncrementalKey of the recorded run
+	maxLen int           // effective ordering cap of the detection level
+	seeds  []*seedRecord // by seed index; nil where no seed ran
 
-	// Multilevel wrapping (nil/zero for flat states): the recorded
-	// run's Levels, the coarsest-level netlist it detected on, and the
-	// coarse-level state recorded there.
-	levels   int
-	coarseNl *netlist.Netlist
-	inner    *IncrementalState
-}
-
-// wrapMLIncrState wraps a coarse-level recorded state as the
-// multilevel state of the fine run: outer key/cells/maxLen describe
-// the fine run (so a flat FindIncremental can cheaply reject it), the
-// inner state and coarse netlist feed the coarse diff-and-replay.
-func wrapMLIncrState(opt *Options, fineCells int, coarseNl *netlist.Netlist, inner *IncrementalState) *IncrementalState {
-	maxLen := opt.MaxOrderLen
-	if maxLen > fineCells {
-		maxLen = fineCells
-	}
-	return &IncrementalState{
-		cells:    fineCells,
-		maxLen:   maxLen,
-		key:      opt.IncrementalKey(),
-		levels:   opt.Levels,
-		coarseNl: coarseNl,
-		inner:    inner,
-	}
-}
-
-// Seeds reports how many executed seeds the state holds (the coarse
-// level's, for a multilevel state).
-func (st *IncrementalState) Seeds() int {
-	if st.inner != nil {
-		return st.inner.Seeds()
-	}
-	n := 0
-	for _, r := range st.seeds {
-		if r != nil {
-			n++
-		}
-	}
-	return n
+	coarseNl  *netlist.Netlist // multilevel only: the detection level
+	coarseKey string           // multilevel only: its options' key
 }
 
 // MemoryEstimate reports the state's retained bytes: footprint bitsets
 // plus the stored growth records, and for multilevel states the
-// retained coarse netlist plus the wrapped coarse state.
+// retained coarse netlist.
 func (st *IncrementalState) MemoryEstimate() int64 {
 	var b int64
-	if st.inner != nil {
-		b += st.inner.MemoryEstimate()
-	}
 	if st.coarseNl != nil {
 		b += st.coarseNl.MemoryFootprint()
 	}
@@ -191,22 +147,14 @@ func (st *IncrementalState) MemoryEstimate() int64 {
 	return b
 }
 
-// buildIncrState indexes completed shard records by seed index.
-func (f *Finder) buildIncrState(opt *Options, outs []shardOut, recs []*seedRecord) *IncrementalState {
-	if recs == nil {
-		return nil
+// record indexes a completed run's seed records into its state.
+func (lv *detectLevel) record(opt *Options, sr *ShardResult) *IncrementalState {
+	st := &IncrementalState{key: opt.IncrementalKey(), maxLen: lv.maxLen(), seeds: make([]*seedRecord, opt.Seeds)}
+	for k := range sr.outs {
+		st.seeds[sr.outs[k].idx] = sr.recs[k]
 	}
-	st := &IncrementalState{
-		cells: f.nl.NumCells(),
-		key:   opt.IncrementalKey(),
-		seeds: make([]*seedRecord, opt.Seeds),
-	}
-	st.maxLen = opt.MaxOrderLen
-	if st.maxLen > st.cells {
-		st.maxLen = st.cells
-	}
-	for k := range outs {
-		st.seeds[outs[k].idx] = recs[k]
+	if lv.ms != nil {
+		st.coarseNl, st.coarseKey = lv.f.nl, lv.opt.IncrementalKey()
 	}
 	return st
 }
@@ -234,7 +182,7 @@ func rescoreInto(c *Curve, rec *ordRecord, m Metric, aG float64) {
 // set evaluations and recombination.
 func (f *Finder) replaySeed(ws *workerState, rec *seedRecord, idx int, opt *Options) (shardOut, bool) {
 	sameAG := rec.aG == f.aG && !opt.KeepCurves
-	out := shardOut{idx: idx}
+	out := shardOut{idx: idx, replayed: true}
 	out.trace = SeedTrace{Seed: rec.seed, OrderLen: len(rec.ord.members)}
 	var ex extraction
 	if sameAG {
@@ -327,20 +275,75 @@ func expandDirty(nl *netlist.Netlist, dirty []netlist.CellID, radius int) *ds.Bi
 	return region
 }
 
-// reusableRecord returns seed index i's record when it can be replayed
-// against the given dirty region, nil when the seed must re-run.
-func (st *IncrementalState) reusableRecord(i int, id netlist.CellID, region *ds.Bitset) *seedRecord {
-	if i >= len(st.seeds) {
-		return nil
+// replaySrc is what a replaying run's seeds consult: the previous
+// run's recorded state and the dirty region on the detection level.
+type replaySrc struct {
+	st     *IncrementalState
+	region *ds.Bitset
+}
+
+// replaySource checks prev's recorded state against a run on level lv
+// and returns the source its seeds replay from, or nil and the reason
+// the run must start over. The checks run in a fixed order — options
+// key; on a coarse level the recording's shape, the coarse diff and
+// the coarse options key; ordering cap; dirty fraction — so a run that
+// fails several reports the same reason every time.
+func (lv *detectLevel) replaySource(opt *Options, prev *Result, dirty []netlist.CellID) (*replaySrc, string) {
+	var st *IncrementalState
+	if prev != nil {
+		st = prev.IncrState
 	}
-	rec := st.seeds[i]
-	if rec == nil || rec.seed != id {
-		return nil
+	switch {
+	case st == nil:
+		return nil, "previous result carries no incremental state (run with record_incremental)"
+	case st.key != opt.IncrementalKey():
+		return nil, "result-affecting options differ from the recorded run"
+	case lv.ms == nil && st.coarseNl != nil:
+		return nil, "recorded state is multilevel; the patched netlist no longer coarsens"
 	}
-	if rec.foot.IntersectsWith(region) {
-		return nil
+	if lv.ms != nil {
+		if st.coarseNl == nil {
+			return nil, "recorded state is flat; multilevel replay needs a multilevel recording"
+		}
+		var ok bool
+		if dirty, ok = netlist.DiffDirty(st.coarseNl, lv.f.nl); !ok {
+			return nil, "coarsening reshaped under the edit; no local coarse diff exists"
+		}
+		if st.coarseKey != lv.opt.IncrementalKey() {
+			return nil, "result-affecting options differ from the recorded run"
+		}
 	}
-	return rec
+	if n := lv.maxLen(); st.maxLen != n {
+		return nil, fmt.Sprintf("effective ordering cap changed (%d -> %d)", st.maxLen, n)
+	}
+	region := expandDirty(lv.f.nl, dirty, lv.opt.DirtyRadius)
+	if frac := float64(region.Len()) / float64(lv.f.nl.NumCells()); frac > lv.opt.IncrementalFallback {
+		return nil, fmt.Sprintf("dirty region spans %.1f%% of cells (fallback threshold %.0f%%)", 100*frac, 100*lv.opt.IncrementalFallback)
+	}
+	return &replaySrc{st: st, region: region}, ""
+}
+
+// stats is the reuse breakdown of a replaying run from its detection
+// level's seed outcomes and pruned groups.
+func (src *replaySrc) stats(outs []shardOut, gtls []GTL) *IncrStats {
+	st := &IncrStats{ReseededCells: src.region.Len()}
+	replayedCand := make(map[netlist.CellID]bool)
+	for k := range outs {
+		if !outs[k].replayed {
+			st.RerunSeeds++
+			continue
+		}
+		st.ReusedSeeds++
+		if outs[k].cand != nil {
+			replayedCand[outs[k].trace.Seed] = true
+		}
+	}
+	for i := range gtls {
+		if replayedCand[gtls[i].Seed] {
+			st.ReusedGroups++
+		}
+	}
+	return st
 }
 
 // FindIncremental runs detection over the engine's (patched) netlist
@@ -353,18 +356,16 @@ func (st *IncrementalState) reusableRecord(i int, id netlist.CellID, region *ds.
 //
 // The output is exactly what Find would return on the same netlist and
 // Options — same groups, same scores — only faster; the differential
-// harness in internal/netlist/deltatest enforces this. When reuse is
-// impossible (no state, changed options, or a dirty region past
-// Options.IncrementalFallback of the netlist) it degrades to a full
-// run and says so in Result.Incremental.
-//
-// With Options.Levels > 1 the engine rebuilds the hierarchy over the
-// patched netlist, diffs its coarsest level against the recorded
-// run's (netlist.DiffDirty), replays coarse seeds whose footprints
-// miss the coarse diff, and re-runs the projection descent — so
-// multilevel and incremental compose. A reshaped coarsening (the diff
-// is not local) degrades to a full multilevel run, reported in
-// Result.Incremental like every other fallback.
+// harness in internal/netlist/deltatest enforces this. The seeds run
+// on the level Find would pick. With Options.Levels > 1 that is the
+// coarsest level of the patched netlist's hierarchy: its diff against
+// the recorded coarse netlist (netlist.DiffDirty) is the dirty set
+// there, and the winners are projected down as in any multilevel run.
+// When reuse is impossible — no state, changed options, a recording of
+// the other shape, a reshaped coarsening, a changed ordering cap, or a
+// dirty region past Options.IncrementalFallback of the detection
+// level — it degrades to a full run and says why in
+// Result.Incremental.
 func (f *Finder) FindIncremental(ctx context.Context, opt Options, prev *Result, dirty []netlist.CellID) (*Result, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
@@ -372,214 +373,18 @@ func (f *Finder) FindIncremental(ctx context.Context, opt Options, prev *Result,
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if opt.Levels > 1 {
-		return f.findIncrementalMultilevel(ctx, &opt, prev, dirty)
-	}
-	return f.findIncrementalFlat(ctx, &opt, prev, dirty)
-}
-
-// findIncrementalMultilevel composes incremental replay with the
-// multilevel pipeline: coarsen the patched netlist, localize the edit
-// at the coarsest level by diffing against the recorded coarse
-// netlist, run the flat incremental machinery there, then project the
-// result down as any multilevel run would.
-func (f *Finder) findIncrementalMultilevel(ctx context.Context, opt *Options, prev *Result, dirty []netlist.CellID) (*Result, error) {
 	start := time.Now()
-	ms, err := f.multilevelState(opt)
+	lv, err := f.pickLevel(&opt)
 	if err != nil {
 		return nil, err
 	}
-	L := ms.hier.NumLevels()
-	if L == 1 {
-		// Degenerate hierarchy (netlist at or below the coarsening
-		// floor): a recorded run under these options degenerated the
-		// same way, so flat incremental is multilevel incremental.
-		return f.findIncrementalFlat(ctx, opt, prev, dirty)
+	src, reason := lv.replaySource(&opt, prev, dirty)
+	res, err := f.run(ctx, &opt, lv, src, start)
+	if src == nil {
+		res.Incremental = &IncrStats{FullFallback: true, FallbackReason: reason}
 	}
-
-	fallback := func(reason string) (*Result, error) {
-		res, err := f.findMultilevel(ctx, opt)
-		if res != nil {
-			res.Incremental = &IncrStats{
-				DirtyCells:     len(dirty),
-				FullFallback:   true,
-				FallbackReason: reason,
-			}
-			res.Elapsed = time.Since(start)
-		}
-		return res, err
-	}
-
-	var st *IncrementalState
-	if prev != nil {
-		st = prev.IncrState
-	}
-	if st == nil {
-		return fallback("previous result carries no incremental state (run with record_incremental)")
-	}
-	if st.key != opt.IncrementalKey() {
-		return fallback("result-affecting options differ from the recorded run")
-	}
-	if st.inner == nil || st.coarseNl == nil {
-		return fallback("recorded state is flat; multilevel replay needs a multilevel recording")
-	}
-	top := ms.finders[L-1]
-	cdirty, ok := netlist.DiffDirty(st.coarseNl, top.nl)
-	if !ok {
-		return fallback("coarsening reshaped under the edit; no local coarse diff exists")
-	}
-
-	copt := coarseOptions(opt, f.nl.NumCells(), top.nl.NumCells(), L-1)
-	detectStart := time.Now()
-	cres, runErr := top.FindIncremental(ctx, copt, &Result{IncrState: st.inner}, cdirty)
-	if cres == nil {
-		return nil, runErr
-	}
-	res, runErr := f.projectDown(ctx, opt, ms, cres,
-		float64(time.Since(detectStart))/float64(time.Millisecond), runErr)
-	if cres.Incremental != nil {
-		// Surface the coarse reuse breakdown, but report the dirty set
-		// the caller actually handed in (ReseededCells stays coarse —
-		// that is where re-detection happened).
-		stats := *cres.Incremental
-		stats.DirtyCells = len(dirty)
-		res.Incremental = &stats
-	}
-	if runErr == nil && opt.RecordIncremental && cres.IncrState != nil {
-		res.IncrState = wrapMLIncrState(opt, f.nl.NumCells(), top.nl, cres.IncrState)
-	}
-	res.Elapsed = time.Since(start)
-	return res, runErr
-}
-
-// findIncrementalFlat is the single-level incremental pipeline.
-func (f *Finder) findIncrementalFlat(ctx context.Context, opt *Options, prev *Result, dirty []netlist.CellID) (*Result, error) {
-	start := time.Now()
-	n := f.nl.NumCells()
-
-	fallback := func(reason string) (*Result, error) {
-		res, err := f.findFlat(ctx, opt)
-		if res != nil {
-			res.Incremental = &IncrStats{
-				DirtyCells:     len(dirty),
-				FullFallback:   true,
-				FallbackReason: reason,
-			}
-			res.Elapsed = time.Since(start)
-		}
-		return res, err
-	}
-
-	var st *IncrementalState
-	if prev != nil {
-		st = prev.IncrState
-	}
-	if st == nil {
-		return fallback("previous result carries no incremental state (run with record_incremental)")
-	}
-	if st.key != opt.IncrementalKey() {
-		return fallback("result-affecting options differ from the recorded run")
-	}
-	effLen := opt.MaxOrderLen
-	if effLen > n {
-		effLen = n
-	}
-	if st.maxLen != effLen {
-		return fallback(fmt.Sprintf("effective ordering cap changed (%d -> %d)", st.maxLen, effLen))
-	}
-	region := expandDirty(f.nl, dirty, opt.DirtyRadius)
-	frac := float64(region.Len()) / float64(n)
-	if frac > opt.IncrementalFallback {
-		return fallback(fmt.Sprintf("dirty region spans %.1f%% of cells (fallback threshold %.0f%%)", 100*frac, 100*opt.IncrementalFallback))
-	}
-
-	plan := f.plan(opt)
-	var owners []int
-	for i := 0; i < opt.Seeds; i++ {
-		if plan.owner[i] == i {
-			owners = append(owners, i)
-		}
-	}
-
-	outs := make([]shardOut, len(owners))
-	replayed := make([]bool, len(owners))
-	var recs []*seedRecord
-	if opt.RecordIncremental {
-		recs = make([]*seedRecord, len(owners))
-	}
-	// The replay-vs-reseed wall-time split for Result.Stages: a seed
-	// that fails replay and falls through to the full pipeline counts
-	// wholly as reseed (its grow/score/recombine phases also land in
-	// the worker's phase clocks).
-	var replayNS, reseedNS atomic.Int64
-	completed, sched, phases := f.runSeedPool(ctx, opt, len(owners), func(ws *workerState, k int) bool {
-		i := owners[k]
-		t := clock()
-		if rec := st.reusableRecord(i, plan.ids[i], region); rec != nil {
-			if o, ok := f.replaySeed(ws, rec, i, opt); ok {
-				outs[k] = o
-				replayed[k] = true
-				if recs != nil {
-					recs[k] = rec // immutable; chains share it
-				}
-				replayNS.Add(int64(clock().Sub(t)))
-				return o.cand != nil
-			}
-		}
-		var rec *seedRecord
-		if recs != nil {
-			rec = &seedRecord{}
-			recs[k] = rec
-		}
-		o := runSeed(f.nl, ws.gr, ws.ev, seedRNG(opt.RandSeed, i), plan.ids[i], opt, f.aG, rec)
-		outs[k] = shardOut{idx: i, trace: o.trace, cand: o.candidate, score: o.score, rent: o.rent}
-		reseedNS.Add(int64(clock().Sub(t)))
-		return o.candidate != nil
-	})
-
-	stats := &IncrStats{DirtyCells: len(dirty), ReseededCells: region.Len()}
-	replayedCand := make(map[netlist.CellID]bool)
-	var doneOuts []shardOut
-	var doneRecs []*seedRecord
-	for k := range outs {
-		if !completed[k] {
-			continue
-		}
-		doneOuts = append(doneOuts, outs[k])
-		if recs != nil {
-			doneRecs = append(doneRecs, recs[k])
-		}
-		if replayed[k] {
-			stats.ReusedSeeds++
-			if outs[k].cand != nil {
-				replayedCand[outs[k].trace.Seed] = true
-			}
-		} else {
-			stats.RerunSeeds++
-		}
-	}
-
-	res := f.assemble(opt, plan, doneOuts)
-	res.Incremental = stats
-	res.Sched = &sched
-	res.Stages.Merge(phases.stages())
-	if v := replayNS.Load(); v > 0 {
-		res.Stages.Add(StageReplay, time.Duration(v))
-	}
-	if v := reseedNS.Load(); v > 0 {
-		res.Stages.Add(StageReseed, time.Duration(v))
-	}
-	for i := range res.GTLs {
-		if replayedCand[res.GTLs[i].Seed] {
-			stats.ReusedGroups++
-		}
-	}
-	res.Elapsed = time.Since(start)
-	if err := ctx.Err(); err != nil && len(doneOuts) < len(owners) {
-		return res, fmt.Errorf("core: incremental run cancelled after %d/%d seeds: %w", len(doneOuts), len(owners), err)
-	}
-	if opt.RecordIncremental {
-		res.IncrState = f.buildIncrState(opt, doneOuts, doneRecs)
-	}
-	return res, nil
+	// ReseededCells stays on the detection level, where re-detection
+	// happened; DirtyCells is the set the caller handed in.
+	res.Incremental.DirtyCells = len(dirty)
+	return res, err
 }

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
+	"weak"
 
 	"tanglefind/internal/generate"
 	"tanglefind/internal/netlist"
@@ -266,11 +268,142 @@ func TestFindIncrementalFallbacks(t *testing.T) {
 	sameResult(t, full, res)
 }
 
+// TestFindIncrementalFallbackReasons has one row per reason
+// FindIncremental abandons reuse for. Every row must report a full
+// fallback with exactly its reason and return what Find returns on the
+// same netlist and options.
+func TestFindIncrementalFallbackReasons(t *testing.T) {
+	rg, opt := incrWorkload(t, 3000, 200, 13)
+	base := rg.Netlist
+	ctx := context.Background()
+	find := func(nl *netlist.Netlist, o Options) *Result {
+		t.Helper()
+		f, err := NewFinder(nl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := f.Find(ctx, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	apply := func(nl *netlist.Netlist, d *netlist.Delta) (*netlist.Netlist, []netlist.CellID) {
+		t.Helper()
+		patched, eff, err := d.Apply(nl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return patched, eff.Dirty
+	}
+
+	// With this floor the 3000-cell netlist coarsens once and loses
+	// its hierarchy when its last three cells are removed.
+	ml := opt
+	ml.Levels = 3
+	ml.MinCoarseCells = 2998
+	trim := &netlist.Delta{RemoveCells: []netlist.CellID{2997, 2998, 2999}}
+	small, trimDirty := apply(base, trim)
+	untrim, err := trim.Inverse(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, untrimDirty := apply(small, untrim)
+	grown, grownDirty := apply(base, &netlist.Delta{AddCells: []netlist.NewCell{{Name: "eco"}}})
+	recorded, mlRecorded, smallRecorded := find(base, opt), find(base, ml), find(small, ml)
+	if len(mlRecorded.Levels) == 0 || len(smallRecorded.Levels) != 0 {
+		t.Fatal("workload does not straddle the coarsening floor")
+	}
+	seeds := opt
+	seeds.Seeds = 25
+	capped := opt
+	capped.MaxOrderLen = base.NumCells()
+	tight := opt
+	tight.IncrementalFallback = 0.001
+	spread := make([]netlist.CellID, 100)
+	for i := range spread {
+		spread[i] = netlist.CellID(i * 17 % base.NumCells())
+	}
+
+	for _, tc := range []struct {
+		name  string
+		nl    *netlist.Netlist
+		opt   Options
+		prev  *Result
+		dirty []netlist.CellID
+		want  string
+	}{
+		{"no recorded state", base, opt, nil, nil,
+			"previous result carries no incremental state (run with record_incremental)"},
+		{"options differ", base, seeds, recorded, nil,
+			"result-affecting options differ from the recorded run"},
+		{"flat recording into a multilevel run", restored, ml, smallRecorded, untrimDirty,
+			"recorded state is flat; multilevel replay needs a multilevel recording"},
+		{"multilevel recording into a netlist that no longer coarsens", small, ml, mlRecorded, trimDirty,
+			"recorded state is multilevel; the patched netlist no longer coarsens"},
+		{"coarsening reshaped", grown, ml, mlRecorded, grownDirty,
+			"coarsening reshaped under the edit; no local coarse diff exists"},
+		{"ordering cap changed", small, capped, find(base, capped), trimDirty,
+			"effective ordering cap changed (3000 -> 2997)"},
+		{"dirty region past IncrementalFallback", base, tight, recorded, spread,
+			"dirty region spans 3.3% of cells (fallback threshold 0%)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := NewFinder(tc.nl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := f.FindIncremental(ctx, tc.opt, tc.prev, tc.dirty)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := got.Incremental; st == nil || !st.FullFallback || st.FallbackReason != tc.want {
+				t.Fatalf("incremental stats = %+v, want a full fallback because %q", st, tc.want)
+			}
+			plain := tc.opt
+			plain.RecordIncremental = false
+			sameResult(t, find(tc.nl, plain), got)
+		})
+	}
+}
+
+// TestSchedRetainsNoSeedRecords: a recorded run's Result.Sched must not
+// keep the run's seed records reachable once the Result and its
+// IncrState are gone — a serving cache holds Sched long after its
+// bounded state cache evicted the state.
+func TestSchedRetainsNoSeedRecords(t *testing.T) {
+	rg, opt := incrWorkload(t, 3000, 200, 11)
+	f, err := NewFinder(rg.Netlist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.Find(context.Background(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec weak.Pointer[seedRecord]
+	for _, r := range res.IncrState.seeds {
+		if r != nil {
+			rec = weak.Make(r)
+			break
+		}
+	}
+	sched := res.Sched
+	runtime.GC()
+	if rec.Value() == nil {
+		t.Fatal("a live Result lost its seed records")
+	}
+	runtime.KeepAlive(res)
+	runtime.GC()
+	runtime.GC()
+	if rec.Value() != nil {
+		t.Error("Result.Sched keeps the run's seed records reachable")
+	}
+	runtime.KeepAlive(sched)
+}
+
 // TestMultilevelMatrixComposes: FindShard/Merge and FindIncremental
-// accept Levels > 1 and reproduce Find's multilevel output exactly —
-// the matrix restriction that used to return ErrUnsupportedOptions is
-// gone. (ErrUnsupportedOptions itself stays typed for genuinely
-// invalid combinations; see the options validation tests.)
+// accept Levels > 1 and reproduce Find's multilevel output exactly.
 func TestMultilevelMatrixComposes(t *testing.T) {
 	rg, opt := incrWorkload(t, 3000, 200, 13)
 	f, err := NewFinder(rg.Netlist)
@@ -344,8 +477,8 @@ func TestMultilevelIncrementalReplay(t *testing.T) {
 	if prev.IncrState == nil {
 		t.Fatal("recorded multilevel run carries no IncrState")
 	}
-	if prev.IncrState.inner == nil || prev.IncrState.coarseNl == nil {
-		t.Fatal("multilevel IncrState should wrap the coarse state and netlist")
+	if prev.IncrState.coarseNl == nil {
+		t.Fatal("multilevel IncrState should carry the coarse netlist")
 	}
 
 	// A pin-preserving rewire of one net.
@@ -366,8 +499,8 @@ func TestMultilevelIncrementalReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if incr.Incremental == nil {
-		t.Fatal("incremental multilevel run carries no stats")
+	if st := incr.Incremental; st == nil || st.FullFallback || st.ReusedSeeds == 0 {
+		t.Fatalf("incremental multilevel run replayed nothing: %+v", st)
 	}
 	mlFull := ml
 	mlFull.RecordIncremental = false

@@ -188,53 +188,15 @@ type mlCand struct {
 	seed    netlist.CellID   // original coarse seed (mapped down at the end)
 }
 
-// findMultilevel runs the coarsen → detect → project + refine
-// pipeline. On cancellation it returns the partial result assembled
-// from whatever completed, mirroring findFlat's contract.
-func (f *Finder) findMultilevel(ctx context.Context, opt *Options) (*Result, error) {
-	start := time.Now()
-	ms, err := f.multilevelState(opt)
-	if err != nil {
-		return nil, err
-	}
-	L := ms.hier.NumLevels()
-	if L == 1 {
-		// Coarsening had nothing to do (netlist already at or below the
-		// floor): the flat pipeline is the multilevel pipeline.
-		return f.findFlat(ctx, opt)
-	}
-
-	// Detect on the coarsest level with the full three-phase pipeline,
-	// including its own refinement and disjointness pruning — the
-	// survivors are the only groups worth projecting down. Under
-	// RecordIncremental the coarse run also records its per-seed
-	// state; projectDown/wrapping attaches it so multilevel runs can
-	// be resumed incrementally (see findIncrementalMultilevel).
-	top := ms.finders[L-1]
-	copt := coarseOptions(opt, f.nl.NumCells(), top.nl.NumCells(), L-1)
-	detectStart := time.Now()
-	cres, runErr := top.findFlat(ctx, &copt)
-	if cres == nil {
-		return nil, runErr
-	}
-
-	res, runErr := f.projectDown(ctx, opt, ms, cres,
-		float64(time.Since(detectStart))/float64(time.Millisecond), runErr)
-	res.Elapsed = time.Since(start)
-	if runErr == nil && opt.RecordIncremental && cres.IncrState != nil {
-		res.IncrState = wrapMLIncrState(opt, f.nl.NumCells(), top.nl, cres.IncrState)
-	}
-	return res, runErr
-}
-
 // projectDown carries pruned coarse-level winners down the hierarchy —
 // expand one level at a time, boundary-refine each candidate (fanned
 // out across the worker pool; candidates are independent, so the
 // parallel sweep is deterministic), then rescore and globally prune at
 // the original resolution. cres is the coarsest level's result and
-// detectMS the wall time its detection took, for the level stats. The
-// descent is shared by Find's multilevel path, multilevel Merge and
-// multilevel FindIncremental; Elapsed is left for the caller.
+// detectMS the wall time its detection took, for the level stats; its
+// incremental breakdown carries over. The descent is shared by run
+// (Find, FindIncremental) and multilevel Merge; Elapsed is left for
+// the caller.
 func (f *Finder) projectDown(ctx context.Context, opt *Options, ms *mlState, cres *Result, detectMS float64, runErr error) (*Result, error) {
 	projStart := time.Now()
 	L := ms.hier.NumLevels()
@@ -249,9 +211,7 @@ func (f *Finder) projectDown(ctx context.Context, opt *Options, ms *mlState, cre
 		ElapsedMS:  detectMS,
 	})
 	var sched SchedStats
-	if cres.Sched != nil {
-		sched.merge(*cres.Sched)
-	}
+	sched.merge(*cres.Sched)
 
 	cands := make([]mlCand, 0, len(cres.GTLs))
 	for i := range cres.GTLs {
@@ -295,7 +255,7 @@ func (f *Finder) projectDown(ctx context.Context, opt *Options, ms *mlState, cre
 	// Score every candidate at the original resolution and run the
 	// global Phase III pruning there, so the result's disjointness and
 	// ranking semantics match a flat run's exactly.
-	res := &Result{AG: f.aG, Rent: cres.Rent, Candidates: cres.Candidates, Stages: telemetry.StageTimings{}}
+	res := &Result{AG: f.aG, Rent: cres.Rent, Candidates: cres.Candidates, Incremental: cres.Incremental, Stages: telemetry.StageTimings{}}
 	res.Seeds = append(res.Seeds, cres.Seeds...)
 	for i := range res.Seeds {
 		res.Seeds[i].Seed = ms.hier.RepresentativeAtFinest(L-1, res.Seeds[i].Seed)

@@ -21,18 +21,10 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"runtime"
 	"strings"
 )
-
-// ErrUnsupportedOptions is returned when an engine entry point is
-// asked for an option combination it does not implement — sharded or
-// incremental runs with Levels > 1. It is a typed, wrappable error so
-// serving layers can map it to a client-fault status (HTTP 422)
-// instead of a generic server failure.
-var ErrUnsupportedOptions = errors.New("core: unsupported options")
 
 // Metric selects the score Φ that drives candidate extraction,
 // refinement and pruning.

@@ -131,8 +131,9 @@ func TestParallelMatchesSequential(t *testing.T) {
 			if prev.IncrState == nil {
 				t.Fatal("recorded run carries no incremental state")
 			}
-			gen := NewGen(77)
-			d := gen.Reconnect(nl, 3)
+			// One reconnect that keeps the multilevel hierarchy's coarse
+			// diff local, so both modes replay rather than fall back.
+			d := NewGen(2).Reconnect(nl, 1)
 			if d.Empty() {
 				t.Fatal("empty edit")
 			}
@@ -150,6 +151,10 @@ func TestParallelMatchesSequential(t *testing.T) {
 				res, err := f.FindIncremental(ctx, runOpt, prev, eff.Dirty)
 				if err != nil {
 					t.Fatalf("incremental (workers=%d): %v", workers, err)
+				}
+				// Two full runs prove nothing about the replay path.
+				if st := res.Incremental; st == nil || st.FullFallback || st.ReusedSeeds == 0 {
+					t.Fatalf("incremental (workers=%d) replayed nothing: %+v", workers, st)
 				}
 				return res
 			}

@@ -455,8 +455,8 @@ func TestDeltaAndIncrementalFlow(t *testing.T) {
 }
 
 // TestDeltaHTTPErrors locks the delta/incremental failure statuses:
-// 404 unknown parent, 400 malformed delta, 422 for option
-// combinations the engine rejects as unsupported (not 500).
+// 404 unknown parent, 400 malformed delta or missing lineage, and an
+// accepted multilevel incremental job (not a 4xx or 500).
 func TestDeltaHTTPErrors(t *testing.T) {
 	c, _ := newTestServer(t)
 	ctx := context.Background()

@@ -37,7 +37,6 @@ import (
 	"strconv"
 	"time"
 
-	"tanglefind"
 	"tanglefind/api"
 	"tanglefind/internal/jobs"
 	"tanglefind/internal/store"
@@ -330,11 +329,6 @@ func submitStatusCode(err error) int {
 		return http.StatusTooManyRequests
 	case errors.Is(err, jobs.ErrClosed):
 		return http.StatusServiceUnavailable
-	case errors.Is(err, tanglefind.ErrUnsupportedOptions):
-		// The request parsed fine but asks for a combination the
-		// engine does not implement (e.g. incremental + multilevel):
-		// a semantic client fault, not a server failure — 422.
-		return http.StatusUnprocessableEntity
 	default:
 		return http.StatusBadRequest
 	}

@@ -117,13 +117,6 @@ type SchedStats = core.SchedStats
 // for the stage names and their overlap semantics.
 type StageTimings = telemetry.StageTimings
 
-// ErrUnsupportedOptions is returned for option combinations an engine
-// entry point does not implement. The full feature matrix — multilevel
-// × incremental × sharded — now composes, so it is reserved for
-// genuinely unsupported combinations (e.g. merging shards produced
-// under a different Levels setting). Serving layers map it to HTTP 422.
-var ErrUnsupportedOptions = core.ErrUnsupportedOptions
-
 // Incremental detection: netlists evolve by deltas (ECO edits), and
 // Finder.FindIncremental reuses a previous run's recorded seed state
 // wherever an edit provably cannot have changed the computation.
