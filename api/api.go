@@ -184,8 +184,8 @@ type JobResult struct {
 	// incremental jobs.
 	Incremental *tanglefind.IncrStats `json:"incremental,omitempty"`
 	// Sched describes how the run's seed schedule was executed across
-	// engine workers (resolved worker count, steal traffic, per-worker
-	// seed counts). Purely diagnostic — results are bit-identical for
+	// engine workers (resolved worker count, per-worker seed counts and
+	// busy time). Purely diagnostic — results are bit-identical for
 	// any worker count; absent for cached and lint results.
 	Sched     *tanglefind.SchedStats `json:"sched,omitempty"`
 	Cluster   *ClusterInfo           `json:"cluster,omitempty"`
@@ -285,11 +285,6 @@ type JobStats struct {
 	// (cache hits appear under CacheHits, not here).
 	LintRuns        int64 `json:"lint_runs,omitempty"`
 	LintIncremental int64 `json:"lint_incremental,omitempty"`
-	// ParallelSeedsStolen totals the seeds migrated between engine
-	// workers by the work-stealing scheduler across all completed
-	// runs — sustained zero under parallel load means seed costs are
-	// balanced; high values mean stealing is doing real rebalancing.
-	ParallelSeedsStolen int64 `json:"parallel_seeds_stolen,omitempty"`
 	// WorkerGrantsCapped counts engine runs whose worker request was
 	// trimmed to fit the pool-wide budget (Config.EngineWorkers), the
 	// fairness clamp that keeps concurrent jobs from oversubscribing

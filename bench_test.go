@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -318,11 +319,11 @@ func BenchmarkMultilevel_FlatVsMultilevel(b *testing.B) {
 	b.ReportAllocs()
 	var speedup, recovery float64
 	for i := 0; i < b.N; i++ {
-		results, err := experiments.Multilevel(context.Background(), benchCfg, nil)
+		rec, err := experiments.Multilevel(context.Background(), benchCfg, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		last := results[len(results)-1]
+		last := rec.Results[len(rec.Results)-1]
 		speedup, recovery = last.Speedup, last.MultiRecovery
 	}
 	b.ReportMetric(speedup, "speedup-x")
@@ -348,11 +349,11 @@ func BenchmarkIncremental_DeltaVsFull(b *testing.B) {
 	cfg := experiments.Config{Scale: 0.25, Seeds: 64, Seed: 1}
 	var siteSpeedup, blockSpeedup, reused float64
 	for i := 0; i < b.N; i++ {
-		results, err := experiments.Incremental(context.Background(), cfg, nil)
+		rec, err := experiments.Incremental(context.Background(), cfg, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, r := range results {
+		for _, r := range rec.Results {
 			if !r.Match {
 				b.Fatalf("%s: incremental diverged from full re-detection", r.Name)
 			}
@@ -694,12 +695,13 @@ func benchWorkers(b *testing.B, workers int) {
 func BenchmarkParallel_1Worker(b *testing.B)  { benchWorkers(b, 1) }
 func BenchmarkParallel_2Workers(b *testing.B) { benchWorkers(b, 2) }
 
-// BenchmarkFind_Parallel is the CI scaling smoke: the work-stealing
-// scheduler on a multilevel workload at 1 worker and at NumCPU
-// workers (deduplicated on single-core boxes), with the steal traffic
-// reported as metrics. The committed BENCH_parallel.json record holds
-// the full sweep; TestParallelScalingGuard compares a fresh
-// measurement against it.
+// BenchmarkFind_Parallel is the CI scaling smoke: the seed pool on a
+// multilevel workload at 1 worker and at NumCPU workers (deduplicated
+// on single-core boxes), with the per-worker seed spread (max/mean of
+// SchedStats.WorkerSeeds; 1 is a perfectly even split) reported as a
+// metric. The committed BENCH_parallel.json record holds the full
+// sweep; TestParallelScalingGuard compares a fresh measurement
+// against it.
 func BenchmarkFind_Parallel(b *testing.B) {
 	rg, err := generate.NewRandomGraph(generate.RandomGraphSpec{
 		Cells:  60_000,
@@ -726,18 +728,21 @@ func BenchmarkFind_Parallel(b *testing.B) {
 		opt.Workers = w
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
-			var steals, stolen int64
+			var spread float64
 			for i := 0; i < b.N; i++ {
 				res, err := f.Find(context.Background(), opt)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if res.Sched != nil {
-					steals, stolen = res.Sched.Steals, res.Sched.SeedsStolen
+				if s := res.Sched.WorkerSeeds; len(s) > 0 {
+					var total int64
+					for _, c := range s {
+						total += c
+					}
+					spread = float64(slices.Max(s)) * float64(len(s)) / float64(total)
 				}
 			}
-			b.ReportMetric(float64(steals), "steals")
-			b.ReportMetric(float64(stolen), "seeds-stolen")
+			b.ReportMetric(spread, "seed-spread")
 		})
 	}
 }

@@ -129,62 +129,32 @@ func main() {
 		fmt.Println()
 	}
 	if run("multilevel") {
-		results, err := experiments.Multilevel(ctx, cfg, os.Stdout)
+		rec, err := experiments.Multilevel(ctx, cfg, os.Stdout)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Println()
-		if *dump != "" {
-			// The speed/quality record rides along with -dump so perf
-			// trajectories can be compared across commits.
-			path := filepath.Join(*dump, "BENCH_multilevel.json")
-			if err := experiments.WriteMultilevelRecord(path, cfg, results); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote %s\n\n", path)
-		}
+		dumpRecord(*dump, "BENCH_multilevel.json", rec)
 	}
 	if run("incremental") {
-		results, err := experiments.Incremental(ctx, cfg, os.Stdout)
+		rec, err := experiments.Incremental(ctx, cfg, os.Stdout)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Println()
-		if *dump != "" {
-			path := filepath.Join(*dump, "BENCH_incremental.json")
-			if err := experiments.WriteIncrementalRecord(path, cfg, results); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote %s\n\n", path)
-		}
+		dumpRecord(*dump, "BENCH_incremental.json", rec)
 	}
 	if run("parallel") {
 		rec, err := experiments.Parallel(ctx, cfg, sweep, os.Stdout)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Println()
-		if *dump != "" {
-			path := filepath.Join(*dump, "BENCH_parallel.json")
-			if err := experiments.WriteParallelRecord(path, rec); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote %s\n\n", path)
-		}
+		dumpRecord(*dump, "BENCH_parallel.json", rec)
 	}
 	if run("hotpath") {
 		rec, err := experiments.HotPath(ctx, cfg, os.Stdout)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Println()
-		if *dump != "" {
-			path := filepath.Join(*dump, "BENCH_hotpath.json")
-			if err := experiments.WriteHotPathRecord(path, rec); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote %s\n\n", path)
-		}
+		dumpRecord(*dump, "BENCH_hotpath.json", rec)
 	}
 	if run("lint") {
 		if _, err := experiments.Lint(ctx, cfg, os.Stdout); err != nil {
@@ -217,6 +187,21 @@ func runOverlay(ctx context.Context, design string, cfg experiments.Config, outd
 		fmt.Printf("wrote %s\n\n", ppm.Name())
 	}
 	return err
+}
+
+// dumpRecord ends an experiment's table and, with -dump, saves its
+// record under dir as name, so perf trajectories can be compared
+// across commits.
+func dumpRecord(dir, name string, rec any) {
+	fmt.Println()
+	if dir == "" {
+		return
+	}
+	path := filepath.Join(dir, name)
+	if err := experiments.WriteRecord(path, rec); err != nil {
+		fatal(err)
+	}
+	fmt.Printf("wrote %s\n\n", path)
 }
 
 // dumpWorkloads regenerates the table workloads for the selected

@@ -182,10 +182,6 @@ func main() {
 	}
 	fmt.Printf("finder: %d seeds -> %d candidates -> %d disjoint GTLs in %s (Rent p ≈ %.3f)\n",
 		len(res.Seeds), res.Candidates, len(res.GTLs), res.Elapsed.Round(time.Millisecond), res.Rent)
-	if s := res.Sched; s != nil && s.Workers > 1 {
-		fmt.Printf("  sched: %d workers, %d steals moved %d seeds\n",
-			s.Workers, s.Steals, s.SeedsStolen)
-	}
 	for _, lv := range res.Levels {
 		what := fmt.Sprintf("refined (+%d cells)", lv.RefineAdded)
 		if lv.SeedsRun > 0 {

@@ -454,15 +454,58 @@ func seedRNG(randSeed uint64, i int) *ds.RNG {
 	return ds.NewRNG(randSeed ^ (0x9e37_79b9_7f4a_7c15 * uint64(i+1)))
 }
 
-// runSeedPool executes fn(ws, k) for every k in [0, n) on a
-// work-stealing worker pool (see steal.go) with per-worker pooled
-// scratch, Options.Progress reporting after each completion, and
-// cooperative cancellation — the shared scaffolding of findShard and
-// the multilevel projection sweep. fn reports
-// whether index k produced a candidate (for the progress counter);
-// the returned flags mark which indexes completed before
-// cancellation, and the phase accumulator sums the per-seed stage
-// wall time across workers. Scheduling never affects results:
+// SchedStats describes how one run's seed schedule was executed:
+// resolved worker count and each worker's seed count and busy time.
+// It is JSON-tagged so bench artifacts and job results can publish it
+// verbatim.
+type SchedStats struct {
+	// Workers is the resolved worker count (Options.Workers after the
+	// <=0 → GOMAXPROCS default and the can't-exceed-items clamp).
+	Workers int `json:"workers"`
+	// Steals is always 0: workers claim seeds from one shared counter,
+	// so no seed moves between workers. It remains because the
+	// benchmark's core.steals metric still reads it.
+	Steals int64 `json:"steals"`
+	// WorkerSeeds[w] is how many seeds worker w executed; the spread is
+	// the utilization picture (max/mean ≈ 1 means the pool stayed
+	// saturated).
+	WorkerSeeds []int64 `json:"worker_seeds,omitempty"`
+	// WorkerBusyNS[w] is the wall time (ns) worker w spent executing
+	// seeds. The gap between max(busy) and the run's elapsed time is
+	// the scheduling overhead picture.
+	WorkerBusyNS []int64 `json:"worker_busy_ns,omitempty"`
+}
+
+// merge folds another schedule's stats into s (multilevel runs
+// schedule twice: coarse detection and projection refinement; merged
+// runs schedule once per shard).
+func (s *SchedStats) merge(o SchedStats) {
+	s.Workers = max(s.Workers, o.Workers)
+	s.WorkerSeeds = addPerWorker(s.WorkerSeeds, o.WorkerSeeds)
+	s.WorkerBusyNS = addPerWorker(s.WorkerBusyNS, o.WorkerBusyNS)
+}
+
+// addPerWorker adds b into a element-wise, growing a to b's length.
+func addPerWorker(a, b []int64) []int64 {
+	for len(a) < len(b) {
+		a = append(a, 0)
+	}
+	for w, c := range b {
+		a[w] += c
+	}
+	return a
+}
+
+// runSeedPool executes fn(ws, k) for every k in [0, n) on
+// min(Options.workers(), n) goroutines that claim indexes from one
+// shared atomic counter, with per-worker pooled scratch,
+// Options.Progress reporting after each completion, and cooperative
+// cancellation: a worker stops claiming once ctx is done. It is the
+// shared scaffolding of findShard and the multilevel projection
+// sweep. fn reports whether index k produced a candidate (for the
+// progress counter); the returned flags mark which indexes completed
+// before cancellation, and the phase accumulator sums the per-seed
+// stage wall time across workers. Scheduling never affects results:
 // fn(ws, k) writes outcomes keyed by k, so the output is
 // bit-identical to Workers=1.
 func (f *Finder) runSeedPool(ctx context.Context, opt *Options, n int, fn func(ws *workerState, k int) bool) ([]bool, SchedStats, phaseAcc) {
@@ -485,11 +528,10 @@ func (f *Finder) runSeedPool(ctx context.Context, opt *Options, n int, fn func(w
 		progMu.Unlock()
 	}
 
-	nWorkers := opt.workers()
-	if nWorkers > n {
-		nWorkers = n
-	}
-	sched := newStealGroup(n, nWorkers)
+	nWorkers := min(opt.workers(), n)
+	// Each worker writes only its own element of the per-worker slices.
+	sched := SchedStats{Workers: nWorkers, WorkerSeeds: make([]int64, nWorkers), WorkerBusyNS: make([]int64, nWorkers)}
+	var next atomic.Int64
 	var phases phaseAcc
 	var wg sync.WaitGroup
 	for w := 0; w < nWorkers; w++ {
@@ -498,14 +540,21 @@ func (f *Finder) runSeedPool(ctx context.Context, opt *Options, n int, fn func(w
 			defer wg.Done()
 			ws := f.acquire(opt)
 			defer f.release(ws)
-			sched.run(ctx, w, func(k int) {
+			for ctx.Err() == nil {
+				k := int(next.Add(1) - 1)
+				if k >= n {
+					break
+				}
+				t := clock()
 				if fn(ws, k) {
 					candsFound.Add(1)
 				}
+				sched.WorkerBusyNS[w] += int64(clock().Sub(t))
+				sched.WorkerSeeds[w]++
 				completed[k] = true
 				seedsDone.Add(1)
 				report()
-			})
+			}
 			// Harvest this worker's phase clocks before the state goes
 			// back to the pool (acquire re-zeroes them regardless).
 			for p := range ws.gr.phases {
@@ -516,7 +565,7 @@ func (f *Finder) runSeedPool(ctx context.Context, opt *Options, n int, fn func(w
 		}(w)
 	}
 	wg.Wait()
-	return completed, sched.stats(), phases
+	return completed, sched, phases
 }
 
 // Merge combines complete shards covering [0, Options.Seeds)

@@ -49,8 +49,8 @@ type Result struct {
 	// flat runs): coarsest first, finishing at the original netlist.
 	Levels []LevelStats
 	// Sched describes how the run's seed schedule was executed across
-	// workers (resolved worker count, steal traffic, per-worker seed
-	// counts). Scheduling never affects the detection output — results
+	// workers (resolved worker count, per-worker seed counts and busy
+	// time). Scheduling never affects the detection output — results
 	// are bit-identical to Workers=1 — so Sched is purely diagnostic.
 	Sched *SchedStats
 	// Incremental is the reuse breakdown of a FindIncremental run

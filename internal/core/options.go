@@ -245,7 +245,8 @@ type Options struct {
 	// RandSeed makes the whole run reproducible.
 	RandSeed uint64 `json:"rand_seed"`
 	// KeepCurves retains each seed's score curve in the result (memory
-	// heavy; used by the figure generators).
+	// heavy). Only tests set it; the figure generators call
+	// GrowOrdering and ScoreCurve instead.
 	KeepCurves bool `json:"keep_curves,omitempty"`
 	// Progress, when non-nil, receives engine progress snapshots after
 	// every completed seed. It has no effect on results. Calls are
@@ -332,13 +333,23 @@ func (o *Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// maxSeeds and maxRefineSeeds bound the seed counts validate accepts.
+// Both arrive over the wire, and work grows with them: the seed plan
+// allocates per seed, and each re-seed adds a growth and a kept set to
+// a closure quadratic in the kept sets. Unbounded, one request could
+// exhaust the server's memory.
+const (
+	maxSeeds       = 1 << 20
+	maxRefineSeeds = 64
+)
+
 // validate is the single place options are sanity-checked; every engine
 // entry point calls it before touching the netlist. Workers needs no
 // check (<= 0 means GOMAXPROCS) and Progress/KeepCurves are free-form.
 func (o *Options) validate() error {
 	switch {
-	case o.Seeds <= 0:
-		return fmt.Errorf("core: Seeds must be positive, got %d", o.Seeds)
+	case o.Seeds <= 0 || o.Seeds > maxSeeds:
+		return fmt.Errorf("core: Seeds must be in [1,%d], got %d", maxSeeds, o.Seeds)
 	case o.MaxOrderLen < 2:
 		return fmt.Errorf("core: MaxOrderLen must be at least 2, got %d", o.MaxOrderLen)
 	case o.MinGroupSize < 0:
@@ -349,8 +360,8 @@ func (o *Options) validate() error {
 		return fmt.Errorf("core: DipRatio must be positive, got %g", o.DipRatio)
 	case o.BigNetSkip < 0:
 		return fmt.Errorf("core: BigNetSkip must be non-negative (0 disables), got %d", o.BigNetSkip)
-	case o.RefineSeeds < 0:
-		return fmt.Errorf("core: RefineSeeds must be non-negative, got %d", o.RefineSeeds)
+	case o.RefineSeeds < 0 || o.RefineSeeds > maxRefineSeeds:
+		return fmt.Errorf("core: RefineSeeds must be in [0,%d], got %d", maxRefineSeeds, o.RefineSeeds)
 	case o.PruneOverlapTolerance < 0:
 		return fmt.Errorf("core: PruneOverlapTolerance must be non-negative, got %g", o.PruneOverlapTolerance)
 	case o.Levels < 0 || o.Levels > 16:

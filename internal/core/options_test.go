@@ -59,6 +59,8 @@ func TestParseOptionsDefaultsAndErrors(t *testing.T) {
 		`{"seedz": 5}`,
 		`{"relabel": true}`,
 		`{"seeds": -1}`,
+		`{"seeds": 1099511627776}`,
+		`{"refine_seeds": 65}`,
 		`{"metric": "banana"}`,
 		`{"ordering": "dfs"}`,
 		`{} {"seeds": 2}`,

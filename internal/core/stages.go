@@ -49,7 +49,7 @@ func (p *phaseAcc) stages() telemetry.StageTimings {
 }
 
 // clock reads the time for every per-seed measurement: the phase
-// stamps, the scheduler's busy and steal clocks and the incremental
+// stamps, the seed pool's per-worker busy clocks and the incremental
 // replay/reseed split. Per-run stamps read time.Now directly. The
 // overhead guard swaps in a counting clock to bound what these reads
 // cost.

@@ -13,9 +13,11 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"runtime"
 	"time"
 
@@ -68,6 +70,17 @@ func (c Config) ResolvedWorkers() int {
 		return c.Workers
 	}
 	return runtime.GOMAXPROCS(0)
+}
+
+// WriteRecord saves an experiment's record (MultilevelRecord,
+// IncrementalRecord, ParallelRecord or HotPathRecord) as indented
+// JSON: the BENCH_*.json files gtlexp -dump writes.
+func WriteRecord(path string, rec any) error {
+	data, err := json.MarshalIndent(rec, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // BlockOutcome describes how the finder did on one ground-truth block.

@@ -249,10 +249,11 @@ func TestTable2Bookshelf(t *testing.T) {
 // and the pipeline does not collapse quality on the planted blocks.
 func TestMultilevelShapeHolds(t *testing.T) {
 	var buf bytes.Buffer
-	results, err := Multilevel(context.Background(), tiny, &buf)
+	rec, err := Multilevel(context.Background(), tiny, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := rec.Results
 	if len(results) != len(MultilevelCases) {
 		t.Fatalf("got %d results for %d cases", len(results), len(MultilevelCases))
 	}
@@ -274,29 +275,30 @@ func TestMultilevelShapeHolds(t *testing.T) {
 	// The JSON record round-trips.
 	dir := t.TempDir()
 	path := filepath.Join(dir, "BENCH_multilevel.json")
-	if err := WriteMultilevelRecord(path, tiny, results); err != nil {
+	if err := WriteRecord(path, rec); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec MultilevelRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
+	var back MultilevelRecord
+	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatalf("record not valid JSON: %v", err)
 	}
-	if len(rec.Results) != len(results) || rec.Scale != tiny.Scale {
-		t.Errorf("record mismatch: %+v", rec)
+	if len(back.Results) != len(results) || back.Scale != tiny.Scale {
+		t.Errorf("record mismatch: %+v", back)
 	}
 }
 
 func TestIncrementalShapeHolds(t *testing.T) {
 	tiny := Config{Scale: 0.08, Seeds: 24, Seed: 1}
 	var buf bytes.Buffer
-	results, err := Incremental(context.Background(), tiny, &buf)
+	rec, err := Incremental(context.Background(), tiny, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := rec.Results
 	if len(results) != len(IncrementalCases) {
 		t.Fatalf("%d results for %d cases", len(results), len(IncrementalCases))
 	}
@@ -317,19 +319,19 @@ func TestIncrementalShapeHolds(t *testing.T) {
 
 	dir := t.TempDir()
 	path := filepath.Join(dir, "BENCH_incremental.json")
-	if err := WriteIncrementalRecord(path, tiny, results); err != nil {
+	if err := WriteRecord(path, rec); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec IncrementalRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
+	var back IncrementalRecord
+	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatalf("record not valid JSON: %v", err)
 	}
-	if len(rec.Results) != len(results) || rec.Scale != tiny.Scale {
-		t.Errorf("record mismatch: %+v", rec)
+	if len(back.Results) != len(results) || back.Scale != tiny.Scale {
+		t.Errorf("record mismatch: %+v", back)
 	}
 }
 

@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"time"
 
@@ -108,13 +106,4 @@ type HotPathRecord struct {
 	Seeds   int              `json:"seeds"`
 	CPUs    int              `json:"cpus"` // runtime.GOMAXPROCS(0) at measurement time
 	Results []*HotPathResult `json:"results"`
-}
-
-// WriteHotPathRecord saves the record as indented JSON.
-func WriteHotPathRecord(path string, rec *HotPathRecord) error {
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

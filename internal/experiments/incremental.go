@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"time"
 
@@ -259,8 +257,9 @@ func IncrementalRun(ctx context.Context, cs IncrementalCase, cfg Config) (*Incre
 	return out, nil
 }
 
-// Incremental runs every comparison case and renders the table.
-func Incremental(ctx context.Context, cfg Config, w io.Writer) ([]*IncrementalResult, error) {
+// Incremental runs every comparison case, renders the table and
+// returns the record gtlexp -dump saves.
+func Incremental(ctx context.Context, cfg Config, w io.Writer) (*IncrementalRecord, error) {
 	tbl := report.New("Incremental vs full re-detection (ECO deltas)",
 		"Case", "|V|", "#seeds", "Dirty", "Base ms", "Full ms", "Incr ms", "Speedup", "Reused", "Rerun", "Match")
 	var results []*IncrementalResult
@@ -279,7 +278,13 @@ func Incremental(ctx context.Context, cfg Config, w io.Writer) ([]*IncrementalRe
 			return nil, err
 		}
 	}
-	return results, nil
+	return &IncrementalRecord{
+		Scale:   cfg.Scale,
+		Seeds:   cfg.Seeds,
+		Workers: cfg.ResolvedWorkers(),
+		CPUs:    runtime.GOMAXPROCS(0),
+		Results: results,
+	}, nil
 }
 
 // IncrementalRecord is the serialized ECO-loop record gtlexp -dump
@@ -290,20 +295,4 @@ type IncrementalRecord struct {
 	Workers int                  `json:"workers"` // resolved engine worker count (never 0)
 	CPUs    int                  `json:"cpus"`    // runtime.GOMAXPROCS(0) at measurement time
 	Results []*IncrementalResult `json:"results"`
-}
-
-// WriteIncrementalRecord saves the comparison as indented JSON.
-func WriteIncrementalRecord(path string, cfg Config, results []*IncrementalResult) error {
-	rec := IncrementalRecord{
-		Scale:   cfg.Scale,
-		Seeds:   cfg.Seeds,
-		Workers: cfg.ResolvedWorkers(),
-		CPUs:    runtime.GOMAXPROCS(0),
-		Results: results,
-	}
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"time"
 
@@ -180,9 +178,9 @@ func MultilevelRun(ctx context.Context, cs MultilevelCase, cfg Config) (*Multile
 	return out, nil
 }
 
-// Multilevel runs every comparison case and renders the speed/quality
-// table.
-func Multilevel(ctx context.Context, cfg Config, w io.Writer) ([]*MultilevelResult, error) {
+// Multilevel runs every comparison case, renders the speed/quality
+// table and returns the record gtlexp -dump saves.
+func Multilevel(ctx context.Context, cfg Config, w io.Writer) (*MultilevelRecord, error) {
 	tbl := report.New("Flat vs multilevel detection (coarsen -> detect -> project + refine)",
 		"Case", "|V|", "#seeds", "Lvls", "Flat ms", "ML ms", "Speedup", "Flat rec%", "ML rec%", "Flat GTL", "ML GTL")
 	var results []*MultilevelResult
@@ -203,7 +201,13 @@ func Multilevel(ctx context.Context, cfg Config, w io.Writer) ([]*MultilevelResu
 			return nil, err
 		}
 	}
-	return results, nil
+	return &MultilevelRecord{
+		Scale:   cfg.Scale,
+		Seeds:   cfg.Seeds,
+		Workers: cfg.ResolvedWorkers(),
+		CPUs:    runtime.GOMAXPROCS(0),
+		Results: results,
+	}, nil
 }
 
 // MultilevelRecord is the serialized speed/quality record gtlexp -dump
@@ -214,20 +218,4 @@ type MultilevelRecord struct {
 	Workers int                 `json:"workers"` // resolved engine worker count (never 0)
 	CPUs    int                 `json:"cpus"`    // runtime.GOMAXPROCS(0) at measurement time
 	Results []*MultilevelResult `json:"results"`
-}
-
-// WriteMultilevelRecord saves the comparison as indented JSON.
-func WriteMultilevelRecord(path string, cfg Config, results []*MultilevelResult) error {
-	rec := MultilevelRecord{
-		Scale:   cfg.Scale,
-		Seeds:   cfg.Seeds,
-		Workers: cfg.ResolvedWorkers(),
-		CPUs:    runtime.GOMAXPROCS(0),
-		Results: results,
-	}
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"slices"
 	"time"
@@ -18,8 +16,8 @@ import (
 )
 
 // ---------------------------------------------------------------------
-// Parallel scaling — the work-stealing seed scheduler swept across
-// worker counts on the million-cell multilevel workload (the committed
+// Parallel scaling — the engine's seed pool swept across worker
+// counts on the million-cell multilevel workload (the committed
 // BENCH_multilevel.json headliner), so the speedup-vs-cores curve and
 // the flat-vs-(multilevel × parallel) combined speedup come from one
 // invocation. Every row is differentially verified against the
@@ -45,11 +43,8 @@ type ParallelResult struct {
 	// SpeedupVsFlat compares against the flat sequential reference run
 	// (Levels=1, Workers=1): the combined multilevel × parallel gain.
 	SpeedupVsFlat float64 `json:"speedup_vs_flat"`
-	// Steals/SeedsStolen/WorkerSeeds mirror core.SchedStats for the
-	// run: steal traffic plus the per-worker seed counts whose spread
-	// is the utilization picture.
-	Steals      int64   `json:"steals"`
-	SeedsStolen int64   `json:"seeds_stolen"`
+	// WorkerSeeds mirrors core.SchedStats for the run: the per-worker
+	// seed counts whose spread is the utilization picture.
 	WorkerSeeds []int64 `json:"worker_seeds,omitempty"`
 	GTLs        int     `json:"gtls"`
 	// Stages is the run's per-stage wall-time breakdown (worker-summed
@@ -117,12 +112,7 @@ func ParallelRun(ctx context.Context, cfg Config, sweep []int) (flatMS float64, 
 			return 0, nil, 0, 0, fmt.Errorf("parallel: workers=%d: %w", w, err)
 		}
 		ms := float64(time.Since(start)) / float64(time.Millisecond)
-		row := &ParallelResult{Workers: w, FindMS: ms, GTLs: len(res.GTLs), Stages: res.Stages}
-		if res.Sched != nil {
-			row.Steals = res.Sched.Steals
-			row.SeedsStolen = res.Sched.SeedsStolen
-			row.WorkerSeeds = res.Sched.WorkerSeeds
-		}
+		row := &ParallelResult{Workers: w, FindMS: ms, WorkerSeeds: res.Sched.WorkerSeeds, GTLs: len(res.GTLs), Stages: res.Stages}
 		if baseline == nil {
 			// The first row anchors the sweep. The standard sweep starts
 			// at 1, making Speedup a true self-speedup; a custom sweep
@@ -166,11 +156,11 @@ func Parallel(ctx context.Context, cfg Config, sweep []int, w io.Writer) (*Paral
 		tbl := report.New(
 			fmt.Sprintf("Parallel scaling, multilevel million-cell workload (%d cells, %d CPUs, flat 1-worker ref %.0f ms)",
 				cells, rec.CPUs, flatMS),
-			"Workers", "Find ms", "Speedup", "vs flat", "Steals", "Seeds stolen", "GTLs", "Top stages", "Match")
+			"Workers", "Find ms", "Speedup", "vs flat", "GTLs", "Top stages", "Match")
 		for _, r := range rows {
 			tbl.Row(r.Workers, fmt.Sprintf("%.0f", r.FindMS),
 				fmt.Sprintf("%.2fx", r.Speedup), fmt.Sprintf("%.2fx", r.SpeedupVsFlat),
-				r.Steals, r.SeedsStolen, r.GTLs, r.Stages.Top(3), r.Match)
+				r.GTLs, r.Stages.Top(3), r.Match)
 		}
 		if err := tbl.Render(w); err != nil {
 			return nil, err
@@ -192,13 +182,4 @@ type ParallelRecord struct {
 	Pins    int               `json:"pins"`
 	FlatMS  float64           `json:"flat_ms"` // flat sequential reference (Levels=1, Workers=1)
 	Results []*ParallelResult `json:"results"`
-}
-
-// WriteParallelRecord saves the sweep as indented JSON.
-func WriteParallelRecord(path string, rec *ParallelRecord) error {
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

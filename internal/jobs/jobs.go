@@ -157,7 +157,6 @@ type Manager struct {
 	incrFallbacks atomic.Int64
 	lintRuns      atomic.Int64
 	lintIncr      atomic.Int64
-	seedsStolen   atomic.Int64
 	rewarmed      atomic.Int64
 	journalErrs   atomic.Int64
 
@@ -249,7 +248,6 @@ func (m *Manager) registerMetrics() {
 	incrFallbacks := reg.Counter("gtl_incremental_fallbacks_total", "Incremental runs that degraded to a full re-detection.")
 	lintRuns := reg.Counter("gtl_lint_runs_total", "Completed lint engine runs.")
 	lintIncr := reg.Counter("gtl_lint_incremental_total", "Lint runs answered incrementally from a parent report.")
-	seedsStolen := reg.Counter("gtl_parallel_seeds_stolen_total", "Seeds migrated between engine workers by the work-stealing scheduler.")
 	coalesced := reg.Counter("gtl_jobs_coalesced_total", "Submissions attached to an identical queued or running run instead of starting their own.")
 	rewarmed := reg.Counter("gtl_job_results_rewarmed_total", "Result-cache entries restored from the store journal at startup.")
 	journalErrs := reg.Counter("gtl_job_journal_errors_total", "Finished job results the store journal failed to persist: still served and cached, but lost on restart.")
@@ -273,7 +271,6 @@ func (m *Manager) registerMetrics() {
 		incrFallbacks.Set(float64(st.IncrementalFallbacks))
 		lintRuns.Set(float64(st.LintRuns))
 		lintIncr.Set(float64(st.LintIncremental))
-		seedsStolen.Set(float64(st.ParallelSeedsStolen))
 		coalesced.Set(float64(st.CoalescedJobs))
 		rewarmed.Set(float64(st.RewarmedResults))
 		journalErrs.Set(float64(st.JournalErrors))
@@ -726,7 +723,6 @@ func (m *Manager) Stats() api.JobStats {
 		LintRuns:             m.lintRuns.Load(),
 		LintIncremental:      m.lintIncr.Load(),
 		CachedSets:           m.cache.len(),
-		ParallelSeedsStolen:  m.seedsStolen.Load(),
 		RewarmedResults:      m.rewarmed.Load(),
 		JournalErrors:        m.journalErrs.Load(),
 	}
@@ -886,9 +882,6 @@ func (m *Manager) execute(r *run) {
 	}
 	stages.Add("engine", time.Since(engineStart))
 	mergeStart := time.Now()
-	if res != nil && res.Sched != nil {
-		m.seedsStolen.Add(res.Sched.SeedsStolen)
-	}
 	if res != nil {
 		// Count by the levels the run actually used: a Levels=4 request
 		// over a small netlist may coarsen less than asked (or not at

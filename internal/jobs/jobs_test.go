@@ -181,6 +181,8 @@ func TestSubmitValidation(t *testing.T) {
 		{Kind: api.KindFind, Digest: "no-such-digest"},
 		{Kind: api.KindFind, Digest: digest, Options: json.RawMessage(`{"seedz": 1}`)},
 		{Kind: api.KindFind, Digest: digest, Options: json.RawMessage(`{"seeds": -2}`)},
+		{Kind: api.KindFind, Digest: digest, Options: json.RawMessage(`{"seeds": 1099511627776}`)},
+		{Kind: api.KindFind, Digest: digest, Options: json.RawMessage(`{"refine_seeds": 65}`)},
 		{Kind: api.KindDecompose, Digest: digest, MaxPins: 1},
 		{Kind: api.KindFind, Digest: digest, TimeoutMS: -5},
 	}

@@ -9,20 +9,20 @@ import (
 	"tanglefind/internal/generate"
 )
 
-// Parallel-vs-sequential differential: the work-stealing scheduler's
+// Parallel-vs-sequential differential: the seed pool's
 // bit-identical-to-Workers=1 guarantee, locked across the whole
 // feature matrix — flat, multilevel, incremental and sharded+merged
 // runs. Every mode runs once at Workers=1 and once at the parallel
 // width, and the outputs must agree to 1e-9 via the same DiffResults
 // oracle the delta pipeline is specified by. The CI race shard runs
-// this file under -race, so a steal race that corrupts shared state
-// (rather than merely reordering execution) is caught even when the
-// outputs happen to match.
+// this file under -race, so workers racing on shared state (rather
+// than merely running seeds in another order) are caught even when
+// the outputs happen to match.
 
 // parallelWidth is the concurrent side of every differential: NumCPU,
-// floored at 4 so the steal scheduler is genuinely contended on small
-// CI boxes too — goroutines interleave (and race-instrument) under
-// any GOMAXPROCS.
+// floored at 4 so the workers genuinely contend for the shared seed
+// counter on small CI boxes too — goroutines interleave (and
+// race-instrument) under any GOMAXPROCS.
 func parallelWidth() int {
 	if n := runtime.NumCPU(); n > 4 {
 		return n

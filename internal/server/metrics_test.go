@@ -268,7 +268,6 @@ func TestMetricsParseBack(t *testing.T) {
 		"gtl_jobs_submitted_total":          "counter{}",
 		"gtl_lint_incremental_total":        "counter{}",
 		"gtl_lint_runs_total":               "counter{}",
-		"gtl_parallel_seeds_stolen_total":   "counter{}",
 		"gtl_store_durable":                 "gauge{}",
 		"gtl_store_engine_bytes":            "gauge{}",
 		"gtl_store_evictions_total":         "counter{}",
@@ -282,8 +281,8 @@ func TestMetricsParseBack(t *testing.T) {
 		"gtl_store_tombstones":              "gauge{}",
 		"gtl_worker_grants_total":           "counter{outcome}",
 	}
-	if len(catalog) != 34 {
-		t.Fatalf("catalog lists %d families, want 34", len(catalog))
+	if len(catalog) != 33 {
+		t.Fatalf("catalog lists %d families, want 33", len(catalog))
 	}
 	for name, f := range fams {
 		names := map[string]bool{}

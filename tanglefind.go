@@ -105,9 +105,9 @@ type Finder = core.Finder
 type ShardResult = core.ShardResult
 
 // SchedStats describes how a run's seed schedule was executed across
-// workers: resolved worker count, per-worker seed counts and
-// work-stealing traffic (Result.Sched). Purely diagnostic — results
-// are bit-identical for any worker count.
+// workers: resolved worker count and per-worker seed counts and busy
+// time (Result.Sched). Purely diagnostic — results are bit-identical
+// for any worker count.
 type SchedStats = core.SchedStats
 
 // StageTimings is the flat stage-name → wall-time breakdown attached
