@@ -112,8 +112,8 @@ func TestPublicAPIFlow(t *testing.T) {
 }
 
 // TestFacadeEngine exercises the engine surface through the facade:
-// reusable Finder, progress reporting, sharded runs and the batch
-// entry point, all agreeing with the one-shot Find.
+// a reusable Finder with progress reporting, agreeing with the
+// one-shot Find.
 func TestFacadeEngine(t *testing.T) {
 	rg, err := tanglefind.NewRandomGraph(tanglefind.RandomGraphSpec{
 		Cells:  6000,
@@ -148,48 +148,6 @@ func TestFacadeEngine(t *testing.T) {
 	if len(res.GTLs) != len(ref.GTLs) {
 		t.Fatalf("engine found %d GTLs, one-shot %d", len(res.GTLs), len(ref.GTLs))
 	}
-
-	// Sharded run through the facade types.
-	opt.Progress = nil
-	half := opt.Seeds / 2
-	s1, err := f.FindShard(ctx, opt, 0, half)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := f.FindShard(ctx, opt, half, opt.Seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1.SeedsRun()+s2.SeedsRun() != opt.Seeds {
-		t.Errorf("shards ran %d+%d seeds, want %d", s1.SeedsRun(), s2.SeedsRun(), opt.Seeds)
-	}
-	merged, err := f.Merge(opt, s1, s2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(merged.GTLs) != len(ref.GTLs) {
-		t.Errorf("sharded run found %d GTLs, want %d", len(merged.GTLs), len(ref.GTLs))
-	}
-
-	// Batch mode over two netlists.
-	rg2, err := tanglefind.NewRandomGraph(tanglefind.RandomGraphSpec{
-		Cells:  6000,
-		Blocks: []tanglefind.BlockSpec{{Size: 400}},
-		Seed:   22,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := tanglefind.FindMany(ctx, []*tanglefind.Netlist{rg.Netlist, rg2.Netlist}, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 || results[0] == nil || results[1] == nil {
-		t.Fatalf("batch results incomplete: %v", results)
-	}
-	if len(results[0].GTLs) != len(ref.GTLs) {
-		t.Errorf("batch result differs from solo run")
-	}
 }
 
 // TestFacadeOptionsWire covers the serving-layer exports: options
@@ -222,7 +180,6 @@ func TestFacadeOptionsWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt.MaxOrderLen = 800
-	opt.KeepCurves = true
 	res, err := tanglefind.Find(rg.Netlist, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -231,9 +188,11 @@ func TestFacadeOptionsWire(t *testing.T) {
 	if len(traces) != opt.Seeds {
 		t.Fatalf("traces = %d, want %d", len(traces), opt.Seeds)
 	}
-	var c *tanglefind.Curve = traces[0].Curve
-	if c == nil || len(c.Scores) == 0 {
-		t.Error("KeepCurves produced no curve through the facade")
+	// A seed's score curve is reachable by re-growing its ordering.
+	ord := tanglefind.GrowOrdering(rg.Netlist, traces[0].Seed, opt.MaxOrderLen, opt)
+	var c *tanglefind.Curve = tanglefind.ScoreCurve(ord, opt.Metric, res.AG)
+	if len(c.Scores) != traces[0].OrderLen {
+		t.Errorf("curve through the facade has %d scores, want %d", len(c.Scores), traces[0].OrderLen)
 	}
 }
 

@@ -43,7 +43,6 @@ func main() {
 		radius   = flag.Int("refine-radius", 2, "boundary-refinement sweeps per level after projection (0 = project only)")
 		deltaP   = flag.String("delta", "", "JSON delta patch file (ECO edit) applied to the input netlist before detection")
 		incr     = flag.Bool("incremental", false, "with -delta: run the base netlist first (recording seed state), then detect the patched netlist incrementally and report the reuse breakdown")
-		dirtyRad = flag.Int("dirty-radius", 0, "with -incremental: BFS hops added around the delta's dirty cells before reuse checks (0 = exact read-set analysis)")
 	)
 	flag.Parse()
 	if (*inPath == "") == (*auxPath == "") {
@@ -84,7 +83,6 @@ func main() {
 	if opt.Ordering, err = tanglefind.ParseOrdering(*ordering); err != nil {
 		fatal(err)
 	}
-	opt.DirtyRadius = *dirtyRad
 	// The netlist the reported detection runs over: the patched one
 	// when a delta is given, the input otherwise.
 	target := nl

@@ -8,12 +8,11 @@ import (
 	"testing"
 
 	"tanglefind/internal/generate"
-	"tanglefind/internal/netlist"
 )
 
 // TestConcurrentFindSharedNetlist is the invariant the serving layer
 // depends on: one immutable *Netlist may be analyzed from many
-// goroutines at once — through concurrent FindMany batches and
+// goroutines at once — through concurrent one-shot Find calls and
 // through one shared Finder — with identical, deterministic results.
 // Run under -race (the CI race shard does) to make the check real.
 func TestConcurrentFindSharedNetlist(t *testing.T) {
@@ -40,8 +39,8 @@ func TestConcurrentFindSharedNetlist(t *testing.T) {
 	const goroutines = 4
 	ctx := context.Background()
 
-	// Concurrent FindMany batches over the same shared netlist (the
-	// batch itself also repeats it).
+	// Concurrent one-shot Find calls over the same shared netlist, each
+	// goroutine running it twice.
 	var wg sync.WaitGroup
 	results := make([][]*Result, goroutines)
 	errs := make([]error, goroutines)
@@ -49,7 +48,14 @@ func TestConcurrentFindSharedNetlist(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			results[g], errs[g] = FindMany(ctx, []*netlist.Netlist{nl, nl}, opt)
+			for range 2 {
+				res, err := Find(nl, opt)
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				results[g] = append(results[g], res)
+			}
 		}(g)
 	}
 	wg.Wait()

@@ -55,15 +55,14 @@ type ProgressFunc func(Progress)
 // MemoryEstimate reports only what it caches (PooledScratchBytes
 // reports the pool).
 //
-// Every entry point — Find, FindIncremental, FindShard and Merge —
-// first picks the level a run's seeds execute on (pickLevel): the
-// engine's own netlist, or under Options.Levels > 1 the coarsest level
-// of a cached hierarchy, whose winners are projected back down.
+// Both entry points, Find and FindIncremental, first pick the level a
+// run's seeds execute on (pickLevel): the engine's own netlist, or
+// under Options.Levels > 1 the coarsest level of a cached hierarchy,
+// whose winners are projected back down.
 //
 // Finder is safe for concurrent use. Results are deterministic for a
-// fixed Options.RandSeed regardless of scheduling, worker count, which
-// pooled state a worker draws, or whether a run executes whole (Find)
-// or as shards (FindShard + Merge).
+// fixed Options.RandSeed regardless of scheduling, worker count or
+// which pooled state a worker draws.
 type Finder struct {
 	nl *netlist.Netlist
 	aG float64
@@ -293,93 +292,34 @@ func (f *Finder) plan(opt *Options) seedPlan {
 	return seedPlan{ids: ids, owner: owner}
 }
 
-// shardOut is the raw outcome of one executed (owner) seed.
-type shardOut struct {
-	idx      int // seed index in the full schedule
-	trace    SeedTrace
-	cand     *group.Set // refined candidate B̂ (nil if none)
-	score    float64
-	rent     float64
-	replayed bool // answered from a recorded seed instead of grown
+// seedRun is what one run's seed loop produced on its level.
+type seedRun struct {
+	outs   []seedOut     // executed owner seeds, ascending by idx
+	recs   []*seedRecord // positional with outs; only in recorded runs
+	sched  SchedStats    // how the schedule was executed
+	stages telemetry.StageTimings
 }
 
-// ShardResult holds the raw per-seed outcomes for the seed-index range
-// [Lo, Hi) of one run's schedule. Shards exist so one large run can be
-// split into resumable chunks within one process — run each range
-// separately (sequentially, concurrently, or interleaved with other
-// work) and Merge the pieces into the exact Result a single Find would
-// have produced. ShardResult is not serializable yet; cross-process
-// resume would need an explicit wire format.
-type ShardResult struct {
-	Lo, Hi  int
-	Elapsed time.Duration
-	outs    []shardOut    // executed owner seeds, ascending by idx
-	recs    []*seedRecord // positional with outs; only in recorded runs
-	sched   SchedStats    // how the shard's schedule was executed
-	levels  int           // levelTag of the level the shard ran on
-	stages  telemetry.StageTimings
-}
-
-// Stages reports the shard's per-seed phase wall time, summed across
-// workers (see Result.Stages for the semantics).
-func (s *ShardResult) Stages() telemetry.StageTimings { return s.stages }
-
-// SeedsRun returns how many unique seeds this shard executed.
-func (s *ShardResult) SeedsRun() int { return len(s.outs) }
-
-// FindShard executes seeds [lo, hi) of the run's deterministic schedule
-// and returns their raw outcomes. Phase III pruning is global, so it
-// happens at Merge time, not per shard.
+// runSeeds is the one seed loop: it executes every owner seed of a
+// precomputed plan on the worker pool. With record set it captures
+// each seed's incremental state alongside its outcome. Given a replay
+// source, a seed whose recorded footprint misses the dirty region
+// replays its record, and every other seed grows; only such runs read
+// the clock for the replay/reseed split.
 //
-// With Options.Levels > 1 the schedule is the coarsest level's: the
-// hierarchy is built (and cached) first, the shard runs coarse
-// detection seeds, and Merge performs the global pruning plus the
-// projection/refinement descent. Shards of a multilevel run can only
-// be merged under the same Levels.
-//
-// On cancellation the returned error wraps ctx.Err() and the returned
-// ShardResult holds the seeds that completed; it is not accepted by
-// Merge (rerun the shard to completion for that), but Find uses the
-// same machinery to assemble a partial Result.
-func (f *Finder) FindShard(ctx context.Context, opt Options, lo, hi int) (*ShardResult, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	if lo < 0 || hi > opt.Seeds || lo >= hi {
-		return nil, fmt.Errorf("core: shard [%d,%d) out of range for %d seeds", lo, hi, opt.Seeds)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	// The seed count is the same on every level (coarseOptions rescales
-	// only the size-dependent knobs), so [lo,hi) bounds carry over.
-	lv, err := f.pickLevel(&opt)
-	if err != nil {
-		return nil, err
-	}
-	sr, err := lv.f.findShard(ctx, lv.opt, lv.f.plan(lv.opt), lo, hi, false, nil)
-	sr.levels = lv.levelTag
-	return sr, err
-}
-
-// findShard is the one seed loop: it executes the owner seeds of
-// [lo, hi) of a precomputed plan on the worker pool. With record set
-// it captures each seed's incremental state alongside its outcome.
-// Given a replay source, a seed whose recorded footprint misses the
-// dirty region replays its record, and every other seed grows; only
-// such runs read the clock for the replay/reseed split.
-func (f *Finder) findShard(ctx context.Context, opt *Options, plan seedPlan, lo, hi int, record bool, src *replaySrc) (*ShardResult, error) {
-	start := time.Now()
-
+// On cancellation the returned error wraps ctx.Err() and the seedRun
+// holds the seeds that completed, from which run assembles a partial
+// Result.
+func (f *Finder) runSeeds(ctx context.Context, opt *Options, plan seedPlan, record bool, src *replaySrc) (*seedRun, error) {
 	// Only first occurrences run; duplicates inherit the owner's result.
 	var run []int
-	for i := lo; i < hi; i++ {
-		if plan.owner[i] == i {
+	for i, o := range plan.owner {
+		if o == i {
 			run = append(run, i)
 		}
 	}
 
-	outs := make([]shardOut, len(run))
+	outs := make([]seedOut, len(run))
 	var recs []*seedRecord
 	if record {
 		recs = make([]*seedRecord, len(run))
@@ -412,14 +352,15 @@ func (f *Finder) findShard(ctx context.Context, opt *Options, plan seedPlan, lo,
 		// Per-seed RNG derived from (RandSeed, i): identical streams
 		// no matter which worker runs the job.
 		o := runSeed(f.nl, ws.gr, ws.ev, seedRNG(opt.RandSeed, i), plan.ids[i], opt, f.aG, rec)
-		outs[k] = shardOut{idx: i, trace: o.trace, cand: o.candidate, score: o.score, rent: o.rent}
+		o.idx = i
+		outs[k] = o
 		if src != nil {
 			reseedNS.Add(int64(clock().Sub(t)))
 		}
-		return o.candidate != nil
+		return o.cand != nil
 	})
 
-	sr := &ShardResult{Lo: lo, Hi: hi, Elapsed: time.Since(start), sched: sched, stages: phases.stages()}
+	sr := &seedRun{sched: sched, stages: phases.stages()}
 	if v := replayNS.Load(); v > 0 {
 		sr.stages.Add(StageReplay, time.Duration(v))
 	}
@@ -436,7 +377,7 @@ func (f *Finder) findShard(ctx context.Context, opt *Options, plan seedPlan, lo,
 			}
 		}
 		// Cancellation that lands after the last seed already finished
-		// did not cost any work: the shard is complete, report success.
+		// did not cost any work: the run is complete, report success.
 		if len(sr.outs) == len(run) {
 			return sr, nil
 		}
@@ -476,9 +417,9 @@ type SchedStats struct {
 	WorkerBusyNS []int64 `json:"worker_busy_ns,omitempty"`
 }
 
-// merge folds another schedule's stats into s (multilevel runs
-// schedule twice: coarse detection and projection refinement; merged
-// runs schedule once per shard).
+// merge folds another schedule's stats into s (a multilevel run
+// schedules its coarse detection and then one refinement sweep per
+// finer level).
 func (s *SchedStats) merge(o SchedStats) {
 	s.Workers = max(s.Workers, o.Workers)
 	s.WorkerSeeds = addPerWorker(s.WorkerSeeds, o.WorkerSeeds)
@@ -501,8 +442,7 @@ func addPerWorker(a, b []int64) []int64 {
 // shared atomic counter, with per-worker pooled scratch,
 // Options.Progress reporting after each completion, and cooperative
 // cancellation: a worker stops claiming once ctx is done. It is the
-// shared scaffolding of findShard and the multilevel projection
-// sweep. fn reports whether index k produced a candidate (for the
+// shared scaffolding of runSeeds and the multilevel projection sweep. fn reports whether index k produced a candidate (for the
 // progress counter); the returned flags mark which indexes completed
 // before cancellation, and the phase accumulator sums the per-seed
 // stage wall time across workers. Scheduling never affects results:
@@ -568,89 +508,6 @@ func (f *Finder) runSeedPool(ctx context.Context, opt *Options, n int, fn func(w
 	return completed, sched, phases
 }
 
-// Merge combines complete shards covering [0, Options.Seeds)
-// contiguously into the final Result, applying Phase III pruning
-// globally. The shards must come from the same netlist and Options;
-// the merged Result is byte-identical to a single Find with the same
-// Options. Result.Elapsed is the summed shard compute time (plus, for
-// multilevel runs, the projection/refinement descent Merge itself
-// performs at merge time).
-func (f *Finder) Merge(opt Options, shards ...*ShardResult) (*Result, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	lv, err := f.pickLevel(&opt)
-	if err != nil {
-		return nil, err
-	}
-	cres, err := lv.f.mergeShards(lv.opt, lv.levelTag, shards)
-	if err != nil || lv.ms == nil {
-		return cres, err
-	}
-	// The shards hold coarse-level outcomes, now pruned on the coarsest
-	// level: run the projection descent Find runs.
-	start := time.Now()
-	res, err := f.projectDown(context.Background(), &opt, lv.ms, cres,
-		float64(cres.Elapsed)/float64(time.Millisecond), nil)
-	res.Elapsed = cres.Elapsed + time.Since(start)
-	return res, err
-}
-
-// mergeShards is the merge on one level: coverage validation,
-// owner-outcome reassembly and global pruning. wantLevels is the
-// levelTag every shard must carry, guarding against mixing shards
-// produced under a different hierarchy configuration.
-func (f *Finder) mergeShards(opt *Options, wantLevels int, shards []*ShardResult) (*Result, error) {
-	ordered := make([]*ShardResult, len(shards))
-	copy(ordered, shards)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Lo < ordered[j].Lo })
-	next := 0
-	var elapsed time.Duration
-	var sched SchedStats
-	stages := telemetry.StageTimings{}
-	for _, s := range ordered {
-		if s.levels != wantLevels {
-			return nil, fmt.Errorf("core: shard [%d,%d) was produced under Levels=%d, merge expects Levels=%d", s.Lo, s.Hi, s.levels, wantLevels)
-		}
-		if s.Lo != next {
-			return nil, fmt.Errorf("core: shard coverage gap: expected seed %d, got shard [%d,%d)", next, s.Lo, s.Hi)
-		}
-		next = s.Hi
-		elapsed += s.Elapsed
-		sched.merge(s.sched)
-		stages.Merge(s.stages)
-	}
-	if next != opt.Seeds {
-		return nil, fmt.Errorf("core: shards cover seeds [0,%d), want [0,%d)", next, opt.Seeds)
-	}
-
-	plan := f.plan(opt)
-	byIdx := make([]*shardOut, opt.Seeds)
-	for _, s := range ordered {
-		for k := range s.outs {
-			byIdx[s.outs[k].idx] = &s.outs[k]
-		}
-	}
-	// A partial (cancelled) shard is missing owner outcomes; refuse it.
-	for i := 0; i < opt.Seeds; i++ {
-		if plan.owner[i] == i && byIdx[i] == nil {
-			return nil, fmt.Errorf("core: shard covering seed %d is incomplete (cancelled run?); rerun it before merging", i)
-		}
-	}
-
-	var ownerOuts []shardOut
-	for i := 0; i < opt.Seeds; i++ {
-		if plan.owner[i] == i {
-			ownerOuts = append(ownerOuts, *byIdx[i])
-		}
-	}
-	res := f.assemble(opt, plan, ownerOuts)
-	res.Elapsed = elapsed
-	res.Sched = &sched
-	res.Stages.Merge(stages)
-	return res, nil
-}
-
 // Find runs the full three-phase finder under ctx. With Options.Levels
 // > 1 it runs the multilevel pipeline (coarsen → detect on the
 // coarsest level → project + boundary-refine down); otherwise the
@@ -679,9 +536,6 @@ type detectLevel struct {
 	f   *Finder
 	opt *Options
 	ms  *mlState // nil when the seeds run on the engine's own netlist
-	// levelTag is the tag this level's shards carry: the run's Levels
-	// on a coarse level, 0 otherwise.
-	levelTag int
 }
 
 // pickLevel decides where a run's seeds execute. A hierarchy that
@@ -696,7 +550,7 @@ func (f *Finder) pickLevel(opt *Options) (detectLevel, error) {
 		if L := ms.hier.NumLevels(); L > 1 {
 			top := ms.finders[L-1]
 			copt := coarseOptions(opt, f.nl.NumCells(), top.nl.NumCells(), L-1)
-			return detectLevel{f: top, opt: &copt, ms: ms, levelTag: opt.Levels}, nil
+			return detectLevel{f: top, opt: &copt, ms: ms}, nil
 		}
 	}
 	return detectLevel{f: f, opt: opt}, nil
@@ -717,7 +571,7 @@ func (f *Finder) run(ctx context.Context, opt *Options, lv detectLevel, src *rep
 		detectStart = time.Now()
 	}
 	plan := lv.f.plan(lv.opt)
-	sr, err := lv.f.findShard(ctx, lv.opt, plan, 0, lv.opt.Seeds, opt.RecordIncremental, src)
+	sr, err := lv.f.runSeeds(ctx, lv.opt, plan, opt.RecordIncremental, src)
 	res := lv.f.assemble(lv.opt, plan, sr.outs)
 	sched := sr.sched // a copy: a pointer into sr would pin its seed records
 	res.Sched = &sched
@@ -749,9 +603,9 @@ type cand struct {
 // the global Phase III pruning. outs must be ascending by idx but may
 // be partial (cancelled runs); traces and candidates of missing seeds
 // are simply absent.
-func (f *Finder) assemble(opt *Options, plan seedPlan, outs []shardOut) *Result {
+func (f *Finder) assemble(opt *Options, plan seedPlan, outs []seedOut) *Result {
 	res := &Result{AG: f.aG, Stages: telemetry.StageTimings{}}
-	byIdx := make(map[int]*shardOut, len(outs))
+	byIdx := make(map[int]*seedOut, len(outs))
 	for k := range outs {
 		byIdx[outs[k].idx] = &outs[k]
 	}
@@ -834,29 +688,4 @@ func (f *Finder) prune(opt *Options, cands []cand, res *Result) {
 	}
 	// Trimming can disturb the best-first order slightly; restore it.
 	sort.SliceStable(res.GTLs, func(i, j int) bool { return res.GTLs[i].Score < res.GTLs[j].Score })
-}
-
-// FindMany runs the finder over a batch of netlists with shared
-// Options, constructing one engine per netlist. The returned slice is
-// positional: results[i] corresponds to nls[i]. Netlists run
-// sequentially (each run is internally parallel); on error or
-// cancellation the slice holds the results completed so far — including
-// a partial result for the interrupted netlist — alongside the error.
-func FindMany(ctx context.Context, nls []*netlist.Netlist, opt Options) ([]*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	results := make([]*Result, len(nls))
-	for i, nl := range nls {
-		f, err := NewFinder(nl)
-		if err != nil {
-			return results, fmt.Errorf("core: netlist %d: %w", i, err)
-		}
-		res, err := f.Find(ctx, opt)
-		results[i] = res
-		if err != nil {
-			return results, fmt.Errorf("core: netlist %d: %w", i, err)
-		}
-	}
-	return results, nil
 }

@@ -78,74 +78,6 @@ func TestEngineGoldenDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardMergeMatchesFind splits one run into shards and checks the
-// merged result is identical to the unsharded run — traces included.
-func TestShardMergeMatchesFind(t *testing.T) {
-	rg, err := generate.NewRandomGraph(generate.RandomGraphSpec{
-		Cells:  8000,
-		Blocks: []generate.BlockSpec{{Size: 400}},
-		Seed:   7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := DefaultOptions()
-	opt.Seeds = 32
-	opt.MaxOrderLen = 1600
-	opt.RandSeed = 7
-
-	f, err := NewFinder(rg.Netlist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	whole, err := f.Find(context.Background(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	s1, err := f.FindShard(ctx, opt, 0, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := f.FindShard(ctx, opt, 10, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s3, err := f.FindShard(ctx, opt, 25, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Merge must accept shards in any order.
-	merged, err := f.Merge(opt, s3, s1, s2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gtlHash(merged) != gtlHash(whole) {
-		t.Errorf("sharded run differs from whole run")
-	}
-	if merged.Candidates != whole.Candidates {
-		t.Errorf("candidates: sharded %d, whole %d", merged.Candidates, whole.Candidates)
-	}
-	if len(merged.Seeds) != len(whole.Seeds) {
-		t.Fatalf("trace count: sharded %d, whole %d", len(merged.Seeds), len(whole.Seeds))
-	}
-	for i := range merged.Seeds {
-		a, b := merged.Seeds[i], whole.Seeds[i]
-		if a.Seed != b.Seed || a.OrderLen != b.OrderLen || a.Extracted != b.Extracted ||
-			a.Size != b.Size || a.Score != b.Score {
-			t.Errorf("trace %d differs: %+v vs %+v", i, a, b)
-		}
-	}
-
-	// Bad coverage must be rejected.
-	if _, err := f.Merge(opt, s1, s3); err == nil {
-		t.Error("merge with a coverage gap accepted")
-	}
-	if _, err := f.Merge(opt, s1, s2); err == nil {
-		t.Error("merge missing the tail shard accepted")
-	}
-}
-
 // TestFindCancellation checks a cancelled context stops the run early
 // and yields a partial result alongside an error wrapping ctx.Err().
 func TestFindCancellation(t *testing.T) {
@@ -196,15 +128,6 @@ func TestFindCancellation(t *testing.T) {
 	}
 	if res == nil || len(res.Seeds) != 0 || len(res.GTLs) != 0 {
 		t.Errorf("pre-cancelled run: res=%+v, want empty partial", res)
-	}
-
-	// A cancelled shard must be refused by Merge.
-	sr, err := f.FindShard(pre, opt, 0, opt.Seeds)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("shard err = %v", err)
-	}
-	if _, err := f.Merge(opt, sr); err == nil {
-		t.Error("merge accepted a cancelled (incomplete) shard")
 	}
 }
 
@@ -266,77 +189,6 @@ func TestDuplicateSeedDedup(t *testing.T) {
 	}
 	if len(res1.Seeds) != len(res2.Seeds) {
 		t.Errorf("trace counts differ across runs: %d vs %d", len(res1.Seeds), len(res2.Seeds))
-	}
-}
-
-// TestFindMany checks the batch entry point: positional results, shared
-// options, and partial output on cancellation.
-func TestFindMany(t *testing.T) {
-	var nls []*netlist.Netlist
-	for i := 0; i < 3; i++ {
-		rg, err := generate.NewRandomGraph(generate.RandomGraphSpec{
-			Cells:  4000,
-			Blocks: []generate.BlockSpec{{Size: 300}},
-			Seed:   uint64(10 + i),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nls = append(nls, rg.Netlist)
-	}
-	opt := DefaultOptions()
-	opt.Seeds = 24
-	opt.MaxOrderLen = 1200
-
-	results, err := FindMany(context.Background(), nls, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(nls) {
-		t.Fatalf("got %d results for %d netlists", len(results), len(nls))
-	}
-	for i, r := range results {
-		if r == nil {
-			t.Fatalf("result %d missing", i)
-		}
-		if len(r.GTLs) == 0 {
-			t.Errorf("netlist %d: no GTLs found (candidates=%d)", i, r.Candidates)
-		}
-		// Each netlist's batch result must match its solo run.
-		solo, err := Find(nls[i], opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gtlHash(r) != gtlHash(solo) {
-			t.Errorf("netlist %d: batch result differs from solo Find", i)
-		}
-	}
-
-	// Cancellation mid-batch: the error names the interrupted netlist
-	// and earlier results survive.
-	ctx, cancel := context.WithCancel(context.Background())
-	done := 0
-	opt.Progress = func(p Progress) {
-		done++
-		if done > opt.Seeds+2 { // somewhere inside the second netlist
-			cancel()
-		}
-	}
-	results, err = FindMany(ctx, nls, opt)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if results[0] == nil || len(results[0].GTLs) == 0 {
-		t.Error("first netlist's completed result lost on cancellation")
-	}
-	if results[2] != nil {
-		t.Error("third netlist ran despite cancellation")
-	}
-
-	// An empty netlist in the batch is a descriptive error.
-	_, err = FindMany(context.Background(), []*netlist.Netlist{{}}, opt)
-	if err == nil {
-		t.Error("empty netlist accepted")
 	}
 }
 

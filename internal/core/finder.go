@@ -34,7 +34,6 @@ type SeedTrace struct {
 	Extracted bool
 	Size      int
 	Score     float64
-	Curve     *Curve // only when Options.KeepCurves
 }
 
 // Result is the outcome of one finder run.
@@ -79,8 +78,9 @@ type Result struct {
 type IncrStats struct {
 	// DirtyCells is the size of the delta's dirty set as handed in.
 	DirtyCells int `json:"dirty_cells"`
-	// ReseededCells is the size of the dirty region after DirtyRadius
-	// expansion — the cells whose neighborhoods were re-detected.
+	// ReseededCells is the size of the dirty region on the level the
+	// seeds ran on (the coarse diff on a multilevel run) — the cells
+	// whose neighborhoods were re-detected.
 	ReseededCells int `json:"reseeded_cells"`
 	// ReusedSeeds counts seeds answered by replaying recorded state.
 	ReusedSeeds int `json:"reused_seeds"`
@@ -101,8 +101,8 @@ type IncrStats struct {
 //
 // Find is a compatibility wrapper: it builds a fresh Finder engine and
 // discards it after one run. Callers that run repeatedly over the same
-// netlist, need cancellation, progress reporting or sharded execution
-// should construct a Finder directly.
+// netlist or need cancellation or progress reporting should construct
+// a Finder directly.
 //
 // One deliberate difference from the historical implementation: when
 // Seeds exceeds the cell count, seed strata collapse onto duplicate
@@ -118,13 +118,15 @@ func Find(nl *netlist.Netlist, opt Options) (*Result, error) {
 	return f.Find(context.Background(), opt)
 }
 
-// seedOut is the outcome of Phases I-III (refinement, not pruning) for
-// one seed.
+// seedOut is the outcome of Phases I–III (refinement, not pruning) for
+// one executed (owner) seed, grown or replayed.
 type seedOut struct {
-	trace     SeedTrace
-	candidate *group.Set // refined candidate B̂ (nil if none)
-	score     float64
-	rent      float64
+	idx      int // seed index in the run's schedule
+	trace    SeedTrace
+	cand     *group.Set // refined candidate B̂ (nil if none)
+	score    float64
+	rent     float64
+	replayed bool // answered from a recorded seed instead of grown
 }
 
 // runSeed executes Phases I–III (refinement, not pruning) for one
@@ -135,7 +137,7 @@ func runSeed(nl *netlist.Netlist, gr *grower, ev *group.Evaluator, rng *ds.RNG, 
 	t := clock()
 	ord := gr.grow(seed, opt.MaxOrderLen)
 	t = gr.stamp(phaseGrow, t)
-	curve := gr.scoreCurve(ord, opt.Metric, aG, opt.KeepCurves)
+	curve := gr.scoreCurve(ord, opt.Metric, aG)
 	if rec != nil {
 		rec.seed = seed
 		rec.foot = ds.NewBitset(nl.NumCells())
@@ -154,9 +156,6 @@ func runSeed(nl *netlist.Netlist, gr *grower, ev *group.Evaluator, rng *ds.RNG, 
 		rec.score = ex.score
 	}
 	out.trace = SeedTrace{Seed: seed, OrderLen: ord.Len()}
-	if opt.KeepCurves {
-		out.trace.Curve = curve
-	}
 	if !ex.ok {
 		return out
 	}
@@ -166,7 +165,7 @@ func runSeed(nl *netlist.Netlist, gr *grower, ev *group.Evaluator, rng *ds.RNG, 
 
 	base := ev.Eval(ord.Prefix(ex.size))
 	if !opt.Refine {
-		out.candidate = &base
+		out.cand = &base
 		out.score = ex.score
 		out.rent = ex.rent
 		gr.stamp(phaseRecombine, t)
@@ -175,7 +174,7 @@ func runSeed(nl *netlist.Netlist, gr *grower, ev *group.Evaluator, rng *ds.RNG, 
 	// Refinement's internal re-growths and re-scores are attributed to
 	// recombine wholesale: they exist to feed the recombination family.
 	refined, score := refine(gr, ev, rng, base, ex, opt, aG, rec)
-	out.candidate = refined
+	out.cand = refined
 	out.score = score
 	out.rent = ex.rent
 	gr.stamp(phaseRecombine, t)
@@ -215,7 +214,7 @@ func refine(gr *grower, ev *group.Evaluator, rng *ds.RNG, base group.Set, ex ext
 	for r := 0; r < opt.RefineSeeds && base.Size() > 0; r++ {
 		s := base.Members[rng.Intn(base.Size())]
 		ord := gr.grow(s, opt.MaxOrderLen)
-		curve := gr.scoreCurve(ord, opt.Metric, aG, false)
+		curve := gr.scoreCurve(ord, opt.Metric, aG)
 		ex2 := extract(curve, opt)
 		if rec != nil {
 			rec.markFootprint(gr)

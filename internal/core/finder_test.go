@@ -138,18 +138,9 @@ func TestOptionsValidation(t *testing.T) {
 		if _, err := f.Find(context.Background(), opt); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Finder.Find err = %v, want mention of %s", tc.name, err, tc.want)
 		}
-		if opt.Seeds > 0 {
-			if _, err := f.FindShard(context.Background(), opt, 0, opt.Seeds); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("%s: FindShard err = %v, want mention of %s", tc.name, err, tc.want)
-			}
+		if _, err := f.FindIncremental(context.Background(), opt, nil, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: FindIncremental err = %v, want mention of %s", tc.name, err, tc.want)
 		}
-	}
-	// Valid defaults must pass, and a bad shard range must be caught.
-	if _, err := f.FindShard(context.Background(), DefaultOptions(), 5, 3); err == nil {
-		t.Error("inverted shard range accepted")
-	}
-	if _, err := f.FindShard(context.Background(), DefaultOptions(), 0, 10_000); err == nil {
-		t.Error("out-of-range shard accepted")
 	}
 }
 

@@ -34,10 +34,10 @@ import (
 //     re-decided), re-evaluates candidate sets on the patched netlist
 //     and re-runs recombination — identical to what a full run would
 //     compute, at O(ordering length) cost instead of a growth.
-//   - Seeds whose footprint intersects the (DirtyRadius-expanded)
-//     dirty region, or whose replay diverges from the recorded control
-//     flow (an extraction flipped under the new A_G), re-run the full
-//     growth pipeline. Phase III pruning is global and always re-runs.
+//   - Seeds whose footprint intersects the dirty region, or whose
+//     replay diverges from the recorded control flow (an extraction
+//     flipped under the new A_G), re-run the full growth pipeline.
+//     Phase III pruning is global and always re-runs.
 //
 // The differential guarantee — incremental output equals a full run on
 // the patched netlist — is locked by internal/netlist/deltatest.
@@ -148,7 +148,7 @@ func (st *IncrementalState) MemoryEstimate() int64 {
 }
 
 // record indexes a completed run's seed records into its state.
-func (lv *detectLevel) record(opt *Options, sr *ShardResult) *IncrementalState {
+func (lv *detectLevel) record(opt *Options, sr *seedRun) *IncrementalState {
 	st := &IncrementalState{key: opt.IncrementalKey(), maxLen: lv.maxLen(), seeds: make([]*seedRecord, opt.Seeds)}
 	for k := range sr.outs {
 		st.seeds[sr.outs[k].idx] = sr.recs[k]
@@ -180,9 +180,9 @@ func rescoreInto(c *Curve, rec *ordRecord, m Metric, aG float64) {
 // merges) the recorded Phase II outcomes ARE this run's outcomes, so
 // rescoring is skipped entirely and the replay is just the candidate
 // set evaluations and recombination.
-func (f *Finder) replaySeed(ws *workerState, rec *seedRecord, idx int, opt *Options) (shardOut, bool) {
-	sameAG := rec.aG == f.aG && !opt.KeepCurves
-	out := shardOut{idx: idx, replayed: true}
+func (f *Finder) replaySeed(ws *workerState, rec *seedRecord, idx int, opt *Options) (seedOut, bool) {
+	sameAG := rec.aG == f.aG
+	out := seedOut{idx: idx, replayed: true}
 	out.trace = SeedTrace{Seed: rec.seed, OrderLen: len(rec.ord.members)}
 	var ex extraction
 	if sameAG {
@@ -192,21 +192,15 @@ func (f *Finder) replaySeed(ws *workerState, rec *seedRecord, idx int, opt *Opti
 		ex = extraction{size: rec.size, score: rec.score, rent: rec.ord.rent, ok: true}
 	} else {
 		curve := &ws.gr.curve
-		if opt.KeepCurves {
-			curve = &Curve{}
-		}
 		rescoreInto(curve, &rec.ord, opt.Metric, f.aG)
 		ex = extract(curve, opt)
-		if opt.KeepCurves {
-			out.trace.Curve = curve
-		}
 		if !ex.ok {
 			// A full run would reject this curve too (same integers,
 			// same A_G): no candidate, no Phase III, nothing to replay.
 			return out, true
 		}
 		if !rec.extracted || ex.size != rec.size {
-			return shardOut{}, false
+			return seedOut{}, false
 		}
 	}
 	out.trace.Extracted = true
@@ -223,12 +217,12 @@ func (f *Finder) replaySeed(ws *workerState, rec *seedRecord, idx int, opt *Opti
 	var rc Curve
 	for r := 0; r < opt.RefineSeeds && base.Size() > 0; r++ {
 		if r >= len(rec.refine) {
-			return shardOut{}, false
+			return seedOut{}, false
 		}
 		s := base.Members[rng.Intn(base.Size())]
 		rr := &rec.refine[r]
 		if rr.seed != s {
-			return shardOut{}, false
+			return seedOut{}, false
 		}
 		ok2, size2 := rr.extracted, rr.size
 		if !sameAG {
@@ -244,35 +238,6 @@ func (f *Finder) replaySeed(ws *workerState, rec *seedRecord, idx int, opt *Opti
 	refined, score := recombine(ws.ev, &ws.gr.combo, family, ex, opt, f.aG)
 	out.cand, out.score, out.rent = refined, score, ex.rent
 	return out, true
-}
-
-// expandDirty grows the dirty set by `radius` BFS hops over the
-// patched netlist (through nets, so one hop reaches every co-pinned
-// cell). Out-of-range ids — cells a delta truncated away — are
-// dropped; their former neighbors are dirty in their own right.
-func expandDirty(nl *netlist.Netlist, dirty []netlist.CellID, radius int) *ds.Bitset {
-	n := nl.NumCells()
-	region := ds.NewBitset(n)
-	frontier := make([]netlist.CellID, 0, len(dirty))
-	for _, c := range dirty {
-		if c >= 0 && int(c) < n && region.Add(int(c)) {
-			frontier = append(frontier, c)
-		}
-	}
-	for hop := 0; hop < radius && len(frontier) > 0; hop++ {
-		var next []netlist.CellID
-		for _, c := range frontier {
-			for _, e := range nl.CellPins(c) {
-				for _, w := range nl.NetPins(e) {
-					if region.Add(int(w)) {
-						next = append(next, w)
-					}
-				}
-			}
-		}
-		frontier = next
-	}
-	return region
 }
 
 // replaySrc is what a replaying run's seeds consult: the previous
@@ -316,8 +281,16 @@ func (lv *detectLevel) replaySource(opt *Options, prev *Result, dirty []netlist.
 	if n := lv.maxLen(); st.maxLen != n {
 		return nil, fmt.Sprintf("effective ordering cap changed (%d -> %d)", st.maxLen, n)
 	}
-	region := expandDirty(lv.f.nl, dirty, lv.opt.DirtyRadius)
-	if frac := float64(region.Len()) / float64(lv.f.nl.NumCells()); frac > lv.opt.IncrementalFallback {
+	// Out-of-range ids — cells a delta truncated away — are dropped;
+	// their former neighbors are dirty in their own right.
+	n := lv.f.nl.NumCells()
+	region := ds.NewBitset(n)
+	for _, c := range dirty {
+		if c >= 0 && int(c) < n {
+			region.Add(int(c))
+		}
+	}
+	if frac := float64(region.Len()) / float64(n); frac > lv.opt.IncrementalFallback {
 		return nil, fmt.Sprintf("dirty region spans %.1f%% of cells (fallback threshold %.0f%%)", 100*frac, 100*lv.opt.IncrementalFallback)
 	}
 	return &replaySrc{st: st, region: region}, ""
@@ -325,7 +298,7 @@ func (lv *detectLevel) replaySource(opt *Options, prev *Result, dirty []netlist.
 
 // stats is the reuse breakdown of a replaying run from its detection
 // level's seed outcomes and pruned groups.
-func (src *replaySrc) stats(outs []shardOut, gtls []GTL) *IncrStats {
+func (src *replaySrc) stats(outs []seedOut, gtls []GTL) *IncrStats {
 	st := &IncrStats{ReseededCells: src.region.Len()}
 	replayedCand := make(map[netlist.CellID]bool)
 	for k := range outs {

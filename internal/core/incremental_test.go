@@ -402,8 +402,8 @@ func TestSchedRetainsNoSeedRecords(t *testing.T) {
 	runtime.KeepAlive(sched)
 }
 
-// TestMultilevelMatrixComposes: FindShard/Merge and FindIncremental
-// accept Levels > 1 and reproduce Find's multilevel output exactly.
+// TestMultilevelMatrixComposes: FindIncremental accepts Levels > 1
+// and reproduces Find's multilevel output exactly.
 func TestMultilevelMatrixComposes(t *testing.T) {
 	rg, opt := incrWorkload(t, 3000, 200, 13)
 	f, err := NewFinder(rg.Netlist)
@@ -418,29 +418,6 @@ func TestMultilevelMatrixComposes(t *testing.T) {
 	want, err := f.Find(ctx, ml)
 	if err != nil {
 		t.Fatal(err)
-	}
-
-	// Sharded + merged multilevel == whole multilevel.
-	mid := ml.Seeds / 2
-	s1, err := f.FindShard(ctx, ml, 0, mid)
-	if err != nil {
-		t.Fatalf("FindShard multilevel [0,%d): %v", mid, err)
-	}
-	s2, err := f.FindShard(ctx, ml, mid, ml.Seeds)
-	if err != nil {
-		t.Fatalf("FindShard multilevel [%d,%d): %v", mid, ml.Seeds, err)
-	}
-	merged, err := f.Merge(ml, s2, s1)
-	if err != nil {
-		t.Fatalf("Merge multilevel: %v", err)
-	}
-	sameResult(t, want, merged)
-
-	// A multilevel shard must not merge under flat options.
-	flat := ml
-	flat.Levels = 1
-	if _, err := f.Merge(flat, s1, s2); err == nil {
-		t.Error("merging multilevel shards under flat options should fail")
 	}
 
 	// Incremental multilevel without recorded state falls back to a
@@ -542,9 +519,7 @@ func TestIncrementalKeyStability(t *testing.T) {
 	a := DefaultOptions()
 	b := DefaultOptions()
 	b.Workers = 7
-	b.KeepCurves = true
 	b.RecordIncremental = true
-	b.DirtyRadius = 9
 	b.IncrementalFallback = 0.9
 	if a.IncrementalKey() != b.IncrementalKey() {
 		t.Error("scheduling-only fields changed the incremental key")

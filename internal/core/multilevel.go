@@ -194,9 +194,8 @@ type mlCand struct {
 // parallel sweep is deterministic), then rescore and globally prune at
 // the original resolution. cres is the coarsest level's result and
 // detectMS the wall time its detection took, for the level stats; its
-// incremental breakdown carries over. The descent is shared by run
-// (Find, FindIncremental) and multilevel Merge; Elapsed is left for
-// the caller.
+// incremental breakdown carries over. run (behind Find and
+// FindIncremental) is the only caller; Elapsed is left to it.
 func (f *Finder) projectDown(ctx context.Context, opt *Options, ms *mlState, cres *Result, detectMS float64, runErr error) (*Result, error) {
 	projStart := time.Now()
 	L := ms.hier.NumLevels()
@@ -223,7 +222,7 @@ func (f *Finder) projectDown(ctx context.Context, opt *Options, ms *mlState, cre
 	// expansion so the group tracks the finer netlist's true contour
 	// instead of the coarse quantization of it. Expansion is cheap and
 	// always runs (projection must finish even when cancelled mid-way);
-	// the refinement sweeps shard by group across the pool.
+	// the refinement sweeps fan out by group across the pool.
 	for l := L - 1; l >= 1; l-- {
 		lower := ms.finders[l-1]
 		lvlStart := time.Now()

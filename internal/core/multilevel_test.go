@@ -114,61 +114,6 @@ func TestMultilevelRecoversPlantedBlocks(t *testing.T) {
 	}
 }
 
-// TestMultilevelSharding: a multilevel run split into coarse-schedule
-// shards and merged reproduces the whole multilevel run exactly, and
-// shards produced under a different Levels are refused at merge time
-// instead of silently mis-assembling.
-func TestMultilevelSharding(t *testing.T) {
-	rg, err := generate.NewRandomGraph(generate.RandomGraphSpec{Cells: 4000, Blocks: []generate.BlockSpec{{Size: 220}}, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := NewFinder(rg.Netlist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	opt := DefaultOptions()
-	opt.Seeds = 8
-	opt.MaxOrderLen = 500
-	opt.Levels = 2
-
-	want, err := f.Find(ctx, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var shards []*ShardResult
-	for lo := 0; lo < opt.Seeds; lo += 3 {
-		hi := lo + 3
-		if hi > opt.Seeds {
-			hi = opt.Seeds
-		}
-		s, err := f.FindShard(ctx, opt, lo, hi)
-		if err != nil {
-			t.Fatalf("FindShard [%d,%d): %v", lo, hi, err)
-		}
-		shards = append(shards, s)
-	}
-	merged, err := f.Merge(opt, shards...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gtlHash(want) != gtlHash(merged) {
-		t.Error("merged multilevel shards diverge from whole multilevel run")
-	}
-
-	// Flat shards must not merge into a multilevel run (and vice versa).
-	flat := opt
-	flat.Levels = 1
-	fs, err := f.FindShard(ctx, flat, 0, opt.Seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Merge(opt, fs); err == nil || !strings.Contains(err.Error(), "Levels") {
-		t.Errorf("merging a flat shard under Levels=2 should fail with a Levels mismatch, got %v", err)
-	}
-}
-
 // TestMultilevelOptionValidation covers the new fields' bounds.
 func TestMultilevelOptionValidation(t *testing.T) {
 	var b netlist.Builder

@@ -218,36 +218,21 @@ type Options struct {
 	// frontier once and greedily absorbs score-improving cells. 0
 	// projects without refinement (fastest, coarsest boundaries).
 	RefineRadius int `json:"refine_radius"`
-	// DirtyRadius widens the dirty set FindIncremental guards seed
-	// reuse against: cells within this BFS hop count of a delta's
-	// dirty cells are treated as dirty too. The default 0 trusts the
-	// exact read-set analysis (a seed replays only if no recorded
-	// read could have changed — sound by construction, and what the
-	// deltatest differential harness exercises); positive radii are a
-	// pure conservatism margin. Each hop multiplies the dirty region
-	// by the average net fan-out — one hub net can inflate it to
-	// thousands of cells — so large radii rapidly erase reuse. It
-	// never changes results, only how much work a run may reuse.
-	DirtyRadius int `json:"dirty_radius"`
 	// IncrementalFallback is the dirty-region fraction of the netlist
 	// above which FindIncremental abandons reuse and runs the full
 	// pipeline (edits that large dirty most seed footprints anyway).
 	IncrementalFallback float64 `json:"incremental_fallback"`
-	// RecordIncremental makes a flat run retain per-seed structural
-	// state (orderings, score-curve inputs, read footprints) on the
-	// Result so a later FindIncremental can reuse clean seeds. It
-	// never changes results; it costs O(Seeds × MaxOrderLen) memory
-	// on the returned Result.
+	// RecordIncremental makes a run, flat or multilevel, retain
+	// per-seed structural state (orderings, score-curve inputs, read
+	// footprints) on the Result so a later FindIncremental can reuse
+	// clean seeds. It never changes results; it costs O(Seeds ×
+	// MaxOrderLen) memory on the returned Result.
 	RecordIncremental bool `json:"record_incremental,omitempty"`
 	// Workers caps the goroutine pool; <= 0 means GOMAXPROCS. Workers
 	// never changes results, only scheduling.
 	Workers int `json:"workers,omitempty"`
 	// RandSeed makes the whole run reproducible.
 	RandSeed uint64 `json:"rand_seed"`
-	// KeepCurves retains each seed's score curve in the result (memory
-	// heavy). Only tests set it; the figure generators call
-	// GrowOrdering and ScoreCurve instead.
-	KeepCurves bool `json:"keep_curves,omitempty"`
 	// Progress, when non-nil, receives engine progress snapshots after
 	// every completed seed. It has no effect on results. Calls are
 	// serialized but may come from any worker goroutine; keep it fast.
@@ -271,7 +256,6 @@ func DefaultOptions() Options {
 		Levels:                1,
 		MinCoarseCells:        0, // netlist.DefaultMinCoarseCells
 		RefineRadius:          2,
-		DirtyRadius:           0,
 		IncrementalFallback:   0.25,
 		Workers:               0,
 		RandSeed:              1,
@@ -283,14 +267,12 @@ func DefaultOptions() Options {
 // results for identical netlists, which is the compatibility check
 // FindIncremental applies before reusing recorded seed state: fields
 // that only steer scheduling, memory or incremental bookkeeping
-// (Workers, Progress, KeepCurves, RecordIncremental, DirtyRadius,
-// IncrementalFallback) are excluded.
+// (Workers, Progress, RecordIncremental, IncrementalFallback) are
+// excluded.
 func (o Options) IncrementalKey() string {
 	o.Workers = 0
 	o.Progress = nil
-	o.KeepCurves = false
 	o.RecordIncremental = false
-	o.DirtyRadius = 0
 	o.IncrementalFallback = 0
 	data, err := json.Marshal(o)
 	if err != nil {
@@ -345,7 +327,7 @@ const (
 
 // validate is the single place options are sanity-checked; every engine
 // entry point calls it before touching the netlist. Workers needs no
-// check (<= 0 means GOMAXPROCS) and Progress/KeepCurves are free-form.
+// check (<= 0 means GOMAXPROCS) and Progress is free-form.
 func (o *Options) validate() error {
 	switch {
 	case o.Seeds <= 0 || o.Seeds > maxSeeds:
@@ -370,8 +352,6 @@ func (o *Options) validate() error {
 		return fmt.Errorf("core: MinCoarseCells must be non-negative (0 means the default floor), got %d", o.MinCoarseCells)
 	case o.RefineRadius < 0:
 		return fmt.Errorf("core: RefineRadius must be non-negative (0 disables boundary refinement), got %d", o.RefineRadius)
-	case o.DirtyRadius < 0:
-		return fmt.Errorf("core: DirtyRadius must be non-negative, got %d", o.DirtyRadius)
 	case o.IncrementalFallback < 0 || o.IncrementalFallback > 1:
 		return fmt.Errorf("core: IncrementalFallback must be in [0,1], got %g", o.IncrementalFallback)
 	}

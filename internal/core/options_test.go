@@ -14,7 +14,7 @@ func TestOptionsJSONRoundTrip(t *testing.T) {
 	opt.Ordering = OrderBFS
 	opt.Refine = false
 	opt.Workers = 3
-	opt.KeepCurves = true
+	opt.RecordIncremental = true
 	opt.RandSeed = 99
 
 	data, err := json.Marshal(opt)
@@ -58,6 +58,8 @@ func TestParseOptionsDefaultsAndErrors(t *testing.T) {
 	for _, doc := range []string{
 		`{"seedz": 5}`,
 		`{"relabel": true}`,
+		`{"keep_curves": true}`,
+		`{"dirty_radius": 1}`,
 		`{"seeds": -1}`,
 		`{"seeds": 1099511627776}`,
 		`{"refine_seeds": 65}`,

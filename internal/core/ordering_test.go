@@ -203,6 +203,9 @@ func TestFindDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if math.IsNaN(res.AG) || res.AG <= 0 {
+			t.Errorf("workers=%d: AG = %v", workers, res.AG)
+		}
 		return res.GTLs
 	}
 	a, c := run(1), run(4)
@@ -218,34 +221,6 @@ func TestFindDeterministic(t *testing.T) {
 				t.Fatalf("GTL %d member %d differs", i, j)
 			}
 		}
-	}
-}
-
-func TestKeepCurves(t *testing.T) {
-	var b netlist.Builder
-	b.AddCells(500)
-	for i := 0; i < 499; i++ {
-		b.AddNet("", netlist.CellID(i), netlist.CellID(i+1))
-	}
-	nl := b.MustBuild()
-	opt := DefaultOptions()
-	opt.Seeds = 4
-	opt.MaxOrderLen = 100
-	opt.KeepCurves = true
-	res, err := Find(nl, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range res.Seeds {
-		if s.Curve == nil {
-			t.Fatalf("seed %d: curve not kept", i)
-		}
-		if len(s.Curve.Scores) != s.OrderLen {
-			t.Fatalf("seed %d: curve length %d != order length %d", i, len(s.Curve.Scores), s.OrderLen)
-		}
-	}
-	if math.IsNaN(res.AG) || res.AG <= 0 {
-		t.Errorf("AG = %v", res.AG)
 	}
 }
 

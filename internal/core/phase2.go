@@ -70,14 +70,10 @@ func scoreCurveWithRent(c *Curve, o *OrderingStats, p float64, m Metric, aG floa
 	}
 }
 
-// scoreCurve evaluates the Phase II curve for one ordering. Unless the
-// caller needs to keep the curve alive (Options.KeepCurves), the
-// grower's reusable buffer backs it — the returned curve is then valid
-// only until the grower's next scoreCurve call.
-func (g *grower) scoreCurve(o *OrderingStats, m Metric, aG float64, keep bool) *Curve {
-	if keep {
-		return ScoreCurve(o, m, aG)
-	}
+// scoreCurve evaluates the Phase II curve for one ordering into the
+// grower's reusable buffer: the returned curve is valid only until the
+// grower's next scoreCurve call.
+func (g *grower) scoreCurve(o *OrderingStats, m Metric, aG float64) *Curve {
 	scoreCurveInto(&g.curve, o, m, aG)
 	return &g.curve
 }

@@ -363,8 +363,8 @@ func referenceInputs(t *testing.T) []refInput {
 // cuts and pins, and the touched and examined lists incremental
 // footprints are built from — over every ordering, with the K-factor
 // skip on and off, on narrow-net, wide-net and coarse-level inputs.
-// Flat, sharded, multilevel and incremental runs all grow through
-// grow, so this one test pins Phase I for every pipeline. CI's ordering
+// Flat, multilevel and incremental runs all grow through grow, so
+// this one test pins Phase I for every pipeline. CI's ordering
 // differential shard runs it under -race.
 func TestGrowMatchesReference(t *testing.T) {
 	growths := 0

@@ -142,40 +142,6 @@ func TestIncrementalRunStages(t *testing.T) {
 	}
 }
 
-// TestShardMergeStages: merged shards sum their per-seed phases into
-// the final result, and ShardResult exposes its own breakdown.
-func TestShardMergeStages(t *testing.T) {
-	rg, opt := stagesWorkload(t)
-	f, err := NewFinder(rg.Netlist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	mid := opt.Seeds / 2
-	s1, err := f.FindShard(ctx, opt, 0, mid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := f.FindShard(ctx, opt, mid, opt.Seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1.Stages()[StageGrow] <= 0 {
-		t.Errorf("shard stages missing grow: %v", s1.Stages())
-	}
-	res, err := f.Merge(opt, s1, s2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := s1.Stages()[StageGrow] + s2.Stages()[StageGrow]
-	if res.Stages[StageGrow] != want {
-		t.Errorf("merged grow = %v, want %v", res.Stages[StageGrow], want)
-	}
-	if res.Stages[StagePrune] <= 0 {
-		t.Errorf("merged result missing prune: %v", res.Stages)
-	}
-}
-
 // overheadWorkload is a shrunk BenchmarkFind_Parallel: same shape (two
 // planted blocks, multilevel) at 30K cells.
 func overheadWorkload(t testing.TB) (*Finder, Options) {

@@ -11,13 +11,13 @@ import (
 
 // Parallel-vs-sequential differential: the seed pool's
 // bit-identical-to-Workers=1 guarantee, locked across the whole
-// feature matrix — flat, multilevel, incremental and sharded+merged
-// runs. Every mode runs once at Workers=1 and once at the parallel
-// width, and the outputs must agree to 1e-9 via the same DiffResults
-// oracle the delta pipeline is specified by. The CI race shard runs
-// this file under -race, so workers racing on shared state (rather
-// than merely running seeds in another order) are caught even when
-// the outputs happen to match.
+// feature matrix — flat, multilevel and incremental runs. Every mode
+// runs once at Workers=1 and once at the parallel width, and the
+// outputs must agree to 1e-9 via the same DiffResults oracle the delta
+// pipeline is specified by. The CI race shard runs this file under
+// -race, so workers racing on shared state (rather than merely running
+// seeds in another order) are caught even when the outputs happen to
+// match.
 
 // parallelWidth is the concurrent side of every differential: NumCPU,
 // floored at 4 so the workers genuinely contend for the shared seed
@@ -92,33 +92,6 @@ func TestParallelMatchesSequential(t *testing.T) {
 			checkSched(t, par, width)
 			if err := DiffResults(seq, par, 1e-9); err != nil {
 				t.Fatalf("workers=%d diverged from workers=1: %v", width, err)
-			}
-		})
-
-		t.Run(tc.name+"_sharded", func(t *testing.T) {
-			seq := find(t, tc.opt, 1)
-			f, err := core.NewFinder(nl)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opt := tc.opt
-			opt.Workers = width
-			mid := opt.Seeds / 2
-			// Out-of-order shard completion is the production shape.
-			hiShard, err := f.FindShard(ctx, opt, mid, opt.Seeds)
-			if err != nil {
-				t.Fatal(err)
-			}
-			loShard, err := f.FindShard(ctx, opt, 0, mid)
-			if err != nil {
-				t.Fatal(err)
-			}
-			merged, err := f.Merge(opt, hiShard, loShard)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := DiffResults(seq, merged, 1e-9); err != nil {
-				t.Fatalf("parallel sharded+merged diverged from sequential whole run: %v", err)
 			}
 		})
 

@@ -15,7 +15,7 @@
 //   - the Rent's-rule-based scores (GTLScore, NGTLScore, GTLSD) plus
 //     the classic baselines the paper compares against
 //   - the three-phase TangledLogicFinder engine (Finder, Find,
-//     FindMany, Options) with cancellation, progress and sharded runs
+//     Options) with cancellation, progress and incremental re-runs
 //   - workload generators (random graphs with planted GTLs, Rent-driven
 //     hierarchical circuits, structural fragments, industrial proxy)
 //   - a recursive-bisection placer, RUDY congestion estimation and the
@@ -38,7 +38,6 @@ package tanglefind
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -93,16 +92,11 @@ type GTL = core.GTL
 // Finder is the long-lived, reusable detection engine: construct once
 // per netlist with NewFinder, then run it many times. Repeated runs
 // reuse the engine's cached hierarchies and draw per-worker scratch
-// from one process-wide pool, runs accept a context for
-// cancellation/deadline, emit Options.Progress callbacks, and can be
-// split into resumable shards (Finder.FindShard + Finder.Merge — both
-// part of this facade via the Finder alias; no internal import
-// needed).
+// from one process-wide pool; runs accept a context for
+// cancellation/deadline and emit Options.Progress callbacks. Its two
+// entry points, Finder.Find and Finder.FindIncremental, are part of
+// this facade via the alias; no internal import needed.
 type Finder = core.Finder
-
-// ShardResult holds the raw outcomes of one seed-range chunk of a run;
-// see Finder.FindShard and Finder.Merge.
-type ShardResult = core.ShardResult
 
 // SchedStats describes how a run's seed schedule was executed across
 // workers: resolved worker count and per-worker seed counts and busy
@@ -155,8 +149,8 @@ func ReadNetlistFile(path string) (*Netlist, error) { return netlist.ReadFile(pa
 // length, whether a candidate was extracted, and its size/score.
 type SeedTrace = core.SeedTrace
 
-// Curve is one seed's per-prefix score curve (retained in SeedTrace
-// when Options.KeepCurves is set).
+// Curve is the per-prefix score curve ScoreCurve computes along an
+// ordering from GrowOrdering.
 type Curve = core.Curve
 
 // Progress is the engine's per-seed progress snapshot. It carries JSON
@@ -225,13 +219,6 @@ func BuildHierarchy(nl *Netlist, o CoarsenOptions) (*Hierarchy, error) {
 // Find runs the three-phase TangledLogicFinder over nl. It is a
 // one-shot convenience over NewFinder + Finder.Find.
 func Find(nl *Netlist, opt Options) (*Result, error) { return core.Find(nl, opt) }
-
-// FindMany runs the finder over a batch of netlists with shared
-// options; results are positional. On cancellation the slice holds
-// whatever completed alongside the error.
-func FindMany(ctx context.Context, nls []*Netlist, opt Options) ([]*Result, error) {
-	return core.FindMany(ctx, nls, opt)
-}
 
 // Generators.
 type (
