@@ -115,7 +115,7 @@ func (rec *seedRecord) markFootprint(gr *grower) {
 // once built; replayed seeds of an incremental run share their records
 // with the previous state, so chains of deltas stay cheap.
 type IncrementalState struct {
-	key    string        // Options.IncrementalKey of the recorded run
+	key    string        // Options.Key of the recorded run
 	maxLen int           // effective ordering cap of the detection level
 	seeds  []*seedRecord // by seed index; nil where no seed ran
 
@@ -149,12 +149,12 @@ func (st *IncrementalState) MemoryEstimate() int64 {
 
 // record indexes a completed run's seed records into its state.
 func (lv *detectLevel) record(opt *Options, sr *seedRun) *IncrementalState {
-	st := &IncrementalState{key: opt.IncrementalKey(), maxLen: lv.maxLen(), seeds: make([]*seedRecord, opt.Seeds)}
+	st := &IncrementalState{key: opt.Key(), maxLen: lv.maxLen(), seeds: make([]*seedRecord, opt.Seeds)}
 	for k := range sr.outs {
 		st.seeds[sr.outs[k].idx] = sr.recs[k]
 	}
 	if lv.ms != nil {
-		st.coarseNl, st.coarseKey = lv.f.nl, lv.opt.IncrementalKey()
+		st.coarseNl, st.coarseKey = lv.f.nl, lv.opt.Key()
 	}
 	return st
 }
@@ -240,6 +240,11 @@ func (f *Finder) replaySeed(ws *workerState, rec *seedRecord, idx int, opt *Opti
 	return out, true
 }
 
+// fallbackFrac is the dirty fraction of the detection level past which
+// FindIncremental abandons reuse and runs the full pipeline: edits that
+// large dirty most seed footprints anyway.
+const fallbackFrac = 0.25
+
 // replaySrc is what a replaying run's seeds consult: the previous
 // run's recorded state and the dirty region on the detection level.
 type replaySrc struct {
@@ -261,7 +266,7 @@ func (lv *detectLevel) replaySource(opt *Options, prev *Result, dirty []netlist.
 	switch {
 	case st == nil:
 		return nil, "previous result carries no incremental state (run with record_incremental)"
-	case st.key != opt.IncrementalKey():
+	case st.key != opt.Key():
 		return nil, "result-affecting options differ from the recorded run"
 	case lv.ms == nil && st.coarseNl != nil:
 		return nil, "recorded state is multilevel; the patched netlist no longer coarsens"
@@ -274,7 +279,7 @@ func (lv *detectLevel) replaySource(opt *Options, prev *Result, dirty []netlist.
 		if dirty, ok = netlist.DiffDirty(st.coarseNl, lv.f.nl); !ok {
 			return nil, "coarsening reshaped under the edit; no local coarse diff exists"
 		}
-		if st.coarseKey != lv.opt.IncrementalKey() {
+		if st.coarseKey != lv.opt.Key() {
 			return nil, "result-affecting options differ from the recorded run"
 		}
 	}
@@ -290,8 +295,8 @@ func (lv *detectLevel) replaySource(opt *Options, prev *Result, dirty []netlist.
 			region.Add(int(c))
 		}
 	}
-	if frac := float64(region.Len()) / float64(n); frac > lv.opt.IncrementalFallback {
-		return nil, fmt.Sprintf("dirty region spans %.1f%% of cells (fallback threshold %.0f%%)", 100*frac, 100*lv.opt.IncrementalFallback)
+	if frac := float64(region.Len()) / float64(n); frac > fallbackFrac {
+		return nil, fmt.Sprintf("dirty region spans %.1f%% of cells (fallback threshold %.0f%%)", 100*frac, 100*fallbackFrac)
 	}
 	return &replaySrc{st: st, region: region}, ""
 }
@@ -334,10 +339,12 @@ func (src *replaySrc) stats(outs []seedOut, gtls []GTL) *IncrStats {
 // coarsest level of the patched netlist's hierarchy: its diff against
 // the recorded coarse netlist (netlist.DiffDirty) is the dirty set
 // there, and the winners are projected down as in any multilevel run.
-// When reuse is impossible — no state, changed options, a recording of
-// the other shape, a reshaped coarsening, a changed ordering cap, or a
-// dirty region past Options.IncrementalFallback of the detection
-// level — it degrades to a full run and says why in
+// The recorded run must agree with opt on Options.Key, so options the
+// pipeline never reads (RefineRadius on a flat run, say) do not block
+// reuse. When reuse is impossible — no state, a different Key, a
+// recording of the other shape, a reshaped coarsening, a changed
+// ordering cap, or a dirty region past 25% of the detection level's
+// cells — it degrades to a full run and says why in
 // Result.Incremental.
 func (f *Finder) FindIncremental(ctx context.Context, opt Options, prev *Result, dirty []netlist.CellID) (*Result, error) {
 	if err := opt.validate(); err != nil {

@@ -241,14 +241,12 @@ func TestFindIncrementalFallbacks(t *testing.T) {
 		t.Fatal("changed Seeds should fall back")
 	}
 
-	// Dirty fraction past the threshold.
-	optSmall := opt
-	optSmall.IncrementalFallback = 0.001
-	dirty := make([]netlist.CellID, 100)
+	// Dirty fraction past the 25% threshold.
+	dirty := make([]netlist.CellID, 800)
 	for i := range dirty {
 		dirty[i] = netlist.CellID(i * 17 % rg.Netlist.NumCells())
 	}
-	res, err = f.FindIncremental(ctx, optSmall, prev, dirty)
+	res, err = f.FindIncremental(ctx, opt, prev, dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,9 +316,7 @@ func TestFindIncrementalFallbackReasons(t *testing.T) {
 	seeds.Seeds = 25
 	capped := opt
 	capped.MaxOrderLen = base.NumCells()
-	tight := opt
-	tight.IncrementalFallback = 0.001
-	spread := make([]netlist.CellID, 100)
+	spread := make([]netlist.CellID, 800)
 	for i := range spread {
 		spread[i] = netlist.CellID(i * 17 % base.NumCells())
 	}
@@ -345,8 +341,8 @@ func TestFindIncrementalFallbackReasons(t *testing.T) {
 			"coarsening reshaped under the edit; no local coarse diff exists"},
 		{"ordering cap changed", small, capped, find(base, capped), trimDirty,
 			"effective ordering cap changed (3000 -> 2997)"},
-		{"dirty region past IncrementalFallback", base, tight, recorded, spread,
-			"dirty region spans 3.3% of cells (fallback threshold 0%)"},
+		{"dirty region past IncrementalFallback", base, opt, recorded, spread,
+			"dirty region spans 26.7% of cells (fallback threshold 25%)"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f, err := NewFinder(tc.nl)
@@ -520,13 +516,94 @@ func TestIncrementalKeyStability(t *testing.T) {
 	b := DefaultOptions()
 	b.Workers = 7
 	b.RecordIncremental = true
-	b.IncrementalFallback = 0.9
-	if a.IncrementalKey() != b.IncrementalKey() {
-		t.Error("scheduling-only fields changed the incremental key")
+	b.Progress = func(Progress) {}
+	if a.Key() != b.Key() {
+		t.Error("run controls changed the key")
 	}
 	c := DefaultOptions()
 	c.RandSeed = 999
-	if a.IncrementalKey() == c.IncrementalKey() {
-		t.Error("RandSeed did not change the incremental key")
+	if a.Key() == c.Key() {
+		t.Error("RandSeed did not change the key")
+	}
+}
+
+// TestIncrementalReplaysUnreadOptions: Options.Key ignores exactly what
+// the chosen pipeline never reads. A flat recording replays requests
+// that differ only in the coarsening fields or in Levels 0 vs 1, a
+// multilevel recording with the default coarsening floor replays a
+// request that names it, and every field a run reads still changes the
+// key.
+func TestIncrementalReplaysUnreadOptions(t *testing.T) {
+	rg, opt := incrWorkload(t, 3000, 200, 13)
+	ctx := context.Background()
+	f, err := NewFinder(rg.Netlist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ml := opt
+	ml.Levels = 3
+	ml.MinCoarseCells = 0
+	for _, tc := range []struct {
+		name      string
+		recorded  Options
+		requested func(*Options)
+	}{
+		{"flat refine_radius 5", opt, func(o *Options) { o.RefineRadius = 5 }},
+		{"flat min_coarse_cells 700", opt, func(o *Options) { o.MinCoarseCells = 700 }},
+		{"flat levels 0", opt, func(o *Options) { o.Levels = 0 }},
+		{"multilevel default floor named", ml, func(o *Options) { o.MinCoarseCells = netlist.DefaultMinCoarseCells }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prev, err := f.Find(ctx, tc.recorded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req := tc.recorded
+			tc.requested(&req)
+			got, err := f.FindIncremental(ctx, req, prev, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := got.Incremental; st == nil || st.FullFallback || st.RerunSeeds != 0 || st.ReusedSeeds == 0 {
+				t.Fatalf("replay of an identical computation did not reuse every seed: %+v", st)
+			}
+			plain := req
+			plain.RecordIncremental = false
+			want, err := f.Find(ctx, plain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResult(t, want, got)
+		})
+	}
+
+	flat, multi := DefaultOptions(), DefaultOptions()
+	multi.Levels = 3
+	for _, tc := range []struct {
+		name string
+		base Options
+		read func(*Options)
+	}{
+		{"seeds", flat, func(o *Options) { o.Seeds++ }},
+		{"max_order_len", flat, func(o *Options) { o.MaxOrderLen++ }},
+		{"metric", flat, func(o *Options) { o.Metric = MetricNGTLS }},
+		{"ordering", flat, func(o *Options) { o.Ordering = OrderBFS }},
+		{"min_group_size", flat, func(o *Options) { o.MinGroupSize++ }},
+		{"accept_threshold", flat, func(o *Options) { o.AcceptThreshold /= 2 }},
+		{"dip_ratio", flat, func(o *Options) { o.DipRatio /= 2 }},
+		{"big_net_skip", flat, func(o *Options) { o.BigNetSkip++ }},
+		{"refine_seeds with refine on", flat, func(o *Options) { o.RefineSeeds++ }},
+		{"prune_overlap_tolerance", flat, func(o *Options) { o.PruneOverlapTolerance *= 2 }},
+		{"refine", flat, func(o *Options) { o.Refine = false }},
+		{"levels 1 vs 3", flat, func(o *Options) { o.Levels = 3 }},
+		{"min_coarse_cells under levels 3", multi, func(o *Options) { o.MinCoarseCells = 700 }},
+		{"refine_radius under levels 3", multi, func(o *Options) { o.RefineRadius = 5 }},
+		{"rand_seed", flat, func(o *Options) { o.RandSeed++ }},
+	} {
+		o := tc.base
+		tc.read(&o)
+		if o.Key() == tc.base.Key() {
+			t.Errorf("%s: a field the run reads left the key unchanged", tc.name)
+		}
 	}
 }

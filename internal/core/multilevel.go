@@ -26,7 +26,8 @@ import (
 // the cells the coarse boundary quantized away. Final scoring, and
 // the global disjointness pruning, happen at the original resolution.
 
-// mlKey identifies one hierarchy configuration of a Finder.
+// mlKey identifies one hierarchy configuration of a Finder: the
+// coarsening fields of the run's canonical options (see Options.Key).
 type mlKey struct {
 	levels    int
 	minCoarse int
@@ -74,14 +75,10 @@ type LevelStats struct {
 // multilevelState returns (building and caching on first use) the
 // hierarchy and sub-engines for the run's coarsening configuration.
 func (f *Finder) multilevelState(opt *Options) (*mlState, error) {
-	minCoarse := opt.MinCoarseCells
-	if minCoarse == 0 {
-		// BuildHierarchy treats 0 as the default floor; normalize the
-		// cache key so "omitted" and "explicit default" share one
-		// hierarchy instead of building and caching it twice.
-		minCoarse = netlist.DefaultMinCoarseCells
-	}
-	key := mlKey{levels: opt.Levels, minCoarse: minCoarse}
+	// The canonical options map an omitted floor to the default one,
+	// so both share one hierarchy.
+	c := opt.canonical()
+	key := mlKey{levels: c.Levels, minCoarse: c.MinCoarseCells}
 	f.mlMu.Lock()
 	if f.ml == nil {
 		f.ml = make(map[mlKey]*mlEntry)

@@ -24,6 +24,8 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+
+	"tanglefind/internal/netlist"
 )
 
 // Metric selects the score Φ that drives candidate extraction,
@@ -163,7 +165,9 @@ func (o *Ordering) UnmarshalJSON(b []byte) error {
 // carries a struct tag (Metric and Ordering serialize as their names),
 // and ParseOptions turns a JSON document into validated Options with
 // unspecified fields at their defaults. Progress is a callback and is
-// never serialized.
+// never serialized. Three fields are run controls that never change
+// results — Workers, Progress and RecordIncremental — and Key is the
+// run's compute identity without them.
 type Options struct {
 	// Seeds is m, the number of random starting cells (paper: 100).
 	Seeds int `json:"seeds"`
@@ -189,7 +193,7 @@ type Options struct {
 	// connection-weight updates for a net (paper: 20).
 	BigNetSkip int `json:"big_net_skip"`
 	// RefineSeeds is the number of interior re-seeds per candidate in
-	// Phase III (paper: 3).
+	// Phase III (paper: 3). Only read when Refine is on.
 	RefineSeeds int `json:"refine_seeds"`
 	// PruneOverlapTolerance is the fraction of a candidate's cells
 	// allowed to collide with already-accepted GTLs during final
@@ -212,16 +216,14 @@ type Options struct {
 	// MinCoarseCells stops coarsening once a level has at most this
 	// many cells, so detection always has enough exterior to contrast
 	// candidates against (0 means netlist.DefaultMinCoarseCells).
+	// Only read when Levels > 1.
 	MinCoarseCells int `json:"min_coarse_cells"`
 	// RefineRadius bounds the boundary-refinement sweeps per level
 	// after projection: each sweep scans the projected group's
 	// frontier once and greedily absorbs score-improving cells. 0
 	// projects without refinement (fastest, coarsest boundaries).
+	// Only read when Levels > 1.
 	RefineRadius int `json:"refine_radius"`
-	// IncrementalFallback is the dirty-region fraction of the netlist
-	// above which FindIncremental abandons reuse and runs the full
-	// pipeline (edits that large dirty most seed footprints anyway).
-	IncrementalFallback float64 `json:"incremental_fallback"`
 	// RecordIncremental makes a run, flat or multilevel, retain
 	// per-seed structural state (orderings, score-curve inputs, read
 	// footprints) on the Result so a later FindIncremental can reuse
@@ -256,31 +258,44 @@ func DefaultOptions() Options {
 		Levels:                1,
 		MinCoarseCells:        0, // netlist.DefaultMinCoarseCells
 		RefineRadius:          2,
-		IncrementalFallback:   0.25,
 		Workers:               0,
 		RandSeed:              1,
 	}
 }
 
-// IncrementalKey canonicalizes the result-affecting options into a
-// fingerprint string. Two runs whose keys match compute identical
-// results for identical netlists, which is the compatibility check
-// FindIncremental applies before reusing recorded seed state: fields
-// that only steer scheduling, memory or incremental bookkeeping
-// (Workers, Progress, RecordIncremental, IncrementalFallback) are
-// excluded.
-func (o Options) IncrementalKey() string {
-	o.Workers = 0
-	o.Progress = nil
-	o.RecordIncremental = false
-	o.IncrementalFallback = 0
-	data, err := json.Marshal(o)
+// Key is the options' compute identity: the JSON of what the chosen
+// pipeline reads. Two runs with equal keys compute identical results on
+// identical netlists, so it is the one identity the engine's replay
+// check, its hierarchy cache and every serving cache key on. The run
+// controls (Workers, Progress, RecordIncremental) are dropped, and the
+// fields a pipeline provably never reads take one value: a flat run
+// (Levels <= 1) keys as Levels 1 with MinCoarseCells and RefineRadius
+// zeroed, a multilevel run keys MinCoarseCells 0 as
+// netlist.DefaultMinCoarseCells, and Refine false zeroes RefineSeeds.
+// Nothing data-dependent is folded: a MaxOrderLen past the netlist size
+// keys as written.
+func (o Options) Key() string {
+	data, err := json.Marshal(o.canonical())
 	if err != nil {
 		// Options is a plain tagged struct; this cannot fail, but never
 		// let two different configurations collapse onto one key.
 		return fmt.Sprintf("unmarshalable:%+v", o)
 	}
 	return string(data)
+}
+
+// canonical is o as Key sees it (see Key).
+func (o Options) canonical() Options {
+	o.Workers, o.Progress, o.RecordIncremental = 0, nil, false
+	if o.Levels <= 1 {
+		o.Levels, o.MinCoarseCells, o.RefineRadius = 1, 0, 0
+	} else if o.MinCoarseCells == 0 {
+		o.MinCoarseCells = netlist.DefaultMinCoarseCells
+	}
+	if !o.Refine {
+		o.RefineSeeds = 0
+	}
+	return o
 }
 
 // ParseOptions decodes a JSON document into Options. Fields absent
@@ -352,8 +367,6 @@ func (o *Options) validate() error {
 		return fmt.Errorf("core: MinCoarseCells must be non-negative (0 means the default floor), got %d", o.MinCoarseCells)
 	case o.RefineRadius < 0:
 		return fmt.Errorf("core: RefineRadius must be non-negative (0 disables boundary refinement), got %d", o.RefineRadius)
-	case o.IncrementalFallback < 0 || o.IncrementalFallback > 1:
-		return fmt.Errorf("core: IncrementalFallback must be in [0,1], got %g", o.IncrementalFallback)
 	}
 	return nil
 }

@@ -60,6 +60,7 @@ func TestParseOptionsDefaultsAndErrors(t *testing.T) {
 		`{"relabel": true}`,
 		`{"keep_curves": true}`,
 		`{"dirty_radius": 1}`,
+		`{"incremental_fallback": 0.5}`,
 		`{"seeds": -1}`,
 		`{"seeds": 1099511627776}`,
 		`{"refine_seeds": 65}`,

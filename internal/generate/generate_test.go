@@ -29,11 +29,7 @@ func TestRandomGraphProperties(t *testing.T) {
 	// The planted blocks' cut must equal the spec'd boundary nets (the
 	// generator's central guarantee) and be far below a random subset's.
 	for i, block := range rg.Blocks {
-		in := make(map[netlist.CellID]bool, len(block))
-		for _, c := range block {
-			in[c] = true
-		}
-		cut := nl.Cut(block, mapMembers(in))
+		cut := nl.Cut(block)
 		want := defaultExternalNets(len(block))
 		if cut > want {
 			t.Errorf("block %d cut = %d, want <= %d boundary nets", i, cut, want)
@@ -45,10 +41,6 @@ func TestRandomGraphProperties(t *testing.T) {
 		}
 	}
 }
-
-type mapMembers map[netlist.CellID]bool
-
-func (m mapMembers) Has(c int) bool { return m[netlist.CellID(c)] }
 
 func TestRandomGraphRejectsBadSpecs(t *testing.T) {
 	cases := []RandomGraphSpec{
@@ -79,12 +71,10 @@ func TestHierarchicalRentBehavior(t *testing.T) {
 	// markedly sublinear growth.
 	cutAt := func(k int) int {
 		members := make([]netlist.CellID, k)
-		in := make(mapMembers, k)
 		for i := 0; i < k; i++ {
 			members[i] = netlist.CellID(i)
-			in[netlist.CellID(i)] = true
 		}
-		return nl.Cut(members, in)
+		return nl.Cut(members)
 	}
 	c1, c2 := cutAt(1024), cutAt(4096)
 	if c1 <= 0 || c2 <= 0 {
@@ -198,11 +188,7 @@ func TestISPDProxy(t *testing.T) {
 		if len(s) < 200 {
 			continue // tiny structures can score closer to ambient
 		}
-		in := make(mapMembers, len(s))
-		for _, c := range s {
-			in[c] = true
-		}
-		cut := nl.Cut(s, in)
+		cut := nl.Cut(s)
 		score := metrics.NGTLScore(cut, len(s), 0.65, aG)
 		if score > 0.6 {
 			t.Errorf("structure %d (%s, %d cells) nGTL-S = %.3f, want < 0.6", i, d.Kinds[i], len(s), score)
@@ -222,11 +208,7 @@ func TestIndustrialProxy(t *testing.T) {
 		t.Fatalf("blocks = %d, want 5", len(d.Structures))
 	}
 	for i, s := range d.Structures {
-		in := make(mapMembers, len(s))
-		for _, c := range s {
-			in[c] = true
-		}
-		cut := d.Netlist.Cut(s, in)
+		cut := d.Netlist.Cut(s)
 		if cut > IndustrialBlockSizes[i].Cut {
 			t.Errorf("block %d cut = %d, want <= %d", i, cut, IndustrialBlockSizes[i].Cut)
 		}

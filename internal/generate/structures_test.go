@@ -116,14 +116,10 @@ func TestEmbedGroundTruth(t *testing.T) {
 	if len(cells) != f.Cells {
 		t.Fatalf("ground truth size %d, want %d", len(cells), f.Cells)
 	}
-	in := make(mapMembers, len(cells))
-	for _, c := range cells {
-		in[c] = true
-	}
 	// Cut equals the interface width: internal nets gained no host
 	// pins, every open net did (or stayed internal-only when the host
 	// pool was empty — not the case here).
-	cut := nl.Cut(cells, in)
+	cut := nl.Cut(cells)
 	if cut != 20 {
 		t.Errorf("embedded cut = %d, want 20", cut)
 	}

@@ -36,7 +36,7 @@ func TestTrackerMatchesBruteForce(t *testing.T) {
 		for _, c := range perm[:addCount] {
 			tr.Add(netlist.CellID(c))
 			members := tr.Members()
-			wantCut := nl.Cut(members, tr)
+			wantCut := nl.Cut(members)
 			if tr.Cut() != wantCut {
 				t.Logf("cut mismatch after %d adds: got %d want %d", tr.Size(), tr.Cut(), wantCut)
 				return false

@@ -6,12 +6,12 @@ import (
 )
 
 // lru is a bounded map that evicts its least recently used entry past
-// max. The manager keeps three: finished wire results keyed by compute
-// identity (see cacheKey), shared by every hit and immutable once
-// cached; recorded incremental states (engine results with state
-// attached, O(Seeds × MaxOrderLen) bytes each, so their bound is much
-// tighter); and lint reports, retained so delta-derived digests lint
-// incrementally against their parent's report.
+// max. The manager keeps two: finished wire results keyed by compute
+// identity (see cacheKey and lintKey), shared by every hit and
+// immutable once cached — a lint result there is also the report a
+// delta-derived digest lints incrementally against; and recorded
+// incremental states (engine results with state attached, O(Seeds ×
+// MaxOrderLen) bytes each, so their bound is much tighter).
 type lru[V any] struct {
 	mu    sync.Mutex
 	max   int

@@ -25,6 +25,7 @@ import (
 	"log/slog"
 	"runtime"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,11 +48,6 @@ var (
 	// options, undersized netlist).
 	ErrBadRequest = errors.New("jobs: bad request")
 )
-
-// lintStates bounds how many lint reports (one per digest+rule config)
-// are retained so delta-derived digests lint incrementally against
-// their parent's report.
-const lintStates = 16
 
 // Config sizes a Manager. Zero fields take the documented defaults.
 type Config struct {
@@ -124,7 +120,6 @@ type Manager struct {
 	log   *slog.Logger
 	cache *lru[*api.JobResult]
 	incr  *lru[*tanglefind.Result]
-	lints *lru[*tanglefind.LintReport]
 	wg    sync.WaitGroup
 
 	// mu guards the queue, the records, every run's job list and start
@@ -194,7 +189,6 @@ func New(cfg Config) *Manager {
 		log:         cfg.Logger,
 		cache:       newLRU[*api.JobResult](cfg.CacheResults),
 		incr:        newLRU[*tanglefind.Result](cfg.IncrStates),
-		lints:       newLRU[*tanglefind.LintReport](lintStates),
 		inflight:    make(map[string]*run),
 		jobs:        make(map[string]*Job),
 		finished:    make(map[finishKey]int64),
@@ -332,7 +326,10 @@ type run struct {
 	maxPins  int
 	timeout  time.Duration
 	cacheKey string // result-cache identity
-	flight   string // single-flight identity: cacheKey plus timeout
+	// flight is the single-flight identity: cacheKey plus the timeout
+	// and RecordIncremental, so a recording submission never rides a
+	// run that records nothing.
+	flight string
 	// Incremental and lint runs resolve their lineage parent at submit
 	// time; the parent's recorded state is looked up when the run
 	// starts (it may still be computing while this run is queued).
@@ -460,7 +457,7 @@ func (m *Manager) submitLint(req api.JobRequest) (api.JobStatus, error) {
 func (m *Manager) accept(req api.JobRequest, r *run, resolve func() (handles, error)) (api.JobStatus, error) {
 	r.kind, r.digest = req.Kind, req.Digest
 	r.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	r.flight = fmt.Sprintf("%s|%d", r.cacheKey, r.timeout)
+	r.flight = fmt.Sprintf("%s|%d|%t", r.cacheKey, r.timeout, r.opt.RecordIncremental)
 	j := &Job{
 		kind:    req.Kind,
 		reqID:   req.RequestID,
@@ -534,7 +531,7 @@ func (m *Manager) answerLocked(j *Job, r *run) (api.JobStatus, bool, error) {
 		_, statePrimed = m.incr.get(incrKey(r.digest, r.opt))
 	}
 	if res, ok := m.cache.get(r.cacheKey); ok && (!r.opt.RecordIncremental || statePrimed) {
-		// Identical digest+kind+options already computed: serve the
+		// This compute identity was already computed: serve the
 		// cached result without consuming a queue slot or worker. The
 		// hit gets its own shallow copy of the result: engine stages
 		// carry over (they describe the run that produced the data,
@@ -1024,20 +1021,20 @@ func (m *Manager) releaseWorkers(grant int) {
 }
 
 // runLint executes a lint run: incrementally against the parent's
-// retained report when the digest has delta lineage and both the
-// parent netlist and its report (under the same rule config) are still
-// available, from scratch otherwise. The finished report is retained
-// in the lint-state LRU so the next delta in the chain stays
-// incremental.
+// report when the digest has delta lineage and both the parent netlist
+// and its report (under the same rule config) are still available,
+// from scratch otherwise. The parent's report is its lint job's
+// result, so it comes from the result cache — and, on a durable store,
+// survives a restart with it.
 func (m *Manager) runLint(r *run) {
 	m.lintRuns.Add(1)
 	stages := tanglefind.StageTimings{}
 	engineStart := time.Now()
 	var rep *tanglefind.LintReport
 	if r.parent != "" {
-		if prev, ok := m.lints.get(lintKey(r.parent, r.lintCfg)); ok {
+		if prev, ok := m.cache.get(lintKey(r.parent, r.lintCfg)); ok && prev.Lint != nil {
 			if parentNl, _, err := m.cfg.Store.Get(r.parent); err == nil {
-				rep = tanglefind.LintDelta(prev, parentNl, r.h.lintNl, r.h.dirty, r.lintCfg)
+				rep = tanglefind.LintDelta(prev.Lint, parentNl, r.h.lintNl, r.h.dirty, r.lintCfg)
 				if rep.Incremental {
 					m.lintIncr.Add(1)
 				}
@@ -1049,14 +1046,13 @@ func (m *Manager) runLint(r *run) {
 	}
 	stages.Add("engine", time.Since(engineStart))
 	mergeStart := time.Now()
-	m.lints.put(r.cacheKey, rep)
+	out := &api.JobResult{Lint: rep}
 	stages.Add("merge", time.Since(mergeStart))
-	m.complete(r, &api.JobResult{Lint: rep}, stages)
+	m.complete(r, out, stages)
 }
 
 // lintKey is a lint job's compute identity: the digest plus the
-// canonical rule configuration, shared by the result cache and the
-// lint-state LRU.
+// canonical rule configuration.
 func lintKey(digest string, cfg tanglefind.LintConfig) string {
 	return "lint|" + digest + "|" + cfg.CacheKey()
 }
@@ -1127,29 +1123,20 @@ func findResult(res *tanglefind.Result) *api.JobResult {
 	return out
 }
 
-// cacheKey canonicalizes a request's compute identity. Workers is
-// zeroed because it never changes results (the engine is
-// deterministic for a fixed RandSeed regardless of parallelism), so
-// requests differing only in worker count share a cache line.
+// cacheKey is a find-family request's compute identity: kind, digest,
+// decompose pin cap and Options.Key, so requests that differ only in
+// what the run never reads (worker count, recording, a flat run's
+// coarsening fields) share a cache line.
 func cacheKey(kind api.Kind, digest string, maxPins int, opt tanglefind.Options) string {
-	opt.Workers = 0
-	opt.Progress = nil
-	data, err := json.Marshal(opt)
-	if err != nil {
-		// Options is a plain struct with tagged scalar fields; this
-		// cannot fail, but never let a cache key collapse to "".
-		return fmt.Sprintf("%s|%s|%d|unmarshalable", kind, digest, maxPins)
-	}
-	return fmt.Sprintf("%s|%s|%d|%s", kind, digest, maxPins, data)
+	return string(kind) + "|" + digest + "|" + strconv.Itoa(maxPins) + "|" + opt.Key()
 }
 
 // incrKey addresses recorded incremental state: one slot per digest
-// and result-affecting option set. A find job recorded with
-// record_incremental and a later find_incremental job on a derived
-// digest land on the same key family, which is exactly the chain the
-// state exists for.
+// and Options.Key. A find job recorded with record_incremental and a
+// later find_incremental job on a derived digest land on the same key
+// family, which is exactly the chain the state exists for.
 func incrKey(digest string, opt tanglefind.Options) string {
-	return digest + "|" + opt.IncrementalKey()
+	return digest + "|" + opt.Key()
 }
 
 // ---- Job state machine ----

@@ -792,3 +792,65 @@ func payloadBytes(t *testing.T, cells int, seed uint64) []byte {
 	}
 	return buf.Bytes()
 }
+
+// TestJournaledLintFeedsIncrementalLint: a child lints against its
+// parent's report from the result cache, so a report journaled before
+// a restart still makes the child's lint incremental after it.
+func TestJournaledLintFeedsIncrementalLint(t *testing.T) {
+	dir := t.TempDir()
+	boot := func() (*store.Store, *Manager) {
+		t.Helper()
+		backend, err := store.OpenDisk(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := store.Open(0, backend)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, New(Config{Store: s, Workers: 1})
+	}
+	lint := func(m *Manager, digest string) api.JobStatus {
+		t.Helper()
+		st, err := m.Submit(api.JobRequest{Kind: api.KindLint, Digest: digest})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st = wait(t, m, st.ID)
+		if st.State != api.StateDone || st.Result == nil || st.Result.Lint == nil {
+			t.Fatalf("lint job: %s (%s)", st.State, st.Error)
+		}
+		return st
+	}
+
+	rg, err := generate.NewRandomGraph(generate.RandomGraphSpec{Cells: 2000, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := rg.Netlist.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	s1, m1 := boot()
+	parent, err := s1.Ingest(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lint(m1, parent.Digest)
+	dres, err := s1.ApplyDelta(parent.Digest, []byte(`{"set_nets":[{"net":0,"cells":[0,1,2]}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m1.Shutdown(context.Background())
+	s1.Close()
+
+	s2, m2 := boot()
+	defer s2.Close()
+	defer m2.Shutdown(context.Background())
+	if st := lint(m2, dres.Netlist.Digest); !st.Result.Lint.Incremental {
+		t.Error("child lint after a restart ran from scratch despite the journaled parent report")
+	}
+	if got := m2.Stats().LintIncremental; got != 1 {
+		t.Errorf("lint_incremental = %d, want 1", got)
+	}
+}

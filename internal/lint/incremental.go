@@ -24,15 +24,28 @@ import (
 //
 // prev must be the report of Lint(parent, cfg) (or a LintDelta chain
 // rooted there) under the same config; if prev is nil or was produced
-// under a different config, LintDelta falls back to a full Lint.
+// under a different config, LintDelta falls back to a full Lint. It
+// also falls back when Config.MaxFindingsPerRule truncates a local
+// rule, in prev or in the merged report: Lint keeps a prefix of the
+// rule's findings that a merge of carried and re-checked findings
+// cannot reproduce.
 func LintDelta(prev *Report, parent, child *netlist.Netlist, dirty []netlist.CellID, cfg Config) *Report {
 	key := cfg.CacheKey()
 	if prev == nil || prev.ConfigKey != key {
-		rep := Lint(child, cfg)
-		rep.Incremental = false
-		return rep
+		return Lint(child, cfg)
 	}
 	norm := cfg.normalized()
+	localRules := make(map[string]bool)
+	for _, r := range Rules() {
+		if r.Local() {
+			localRules[r.ID()] = true
+		}
+	}
+	for _, st := range prev.Rules {
+		if st.Truncated > 0 && localRules[st.Rule] {
+			return Lint(child, cfg)
+		}
+	}
 
 	// The affected scope: dirty cells plus every net incident to one in
 	// either id space. Parent pins matter because a net emptied by the
@@ -67,13 +80,6 @@ func LintDelta(prev *Report, parent, child *netlist.Netlist, dirty []netlist.Cel
 	sort.Slice(scopeCells, func(i, j int) bool { return scopeCells[i] < scopeCells[j] })
 	sort.Slice(scopeNets, func(i, j int) bool { return scopeNets[i] < scopeNets[j] })
 
-	localRules := make(map[string]bool)
-	for _, r := range Rules() {
-		if r.Local() {
-			localRules[r.ID()] = true
-		}
-	}
-
 	rep := &Report{
 		ConfigKey:      key,
 		Incremental:    true,
@@ -104,6 +110,20 @@ func LintDelta(prev *Report, parent, child *netlist.Netlist, dirty []netlist.Cel
 	scoped := &Pass{nl: child, cfg: &norm, scopeCells: scopeCells, scopeNets: scopeNets}
 	local := true
 	runRules(scoped, Rules(), rep, &local)
+	// rep holds only local findings so far; count each rule's merged
+	// total, including any the scoped pass cut off itself.
+	count := make(map[string]int)
+	for _, f := range rep.Findings {
+		count[f.Rule]++
+	}
+	for _, st := range rep.Rules {
+		count[st.Rule] += st.Truncated
+	}
+	for _, n := range count {
+		if n > norm.MaxFindingsPerRule {
+			return Lint(child, cfg)
+		}
+	}
 
 	// Global rules from scratch: a fresh unscoped pass.
 	full := &Pass{nl: child, cfg: &norm}

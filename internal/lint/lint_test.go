@@ -186,28 +186,40 @@ func nameN(prefix string, i int) string { return prefix + strconv.Itoa(i) }
 
 // TestLintDeltaDifferential is the incremental oracle: across a chain
 // of random deltas, LintDelta must report exactly what a from-scratch
-// Lint of the patched netlist reports.
+// Lint of the patched netlist reports. Under the defaults every round
+// is answered incrementally; a cap that truncates high-fanout-net in
+// every round makes each one a full Lint, which still must agree.
 func TestLintDeltaDifferential(t *testing.T) {
-	cfg := Config{}
-	gen := deltatest.NewGen(42)
-	nl := randomDirected(11, 300, 450)
-	prev := Lint(nl, cfg)
-	for round := 0; round < 25; round++ {
-		d, kind := gen.RandomEdit(nl, nil)
-		child, eff, err := d.Apply(nl)
-		if err != nil {
-			t.Fatalf("round %d (%s): Apply: %v", round, kind, err)
-		}
-		full := Lint(child, cfg)
-		inc := LintDelta(prev, nl, child, eff.Dirty, cfg)
-		if !inc.Incremental {
-			t.Fatalf("round %d (%s): LintDelta fell back to a full run", round, kind)
-		}
-		if !reflect.DeepEqual(inc.Findings, full.Findings) {
-			t.Fatalf("round %d (%s): incremental and full lint disagree\nfull: %+v\ninc:  %+v",
-				round, kind, full.Findings, inc.Findings)
-		}
-		nl, prev = child, inc
+	for _, tc := range []struct {
+		name        string
+		cfg         Config
+		incremental bool
+	}{
+		{"defaults", Config{}, true},
+		{"truncated local rule", Config{MaxFanout: 4, MaxFindingsPerRule: 5}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gen := deltatest.NewGen(42)
+			nl := randomDirected(11, 300, 450)
+			prev := Lint(nl, tc.cfg)
+			for round := 0; round < 25; round++ {
+				d, kind := gen.RandomEdit(nl, nil)
+				child, eff, err := d.Apply(nl)
+				if err != nil {
+					t.Fatalf("round %d (%s): Apply: %v", round, kind, err)
+				}
+				full := Lint(child, tc.cfg)
+				inc := LintDelta(prev, nl, child, eff.Dirty, tc.cfg)
+				if inc.Incremental != tc.incremental {
+					t.Fatalf("round %d (%s): incremental = %v, want %v", round, kind, inc.Incremental, tc.incremental)
+				}
+				if !reflect.DeepEqual(inc.Findings, full.Findings) {
+					t.Fatalf("round %d (%s): incremental and full lint disagree\nfull: %+v\ninc:  %+v",
+						round, kind, full.Findings, inc.Findings)
+				}
+				nl, prev = child, inc
+			}
+		})
 	}
 }
 
@@ -223,6 +235,28 @@ func TestLintDeltaFallback(t *testing.T) {
 	rep = LintDelta(prev, nl, nl, nil, Config{MaxFanout: 8})
 	if rep.Incremental {
 		t.Error("config mismatch still claimed an incremental run")
+	}
+
+	// A cap the parent fills exactly and the child passes: the merged
+	// report would hold one finding more than Lint keeps.
+	n := 0
+	for _, f := range Lint(nl, Config{MaxFanout: 4}).Findings {
+		if f.Rule == "high-fanout-net" {
+			n++
+		}
+	}
+	capped := Config{MaxFanout: 4, MaxFindingsPerRule: n}
+	d := &netlist.Delta{AddNets: []netlist.NewNet{{Cells: []netlist.CellID{1, 2, 3, 4}, Drivers: []netlist.CellID{1}}}}
+	child, eff, err := d.Apply(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep = LintDelta(Lint(nl, capped), nl, child, eff.Dirty, capped)
+	if rep.Incremental {
+		t.Error("a local rule merged past its cap still claimed an incremental run")
+	}
+	if full := Lint(child, capped); !reflect.DeepEqual(rep.Findings, full.Findings) {
+		t.Errorf("capped report differs from a full Lint\nfull: %+v\ngot:  %+v", full.Findings, rep.Findings)
 	}
 }
 

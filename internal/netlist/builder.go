@@ -176,7 +176,6 @@ func (b *Builder) Build() (*Netlist, error) {
 		drvOff[len(keep)] = dat
 		nl.attachDrivers(drvOff, drvCell)
 	}
-	nl.initScratch()
 	return nl, nil
 }
 
@@ -234,7 +233,6 @@ func fromNetCSR(numCells int, netPinOff []int32, netPinCell []CellID, netNames, 
 			cursor[c]++
 		}
 	}
-	nl.initScratch()
 	return nl
 }
 

@@ -40,10 +40,7 @@
 // annotation; lint runs at full resolution.
 package netlist
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // CellID identifies a cell (gate) within a Netlist.
 type CellID = int32
@@ -69,22 +66,6 @@ type Netlist struct {
 	cellNames []string  // optional; empty means synthesized names
 	netNames  []string  // optional
 	cellArea  []float64 // optional; nil means unit area
-
-	// scratch pools the epoch-stamped marker arrays behind the subset
-	// queries in subset.go. It is shared (by pointer) between WithAreas
-	// copies, which view the same hypergraph.
-	scratch *sync.Pool
-}
-
-// initScratch installs the subset-query scratch pool; called once by
-// every constructor (Builder.Build, fromNetCSR).
-func (nl *Netlist) initScratch() {
-	nl.scratch = &sync.Pool{New: func() any {
-		return &subsetScratch{
-			netMark:  make([]uint32, nl.NumNets()),
-			cellMark: make([]uint32, nl.NumCells()),
-		}
-	}}
 }
 
 // NumCells returns the number of cells.
@@ -248,7 +229,6 @@ func (nl *Netlist) WithAreas(area []float64) (*Netlist, error) {
 		cellNames:  nl.cellNames,
 		netNames:   nl.netNames,
 		cellArea:   area,
-		scratch:    nl.scratch,
 	}
 	return cp, nil
 }

@@ -110,18 +110,11 @@ func TestCutAndPins(t *testing.T) {
 	nl := buildSmall(t)
 	// Group {c0, c1}: n0 internal, n1 cut (c1 in, c2/c3 out), n2 cut.
 	members := []CellID{0, 1}
-	if got := nl.Cut(members, SliceMembers(members)); got != 2 {
+	if got := nl.Cut(members); got != 2 {
 		t.Errorf("Cut = %d, want 2", got)
 	}
 	if got := nl.PinsIn(members); got != 4 {
 		t.Errorf("PinsIn = %d, want 4 (deg 2 + deg 2)", got)
-	}
-	if got := nl.InternalNets(members, SliceMembers(members)); got != 1 {
-		t.Errorf("InternalNets = %d, want 1", got)
-	}
-	nb := nl.Neighbors(members, SliceMembers(members))
-	if len(nb) != 2 {
-		t.Errorf("Neighbors = %v, want {2,3}", nb)
 	}
 }
 
@@ -245,41 +238,5 @@ func TestValidateCatchesOutOfRange(t *testing.T) {
 	nl.netPinCell[0] = CellID(nl.NumCells())
 	if err := nl.Validate(); err == nil {
 		t.Error("expected validation error for out-of-range cell id")
-	}
-}
-
-func TestComponents(t *testing.T) {
-	var b Builder
-	b.AddCells(7)
-	b.AddNet("", 0, 1)
-	b.AddNet("", 1, 2)
-	b.AddNet("", 3, 4, 5)
-	// cell 6 isolated
-	nl := b.MustBuild()
-	comps := nl.Components()
-	if len(comps) != 3 {
-		t.Fatalf("components = %d, want 3", len(comps))
-	}
-	if len(comps[0]) != 3 || len(comps[1]) != 3 || len(comps[2]) != 1 {
-		t.Fatalf("component sizes = %d/%d/%d", len(comps[0]), len(comps[1]), len(comps[2]))
-	}
-	// Largest-first with id tie-break: {0,1,2} before {3,4,5}.
-	if comps[0][0] != 0 || comps[1][0] != 3 || comps[2][0] != 6 {
-		t.Errorf("component order wrong: %v", comps)
-	}
-	total := 0
-	for _, c := range comps {
-		total += len(c)
-	}
-	if total != 7 {
-		t.Errorf("components cover %d cells, want 7", total)
-	}
-}
-
-func TestComponentsEmpty(t *testing.T) {
-	var b Builder
-	nl := b.MustBuild()
-	if got := nl.Components(); got != nil {
-		t.Errorf("empty netlist components = %v", got)
 	}
 }

@@ -1,100 +1,27 @@
 package netlist
 
-// Membership abstracts "is cell c in the group?", so subset queries work
-// with bitsets, maps or slices without copying.
-type Membership interface {
-	Has(c int) bool
-}
-
-// SliceMembers adapts a []CellID to a Membership (linear scan; use only
-// for small groups or tests).
-type SliceMembers []CellID
-
-// Has reports whether c is in the slice.
-func (s SliceMembers) Has(c int) bool {
-	for _, x := range s {
-		if int(x) == c {
-			return true
-		}
-	}
-	return false
-}
-
-// subsetScratch is the reusable epoch-stamped marker state behind Cut,
-// InternalNets and Neighbors. A marker is "set" when its entry equals
-// the current epoch, so clearing between queries is one integer
-// increment instead of a map allocation — Phase III set algebra calls
-// these in a loop and must not allocate per call. Instances live in
-// the netlist's sync.Pool, which keeps the queries safe for concurrent
-// use without sharing marker arrays.
-type subsetScratch struct {
-	netMark  []uint32
-	cellMark []uint32
-	epoch    uint32
-}
-
-// next starts a new query epoch, re-zeroing the arrays on the (once
-// per 2^32 queries) wraparound so stale stamps can never collide.
-func (s *subsetScratch) next() {
-	s.epoch++
-	if s.epoch == 0 {
-		clear(s.netMark)
-		clear(s.cellMark)
-		s.epoch = 1
-	}
-}
-
-func (s *subsetScratch) markNet(n NetID) bool {
-	if s.netMark[n] == s.epoch {
-		return false
-	}
-	s.netMark[n] = s.epoch
-	return true
-}
-
-func (s *subsetScratch) markCell(c CellID) bool {
-	if s.cellMark[c] == s.epoch {
-		return false
-	}
-	s.cellMark[c] = s.epoch
-	return true
-}
-
-// acquireScratch borrows an epoch scratch sized to this netlist.
-func (nl *Netlist) acquireScratch() *subsetScratch {
-	if nl.scratch == nil {
-		// Zero-value netlist: nothing to mark, but keep the methods
-		// total.
-		return &subsetScratch{}
-	}
-	return nl.scratch.Get().(*subsetScratch)
-}
-
-func (nl *Netlist) releaseScratch(s *subsetScratch) {
-	if nl.scratch != nil {
-		nl.scratch.Put(s)
-	}
-}
-
 // Cut returns T(C): the number of nets with at least one pin inside the
-// group and at least one outside. members enumerates the group's cells;
-// in is the membership test (must agree with members).
+// group of cells members and at least one outside.
 //
-// This is the one-shot O(Σ_{c∈C} deg(c) · |e|) reference used by tests
-// and by Phase III set algebra; the finder's inner loop uses the
-// incremental tracker in package group instead.
-func (nl *Netlist) Cut(members []CellID, in Membership) int {
-	s := nl.acquireScratch()
-	defer nl.releaseScratch(s)
-	s.next()
+// This is the plain brute-force reference, O(cells + nets + Σ_{c∈C}
+// deg(c) · |e|) with its own membership marks, that tests compare the
+// incremental tracker in package group and the generators' planted
+// cuts against; the engine never calls it.
+func (nl *Netlist) Cut(members []CellID) int {
+	in := make([]bool, nl.NumCells())
+	for _, c := range members {
+		in[c] = true
+	}
+	seen := make([]bool, nl.NumNets())
 	cut := 0
 	for _, c := range members {
 		for _, n := range nl.CellPins(c) {
-			if !s.markNet(n) {
+			if seen[n] {
 				continue
 			}
+			seen[n] = true
 			for _, other := range nl.NetPins(n) {
-				if !in.Has(int(other)) {
+				if !in[other] {
 					cut++
 					break
 				}
@@ -112,53 +39,4 @@ func (nl *Netlist) PinsIn(members []CellID) int {
 		pins += nl.CellDegree(c)
 	}
 	return pins
-}
-
-// InternalNets returns the number of nets entirely inside the group.
-func (nl *Netlist) InternalNets(members []CellID, in Membership) int {
-	s := nl.acquireScratch()
-	defer nl.releaseScratch(s)
-	s.next()
-	internal := 0
-	for _, c := range members {
-		for _, n := range nl.CellPins(c) {
-			if !s.markNet(n) {
-				continue
-			}
-			inside := true
-			for _, other := range nl.NetPins(n) {
-				if !in.Has(int(other)) {
-					inside = false
-					break
-				}
-			}
-			if inside {
-				internal++
-			}
-		}
-	}
-	return internal
-}
-
-// Neighbors returns the distinct cells outside the group that share a
-// net with it (the group's frontier). The returned slice is the only
-// allocation the query makes.
-func (nl *Netlist) Neighbors(members []CellID, in Membership) []CellID {
-	s := nl.acquireScratch()
-	defer nl.releaseScratch(s)
-	s.next()
-	var out []CellID
-	for _, c := range members {
-		for _, n := range nl.CellPins(c) {
-			if !s.markNet(n) {
-				continue
-			}
-			for _, other := range nl.NetPins(n) {
-				if !in.Has(int(other)) && s.markCell(other) {
-					out = append(out, other)
-				}
-			}
-		}
-	}
-	return out
 }

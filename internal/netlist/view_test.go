@@ -22,20 +22,7 @@ func viewFixture(t *testing.T) *Netlist {
 func TestInducedViewBasics(t *testing.T) {
 	nl := viewFixture(t)
 	v := nl.InducedView([]CellID{3, 1, 2, 3}) // unsorted, duplicated
-	if v.NumCells() != 3 {
-		t.Fatalf("NumCells = %d, want 3", v.NumCells())
-	}
-	// Kept nets: inner (2 in), span (3 in), mixed (2 in).
-	if v.NumNets() != 3 {
-		t.Fatalf("NumNets = %d, want 3", v.NumNets())
-	}
-	if v.NumPins() != 2+3+2 {
-		t.Fatalf("NumPins = %d, want 7", v.NumPins())
-	}
 	for i, want := range []CellID{1, 2, 3} {
-		if v.GlobalCell(int32(i)) != want {
-			t.Errorf("GlobalCell(%d) = %d, want %d", i, v.GlobalCell(int32(i)), want)
-		}
 		if v.LocalCell(want) != int32(i) {
 			t.Errorf("LocalCell(%d) = %d, want %d", want, v.LocalCell(want), i)
 		}
@@ -43,38 +30,31 @@ func TestInducedViewBasics(t *testing.T) {
 	if v.LocalCell(0) != -1 || v.LocalCell(4) != -1 {
 		t.Error("outside cells must map to -1")
 	}
-	if v.LocalNet(2) != -1 || v.LocalNet(3) != -1 {
-		t.Error("dropped nets must map to -1")
+	m := v.Materialize()
+	if m.NumCells() != 3 {
+		t.Fatalf("NumCells = %d, want 3", m.NumCells())
 	}
-	// Net "mixed" (global 4) restricted to {1, 3} = locals {0, 2}.
-	ln := v.LocalNet(4)
-	if ln < 0 {
-		t.Fatal("net 4 missing from view")
+	// Kept nets, in ascending parent order: inner (2 in), span (3 in),
+	// mixed (2 in); cut and out are dropped.
+	if m.NumNets() != 3 {
+		t.Fatalf("NumNets = %d, want 3", m.NumNets())
 	}
-	if v.NetSize(ln) != 2 {
-		t.Errorf("NetSize(mixed) = %d, want 2", v.NetSize(ln))
+	if m.NumPins() != 2+3+2 {
+		t.Fatalf("NumPins = %d, want 7", m.NumPins())
 	}
-	var got []int32
-	for c := range v.NetPins(ln) {
-		got = append(got, c)
+	for n, want := range []string{"inner", "span", "mixed"} {
+		if got := m.NetName(NetID(n)); got != want {
+			t.Errorf("net %d = %q, want %q", n, got, want)
+		}
 	}
-	if len(got) != 2 || got[0] != 0 || got[1] != 1+1 {
+	// Net "mixed" restricted to {1, 3} = locals {0, 2}.
+	if got := m.NetPins(2); len(got) != 2 || got[0] != 0 || got[1] != 2 {
 		t.Errorf("NetPins(mixed) = %v, want [0 2]", got)
 	}
 	// Cell 2 (local 1) pins nets inner and span but not the dropped
 	// "cut" net.
-	var nets []int32
-	for n := range v.CellPins(1) {
-		nets = append(nets, n)
-	}
-	if len(nets) != 2 {
-		t.Errorf("CellPins(local 1) = %v, want 2 nets", nets)
-	}
-	if v.CellDegree(1) != 2 {
-		t.Errorf("CellDegree(local 1) = %d, want 2", v.CellDegree(1))
-	}
-	if !v.Has(1) || v.Has(5) {
-		t.Error("Has wrong")
+	if got := m.CellPins(1); len(got) != 2 || got[0] != 0 || got[1] != 1 {
+		t.Errorf("CellPins(local 1) = %v, want [0 1]", got)
 	}
 }
 
@@ -156,58 +136,11 @@ func TestViewMaterializeEquivalence(t *testing.T) {
 
 func TestViewEmpty(t *testing.T) {
 	nl := viewFixture(t)
-	v := nl.InducedView(nil)
-	if v.NumCells() != 0 || v.NumNets() != 0 || v.NumPins() != 0 {
-		t.Fatalf("empty view has %d/%d/%d", v.NumCells(), v.NumNets(), v.NumPins())
-	}
-	m := v.Materialize()
-	if m.NumCells() != 0 || m.NumNets() != 0 {
-		t.Fatal("materialized empty view not empty")
+	m := nl.InducedView(nil).Materialize()
+	if m.NumCells() != 0 || m.NumNets() != 0 || m.NumPins() != 0 {
+		t.Fatalf("materialized empty view has %d/%d/%d", m.NumCells(), m.NumNets(), m.NumPins())
 	}
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestViewTraversalDoesNotAllocate(t *testing.T) {
-	nl := viewFixture(t)
-	v := nl.InducedView([]CellID{1, 2, 3})
-	allocs := testing.AllocsPerRun(100, func() {
-		sum := 0
-		for c := int32(0); c < int32(v.NumCells()); c++ {
-			for n := range v.CellPins(c) {
-				sum += v.NetSize(n)
-			}
-		}
-		if sum == 0 {
-			t.Fatal("no pins traversed")
-		}
-	})
-	// The iterator closures may cost a couple of allocations per cell,
-	// but the pin lists themselves must never be copied.
-	if allocs > 8 {
-		t.Errorf("traversal allocates %v times per run", allocs)
-	}
-}
-
-func TestSubsetQueriesDoNotAllocatePerCall(t *testing.T) {
-	if raceEnabled {
-		// The race detector defeats sync.Pool caching, so the scratch
-		// reuse this test pins cannot hold under -race.
-		t.Skip("allocation counts are unreliable under the race detector")
-	}
-	nl := viewFixture(t)
-	members := []CellID{1, 2, 3}
-	// Box the Membership once: converting a slice to an interface
-	// allocates, and that caller-side cost is not what this test pins.
-	var in Membership = SliceMembers(members)
-	// Warm the scratch pool.
-	nl.Cut(members, in)
-	allocs := testing.AllocsPerRun(200, func() {
-		nl.Cut(members, in)
-		nl.InternalNets(members, in)
-	})
-	if allocs > 0 {
-		t.Errorf("Cut/InternalNets allocate %v times per call pair", allocs)
 	}
 }

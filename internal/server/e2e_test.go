@@ -289,7 +289,7 @@ func TestHTTPErrors(t *testing.T) {
 	}
 	// Malformed values and unknown fields are both rejected before a
 	// job exists.
-	for _, opts := range []string{`{"seeds": "many"}`, `{"relabel": true}`, `{"keep_curves": true}`, `{"dirty_radius": 1}`} {
+	for _, opts := range []string{`{"seeds": "many"}`, `{"relabel": true}`, `{"keep_curves": true}`, `{"dirty_radius": 1}`, `{"incremental_fallback": 0.5}`} {
 		_, err = c.Submit(ctx, api.JobRequest{
 			Kind:    api.KindFind,
 			Digest:  info.Digest,

@@ -197,7 +197,6 @@ func (s *Store) Ingest(data []byte) (api.NetlistInfo, error) {
 
 	// Fast path outside the parse: already loaded.
 	s.mu.Lock()
-	_, known := s.entries[digest]
 	if e, ok := s.entries[digest]; ok && e.nl != nil {
 		s.touch(e)
 		info := e.info
@@ -218,50 +217,7 @@ func (s *Store) Ingest(data []byte) (api.NetlistInfo, error) {
 	if len(data) >= 4 && string(data[:4]) == "TFBN" {
 		format = "tfb"
 	}
-	st := nl.Stats()
-	info := api.NetlistInfo{
-		Digest:  digest,
-		Format:  format,
-		Bytes:   int64(len(data)),
-		Cells:   st.Cells,
-		Nets:    st.Nets,
-		Pins:    st.Pins,
-		AvgPins: st.AvgPins,
-		Loaded:  true,
-	}
-
-	// Persist before registering: a digest must never be visible to
-	// clients without its blob and journal record behind it (blob
-	// first, so replay never meets a record without bytes; duplicate
-	// records from a racing identical upload are last-writer-wins on
-	// replay and therefore harmless).
-	if !known || !s.backend.HasBlob(digest) {
-		if err := s.backend.PutBlob(digest, data); err != nil {
-			return api.NetlistInfo{}, err
-		}
-		if err := s.backend.Append(Record{Kind: RecNetlist, Info: &info}); err != nil {
-			return api.NetlistInfo{}, err
-		}
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.entries[digest]; ok {
-		if e.nl != nil {
-			// Lost a reload race; the winner's copy is equivalent.
-			s.touch(e)
-			return e.info, nil
-		}
-		// Evicted tombstone: reload in place so metadata that is not
-		// derivable from the bytes — delta lineage, Parent — survives
-		// the eviction/re-upload cycle.
-		s.loadLocked(e, nl)
-		return e.info, nil
-	}
-	e := &entry{info: info}
-	s.entries[digest] = e
-	s.loadLocked(e, nl)
-	return e.info, nil
+	return s.register(digest, format, data, nl, nil)
 }
 
 // ApplyDelta patches the parent netlist with a JSON delta document
@@ -309,88 +265,98 @@ func (s *Store) ApplyDelta(parent string, deltaJSON []byte) (api.DeltaResult, er
 		}
 		return api.DeltaResult{Parent: parent, Netlist: info, DirtyCells: len(eff.Dirty)}, nil
 	}
-	st := child.Stats()
-	info := api.NetlistInfo{
-		Digest:  digest,
-		Format:  "tfb",
-		Bytes:   int64(buf.Len()),
-		Cells:   st.Cells,
-		Nets:    st.Nets,
-		Pins:    st.Pins,
-		AvgPins: st.AvgPins,
-		Loaded:  true,
-		Parent:  parent,
+	info, err := s.register(digest, "tfb", buf.Bytes(), child, &Lineage{Parent: parent, Dirty: eff.Dirty})
+	if err != nil {
+		return api.DeltaResult{}, err
 	}
-	lineage := &Lineage{Parent: parent, Dirty: eff.Dirty}
-
-	// Persist the child like an upload (blob first, then its netlist
-	// record, so replay never meets a record without bytes). The
-	// lineage record is appended after registration below — only by
-	// the call that actually attached it — and therefore always lands
-	// behind its netlist record in the journal: a torn tail can strand
-	// a lineage-less netlist (harmless: it just loses incremental
-	// routing until the delta is re-applied) but never lineage
-	// pointing at an unknown digest. An unregistered digest persists
-	// even when its blob exists: the blob may be left from an earlier
-	// attempt that failed before its record was written.
-	s.mu.Lock()
-	_, known := s.entries[digest]
-	s.mu.Unlock()
-	if !known || !s.backend.HasBlob(digest) {
-		if err := s.backend.PutBlob(digest, buf.Bytes()); err != nil {
-			return api.DeltaResult{}, err
-		}
-		if err := s.backend.Append(Record{Kind: RecNetlist, Info: &info}); err != nil {
-			return api.DeltaResult{}, err
-		}
-	}
-
-	res := api.DeltaResult{
+	return api.DeltaResult{
 		Parent:       parent,
+		Netlist:      info,
 		DirtyCells:   len(eff.Dirty),
 		CellsAdded:   eff.CellsAdded,
 		CellsRemoved: eff.CellsRemoved,
 		NetsAdded:    eff.NetsAdded,
 		NetsRemoved:  eff.NetsRemoved,
+	}, nil
+}
+
+// register is the registry's one write path, shared by Ingest and
+// ApplyDelta: it persists the parsed netlist nl of payload data and
+// registers it under digest, returning the entry's metadata.
+//
+// Persistence comes before registration, so a digest is never visible
+// to clients without its blob and netlist record behind it: blob
+// first, so replay never meets a record without bytes. A registered
+// digest whose blob is present is not written again; an unregistered
+// one is, even when its blob exists, since the blob may be left from
+// an earlier attempt that failed before its record was written.
+// Duplicate records from racing identical calls are last-writer-wins
+// on replay and therefore harmless.
+//
+// A known digest is reloaded in place when evicted, so metadata not
+// derivable from the bytes — lineage, Parent — survives an eviction
+// and re-upload cycle. A non-nil lin is attached when the entry has no
+// lineage yet (the first recorded lineage wins), backfilling Parent on
+// an entry whose bytes were uploaded directly first, and only the call
+// that attached it journals it. That lineage record therefore always
+// lands behind its netlist record: a torn tail can strand a
+// lineage-less netlist (harmless: it just loses incremental routing
+// until the delta is re-applied) but never lineage pointing at an
+// unknown digest.
+func (s *Store) register(digest, format string, data []byte, nl *netlist.Netlist, lin *Lineage) (api.NetlistInfo, error) {
+	st := nl.Stats()
+	info := api.NetlistInfo{
+		Digest:  digest,
+		Format:  format,
+		Bytes:   int64(len(data)),
+		Cells:   st.Cells,
+		Nets:    st.Nets,
+		Pins:    st.Pins,
+		AvgPins: st.AvgPins,
+		Loaded:  true,
+	}
+	if lin != nil {
+		info.Parent = lin.Parent
+	}
+	s.mu.Lock()
+	_, known := s.entries[digest]
+	s.mu.Unlock()
+	if !known || !s.backend.HasBlob(digest) {
+		if err := s.backend.PutBlob(digest, data); err != nil {
+			return api.NetlistInfo{}, err
+		}
+		if err := s.backend.Append(Record{Kind: RecNetlist, Info: &info}); err != nil {
+			return api.NetlistInfo{}, err
+		}
 	}
 
-	attachedLineage := false
 	s.mu.Lock()
-	if e, ok := s.entries[digest]; ok {
-		if e.lineage == nil {
-			e.lineage = lineage
-			attachedLineage = true
-			// An entry that predates its lineage (the child bytes were
-			// uploaded directly first) gets the parent backfilled so
-			// the wire metadata and Lineage never contradict.
-			if e.info.Parent == "" {
-				e.info.Parent = parent
-			}
-		}
-		if e.nl == nil {
-			// Known digest, non-resident payload: reload it in place.
-			s.loadLocked(e, child)
-		} else {
-			s.touch(e)
-		}
-		res.Netlist = e.info
-	} else {
-		e := &entry{info: info, lineage: lineage}
+	e, ok := s.entries[digest]
+	if !ok {
+		e = &entry{info: info}
 		s.entries[digest] = e
-		s.loadLocked(e, child)
-		res.Netlist = e.info
-		attachedLineage = true
 	}
+	attached := lin != nil && e.lineage == nil
+	if attached {
+		e.lineage = lin
+		if e.info.Parent == "" {
+			e.info.Parent = lin.Parent
+		}
+	}
+	if e.nl == nil {
+		s.loadLocked(e, nl)
+	} else {
+		s.touch(e) // lost a reload race; the winner's copy is equivalent
+	}
+	info = e.info
 	s.mu.Unlock()
 
-	// Journal the lineage exactly once — by whichever call attached it
-	// ("the first recorded lineage wins" holds across restarts too).
-	if attachedLineage {
-		if err := s.backend.Append(Record{Kind: RecLineage, Digest: digest, Parent: parent, Dirty: eff.Dirty}); err != nil {
-			return api.DeltaResult{}, err
+	if attached {
+		if err := s.backend.Append(Record{Kind: RecLineage, Digest: digest, Parent: lin.Parent, Dirty: lin.Dirty}); err != nil {
+			return api.NetlistInfo{}, err
 		}
 	}
-	return res, nil
+	return info, nil
 }
 
 // Lineage returns a digest's delta lineage (parent + dirty cells), if

@@ -1,18 +1,17 @@
 // Package telemetry is the project's dependency-free observability
-// core: atomic counters, gauges and fixed-bucket histograms with
-// pre-declared label sets, a Prometheus text-format exposition writer,
-// and StageTimings (stages.go), the per-stage wall-time map the engine
-// and the job manager report their breakdowns in.
+// core: counters, gauges and fixed-bucket histograms with pre-declared
+// label sets, a Prometheus text-format exposition writer, and
+// StageTimings (stages.go), the per-stage wall-time map the engine and
+// the job manager report their breakdowns in.
 //
 // The design is deliberately small. Metrics are registered once, up
 // front, on a Registry (duplicate or malformed registrations panic —
-// they are programmer errors); updates on the hot path are single
-// atomic operations with no allocation; label-value resolution
-// (Vec.With) takes a lock and should be hoisted out of hot loops by
-// resolving children once. Values that some other subsystem already
-// maintains (the job manager's cumulative counters, the store's
-// occupancy) are mirrored at scrape time through OnScrape hooks, so
-// /metrics and /v1/stats can never disagree.
+// they are programmer errors). Counters and gauges hold no count of
+// their own: every one is Set at scrape time, through an OnScrape
+// hook, from the value the owning subsystem already keeps (the job
+// manager's cumulative counts, the store's occupancy), so /metrics and
+// /v1/stats can never disagree. Histograms are observed as events
+// finish.
 package telemetry
 
 import (
@@ -161,9 +160,8 @@ func (f *family) with(values ...string) *child {
 
 // ---- Counter ----
 
-// Counter is a monotonically increasing value. Set exists for the one
-// sanctioned exception: mirroring a monotone total that some other
-// subsystem maintains (an existing stats atomic) at scrape time.
+// Counter is a monotonically increasing total, mirrored at scrape time
+// from the count its subsystem keeps (see OnScrape).
 type Counter struct{ c *child }
 
 // Counter registers an unlabeled counter family.
@@ -180,26 +178,10 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 }
 
 // With resolves (creating on first use) the child for the label values.
-// Resolve once and keep the child when updating from a hot path.
 func (v *CounterVec) With(values ...string) *Counter { return &Counter{v.f.with(values...)} }
 
-// Inc adds one.
-func (c *Counter) Inc() { addFloat(&c.c.value, 1) }
-
-// Add adds delta, which must be non-negative.
-func (c *Counter) Add(delta float64) {
-	if delta < 0 {
-		panic("telemetry: counter Add with negative delta")
-	}
-	addFloat(&c.c.value, delta)
-}
-
-// Set overwrites the counter's value — only for scrape-time mirroring
-// of an externally maintained monotone total (see OnScrape).
+// Set stores the mirrored total.
 func (c *Counter) Set(v float64) { c.c.value.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (c *Counter) Value() float64 { return math.Float64frombits(c.c.value.Load()) }
 
 // ---- Gauge ----
 
@@ -225,26 +207,14 @@ func (v *GaugeVec) With(values ...string) *Gauge { return &Gauge{v.f.with(values
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.c.value.Store(math.Float64bits(v)) }
 
-// Add adds delta (negative deltas subtract).
-func (g *Gauge) Add(delta float64) { addFloat(&g.c.value, delta) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.c.value.Load()) }
-
 // ---- Histogram ----
 
-// Histogram accumulates observations into fixed buckets declared at
-// registration time (cumulative on export, Prometheus-style).
+// Histogram is one series of a HistogramVec: it accumulates
+// observations into the family's fixed buckets (cumulative on export,
+// Prometheus-style).
 type Histogram struct {
 	c       *child
 	buckets []float64
-}
-
-// Histogram registers an unlabeled histogram family; nil buckets mean
-// DefBuckets.
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	f := r.register(name, help, kindHistogram, buckets)
-	return &Histogram{c: f.with(), buckets: f.buckets}
 }
 
 // HistogramVec is a histogram family with labels.

@@ -2,9 +2,11 @@ package telemetry
 
 import (
 	"encoding/json"
+	"io"
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -22,10 +24,9 @@ func TestCounterGaugeExposition(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_total", "A test counter.")
 	g := r.Gauge("test_depth", "A test gauge.")
-	c.Inc()
-	c.Add(2)
+	c.Set(3)
 	g.Set(7)
-	g.Add(-3)
+	g.Set(4)
 
 	out := scrape(t, r)
 	for _, want := range []string{
@@ -39,16 +40,13 @@ func TestCounterGaugeExposition(t *testing.T) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
 	}
-	if c.Value() != 3 || g.Value() != 4 {
-		t.Errorf("values: counter=%v gauge=%v", c.Value(), g.Value())
-	}
 }
 
 func TestVecLabelsAndEscaping(t *testing.T) {
 	r := NewRegistry()
 	v := r.CounterVec("test_labeled_total", `Help with backslash \ and`+"\nnewline.", "kind", "outcome")
-	v.With("find", "done").Add(5)
-	v.With(`we"ird\val`+"\nue", "x").Inc()
+	v.With("find", "done").Set(5)
+	v.With(`we"ird\val`+"\nue", "x").Set(1)
 
 	out := scrape(t, r)
 	if !strings.Contains(out, `# HELP test_labeled_total Help with backslash \\ and\nnewline.`) {
@@ -61,15 +59,15 @@ func TestVecLabelsAndEscaping(t *testing.T) {
 		t.Errorf("label value not escaped:\n%s", out)
 	}
 	// Same label values resolve to the same child.
-	v.With("find", "done").Inc()
-	if got := scrape(t, r); !strings.Contains(got, `{kind="find",outcome="done"} 6`) {
+	v.With("find", "done").Set(6)
+	if got := scrape(t, r); !strings.Contains(got, `{kind="find",outcome="done"} 6`) || strings.Count(got, `{kind="find",outcome="done"}`) != 1 {
 		t.Errorf("With not stable across calls:\n%s", got)
 	}
 }
 
 func TestHistogramCumulativeBuckets(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("test_seconds", "Latency.", []float64{0.1, 1, 10})
+	h := r.HistogramVec("test_seconds", "Latency.", []float64{0.1, 1, 10}).With()
 	for _, v := range []float64{0.05, 0.5, 0.5, 5, 50} {
 		h.Observe(v)
 	}
@@ -138,31 +136,37 @@ func TestRegistrationPanics(t *testing.T) {
 	mustPanic("bad label name", func() { r.CounterVec("ok_total", "x", "bad-label") })
 	mustPanic("reserved label", func() { r.CounterVec("ok2_total", "x", "__reserved") })
 	mustPanic("label arity", func() { r.CounterVec("ok3_total", "x", "a", "b").With("only-one") })
-	mustPanic("negative counter add", func() { r.Counter("neg_total", "x").Add(-1) })
 }
 
+// TestConcurrentUpdates mirrors the production pattern under
+// concurrency: workers bump their own count and observe through
+// With, while scrapes run beside them and a hook Sets the counter.
 func TestConcurrentUpdates(t *testing.T) {
 	r := NewRegistry()
+	var n atomic.Int64
 	c := r.Counter("conc_total", "x")
-	h := r.Histogram("conc_seconds", "x", []float64{1})
+	r.OnScrape(func() { c.Set(float64(n.Load())) })
+	hv := r.HistogramVec("conc_seconds", "x", []float64{1})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				c.Inc()
-				h.Observe(0.5)
+				n.Add(1)
+				hv.With().Observe(0.5)
+				if i%250 == 0 {
+					r.WritePrometheus(io.Discard)
+				}
 			}
 		}()
 	}
 	wg.Wait()
-	if c.Value() != 8000 {
-		t.Errorf("counter = %v, want 8000", c.Value())
-	}
 	out := scrape(t, r)
-	if !strings.Contains(out, "conc_seconds_count 8000") {
-		t.Errorf("histogram count wrong:\n%s", out)
+	for _, want := range []string{"conc_total 8000\n", "conc_seconds_count 8000"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q:\n%s", want, out)
+		}
 	}
 }
 
