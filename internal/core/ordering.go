@@ -45,8 +45,7 @@ type grower struct {
 	// bump instead of a walk, and the hot loop touches one cache line
 	// per cell where the former gain/tie/inFront parallel arrays
 	// touched three. The stamp's high bits carry per-growth flags
-	// (pending coalesced push, examined) and the cell's heap-buffer
-	// slot hint; see epochMask.
+	// (pending coalesced push, examined); see epochMask.
 	front []frontEntry
 	epoch uint32
 	// pend lists the frontier cells whose gain the current addCell has
@@ -88,18 +87,12 @@ type frontEntry struct {
 }
 
 // Stamp layout: the low 23 bits are the growth epoch; above them sit
-// two per-growth flag bits and a 7-bit heap-buffer slot hint. Flags
-// and hint are implicitly cleared whenever the epoch bits go stale
-// (liveness always compares stamp&epochMask), and the hint is
-// additionally self-validating: the heap re-checks the slot's key
-// before coalescing, so a hint left dangling by a pop or spill is
-// merely a missed coalesce, never a wrong one.
+// two per-growth flag bits, implicitly cleared whenever the epoch bits
+// go stale (liveness always compares stamp&epochMask).
 const (
 	epochMask   = 1<<23 - 1 // growth epoch
 	pendingBit  = 1 << 23   // gain bumped this addCell, push pending
 	examinedBit = 1 << 24   // already on the examined list this growth
-	slotShift   = 25        // buffered-push slot hint (see GainHeap.PushHinted)
-	slotMask    = uint32(0x7F) << slotShift
 )
 
 // invTab caches 1/k for small k: the weighted gain formula otherwise
@@ -261,11 +254,7 @@ func (g *grower) popBest() (netlist.CellID, bool) {
 			if g.heap.StillBest(int32(v), gain, fresh) {
 				return v, true
 			}
-			// Requeue hinted: the old hint is dead (this pop removed the
-			// entry it pointed at), so this records the requeued entry's
-			// slot — a later gain bump coalesces onto it in place.
-			slot := g.heap.PushHinted(int32(v), gain, fresh, fe.stamp>>slotShift)
-			fe.stamp = fe.stamp&^slotMask | slot<<slotShift
+			g.heap.Push(int32(v), gain, fresh)
 			continue
 		}
 		return v, true
@@ -366,17 +355,11 @@ func (g *grower) addCell(v netlist.CellID) {
 		}
 	}
 	// Flush the coalesced pushes: one per cell this absorb touched, at
-	// its final accumulated gain. The slot hint carried in the stamp
-	// lets consecutive absorbs that bump the same cell overwrite its
-	// still-buffered entry instead of queueing a stale duplicate — the
-	// duplicate could only ever be discarded at pop (gains only grow),
-	// so the pop sequence is unchanged while the main heap stays free
-	// of superseded revisions.
+	// its final accumulated gain.
 	for _, w := range g.pend {
 		fe := &front[w]
-		st := fe.stamp &^ pendingBit
-		slot := g.heap.PushHinted(w, fe.gain, fe.tie, st>>slotShift)
-		fe.stamp = st&^slotMask | slot<<slotShift
+		fe.stamp &^= pendingBit
+		g.heap.Push(w, fe.gain, fe.tie)
 	}
 	g.pend = g.pend[:0]
 }

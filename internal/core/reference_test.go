@@ -11,11 +11,11 @@ import (
 
 // refGrower is the pre-overhaul Phase I loop, kept as the reference
 // grower.grow must stay bit-identical to. It is deliberately plain:
-// per-net inside-pin counts (refTracker), a binary max-heap with no
-// insertion buffer (refHeap), a full NetPins walk with member skip per
-// incident net, per-term float divides, one heap push per (net, cell)
-// gain update, and a DeltaCut re-check on every weighted or min-cut
-// pop. It owns all of its state — frontier entries, the touched and
+// per-net inside-pin counts (refTracker), a binary max-heap (refHeap;
+// production's is 4-ary), a full NetPins walk with member skip per
+// incident net, per-term float divides, one uncoalesced heap push per
+// (net, cell) gain update, and a DeltaCut re-check on every weighted or
+// min-cut pop. It owns all of its state — frontier entries, the touched and
 // examined lists, its tracker and its heap — so it shares no
 // bookkeeping with the grower it checks.
 type refGrower struct {

@@ -1,8 +1,9 @@
 package ds
 
 import (
+	"math"
 	"math/rand"
-	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -128,61 +129,74 @@ func TestGainHeapOrdering(t *testing.T) {
 	}
 }
 
-// TestGainHeapMatchesSort is a property test against a reference sort.
+// TestGainHeapMatchesSort is a property test against a sorted
+// reference: random pushes interleaved with pops (gains, ties and keys
+// from small ranges, so equal gains, equal ties and repeated keys are
+// likely) must pop in the reference's order. After every step TopGain
+// must report the reference's best gain, and StillBest must accept
+// probes equal to the best entry or just before it and reject probes
+// just after it, where "just" is one step in gain, tie or key.
 func TestGainHeapMatchesSort(t *testing.T) {
-	f := func(gains []float64) bool {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
 		var h GainHeap
-		type entry struct {
-			gain float64
-			key  int32
-		}
-		var ref []entry
-		for i, g := range gains {
-			h.Push(int32(i), g, 0)
-			ref = append(ref, entry{g, int32(i)})
-		}
-		sort.Slice(ref, func(a, b int) bool {
-			if ref[a].gain != ref[b].gain {
-				return ref[a].gain > ref[b].gain
+		var ref []gainEntry // sorted by before
+		for step := 0; step < 300; step++ {
+			if len(ref) == 0 || r.Intn(3) > 0 {
+				e := gainEntry{float64(r.Intn(10)), int32(r.Intn(4)), int32(r.Intn(16))}
+				h.Push(e.key, e.gain, e.tie)
+				i := sort.Search(len(ref), func(i int) bool { return !before(ref[i], e) })
+				ref = slices.Insert(ref, i, e)
+			} else {
+				k, g, tie, ok := h.Pop()
+				if !ok || (gainEntry{g, tie, k}) != ref[0] {
+					return false
+				}
+				ref = ref[1:]
 			}
-			return ref[a].key < ref[b].key
-		})
-		for _, want := range ref {
-			k, g, _, ok := h.Pop()
-			if !ok || k != want.key || g != want.gain {
+			if !topMatches(&h, ref) {
 				return false
 			}
 		}
-		return true
-	}
-	cfg := &quick.Config{MaxCount: 100, Values: func(vs []reflect.Value, r *rand.Rand) {
-		n := r.Intn(50)
-		g := make([]float64, n)
-		for i := range g {
-			g[i] = float64(r.Intn(10)) // duplicates likely
+		for len(ref) > 0 {
+			k, g, tie, ok := h.Pop()
+			if !ok || (gainEntry{g, tie, k}) != ref[0] {
+				return false
+			}
+			ref = ref[1:]
 		}
-		vs[0] = reflect.ValueOf(g)
-	}}
-	if err := quick.Check(f, cfg); err != nil {
+		_, _, _, ok := h.Pop()
+		return !ok && h.Len() == 0 && topMatches(&h, ref)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestDSU(t *testing.T) {
-	d := NewDSU(10)
-	if d.Find(3) != 3 {
-		t.Fatal("initial parent wrong")
+// topMatches checks TopGain and StillBest against the sorted reference.
+func topMatches(h *GainHeap, ref []gainEntry) bool {
+	tg, ok := h.TopGain()
+	if len(ref) == 0 {
+		return !ok && h.StillBest(0, 0, 0)
 	}
-	if !d.Union(1, 2) || d.Union(1, 2) {
-		t.Fatal("Union return values wrong")
+	b := ref[0]
+	if !ok || tg != b.gain {
+		return false
 	}
-	d.Union(2, 3)
-	if d.Find(1) != d.Find(3) {
-		t.Error("1 and 3 should be joined")
+	up, down := math.Inf(1), math.Inf(-1)
+	ahead := []gainEntry{b, {math.Nextafter(b.gain, up), b.tie, b.key}, {b.gain, b.tie - 1, b.key}, {b.gain, b.tie, b.key - 1}}
+	behind := []gainEntry{{math.Nextafter(b.gain, down), b.tie, b.key}, {b.gain, b.tie + 1, b.key}, {b.gain, b.tie, b.key + 1}}
+	for _, p := range ahead {
+		if !h.StillBest(p.key, p.gain, p.tie) {
+			return false
+		}
 	}
-	if d.Find(1) == d.Find(4) {
-		t.Error("1 and 4 should be separate")
+	for _, p := range behind {
+		if h.StillBest(p.key, p.gain, p.tie) {
+			return false
+		}
 	}
+	return true
 }
 
 func TestRNGDeterminismAndRange(t *testing.T) {

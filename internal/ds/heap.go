@@ -18,26 +18,13 @@ import "unsafe"
 // matter: position upkeep on every sift plus mid-heap re-sifts cost
 // more than the duplicates ever do.
 //
-// Internally the queue is two-level. Pushes append to a small
-// unordered buffer whose best entry is tracked with one comparison per
-// push; only when the buffer fills do its entries spill into the main
-// heap. Pop serves from whichever side holds the overall best entry.
-// The shape fits the absorb loop exactly: each absorbed cell bumps a
-// burst of neighbor gains, and the next winner is very often one of
-// those fresh bumps — served straight from the L1-resident buffer, no
-// sift-down over a multi-megabyte heap array. Entries absorbed from
-// the buffer before it spills never touch the main heap at all.
-//
-// The main heap is 4-ary: each sift-down touches one parent and up to
-// four children in adjacent array slots, halving the tree depth of the
+// The heap is 4-ary: each sift-down touches one parent and up to four
+// children in adjacent array slots, halving the tree depth of the
 // binary layout. The comparison order is a total order over entries,
 // so the sequence of Pop results is a function of the pushed multiset
-// alone — buffering, spill timing and layout never change what Pop
-// returns.
+// alone — the layout never changes what Pop returns.
 type GainHeap struct {
 	entries []gainEntry
-	buf     []gainEntry
-	best    int // index of the buffer's best entry, -1 when empty
 }
 
 type gainEntry struct {
@@ -46,123 +33,70 @@ type gainEntry struct {
 	key  int32
 }
 
-// heapArity is the fan-out of the main heap's implicit tree.
+// heapArity is the fan-out of the heap's implicit tree.
 const heapArity = 4
 
-// heapBufCap bounds the insertion buffer: 1KB of entries, small enough
-// that the rescan after a buffer pop stays in L1, large enough to
-// absorb a typical burst of gain bumps between pops.
-const heapBufCap = 64
-
 // Len returns the number of queued entries, including stale ones.
-func (h *GainHeap) Len() int { return len(h.entries) + len(h.buf) }
+func (h *GainHeap) Len() int { return len(h.entries) }
 
-// MemoryFootprint returns the queue's retained bytes (entry and buffer
-// capacity, whether or not in use) for engine memory accounting.
+// MemoryFootprint returns the queue's retained bytes (entry capacity,
+// whether or not in use) for engine memory accounting.
 func (h *GainHeap) MemoryFootprint() int64 {
-	return int64(cap(h.entries)+cap(h.buf)) * int64(unsafe.Sizeof(gainEntry{}))
+	return int64(cap(h.entries)) * int64(unsafe.Sizeof(gainEntry{}))
 }
 
 // Reset empties the queue, retaining capacity.
-func (h *GainHeap) Reset() {
-	h.entries = h.entries[:0]
-	h.buf = h.buf[:0]
-	h.best = -1
-}
+func (h *GainHeap) Reset() { h.entries = h.entries[:0] }
 
 // Push queues key with the given gain and tiebreak value.
 func (h *GainHeap) Push(key int32, gain float64, tie int32) {
-	if len(h.buf) == heapBufCap {
-		h.spill()
-	}
 	e := gainEntry{gain, tie, key}
-	h.buf = append(h.buf, e)
-	if h.best < 0 || before(e, h.buf[h.best]) {
-		h.best = len(h.buf) - 1
-	}
-}
-
-// PushHinted queues like Push, but first checks whether buffer slot
-// hint still holds an entry for the same key — the slot a previous
-// PushHinted for that key returned — and if so overwrites it in place
-// instead of appending. It returns the slot the entry now occupies,
-// for the caller to remember as the next hint.
-//
-// Callers may only coalesce entries whose priority never worsens
-// between pushes (the absorb loop qualifies: a cell's gain only grows
-// within a growth), so an in-place overwrite can only improve the
-// slot's entry and the tracked best stays valid. The overwritten entry
-// is one the caller's pop loop would have discarded as stale with no
-// side effects, so coalescing never changes the pop sequence — it just
-// keeps superseded revisions from ever reaching the main heap.
-//
-// Hints are best-effort: a stale hint (the slot was popped, spilled or
-// reused since) simply fails the key check and the entry is appended.
-// Callers need not invalidate hints, only route them back in.
-func (h *GainHeap) PushHinted(key int32, gain float64, tie int32, hint uint32) uint32 {
-	if int(hint) < len(h.buf) {
-		if e := &h.buf[hint]; e.key == key {
-			e.gain, e.tie = gain, tie
-			if h.best != int(hint) && before(*e, h.buf[h.best]) {
-				h.best = int(hint)
-			}
-			return hint
+	h.entries = append(h.entries, e)
+	i := len(h.entries) - 1
+	for i > 0 {
+		p := (i - 1) / heapArity
+		if !before(e, h.entries[p]) {
+			break
 		}
+		h.entries[i] = h.entries[p]
+		i = p
 	}
-	if len(h.buf) == heapBufCap {
-		h.spill()
-	}
-	h.buf = append(h.buf, gainEntry{gain, tie, key})
-	slot := len(h.buf) - 1
-	if h.best < 0 || before(h.buf[slot], h.buf[h.best]) {
-		h.best = slot
-	}
-	return uint32(slot)
-}
-
-// spill moves every buffered entry into the main heap.
-func (h *GainHeap) spill() {
-	for _, e := range h.buf {
-		h.entries = append(h.entries, e)
-		h.up(len(h.entries) - 1)
-	}
-	h.buf = h.buf[:0]
-	h.best = -1
+	h.entries[i] = e
 }
 
 // Pop removes and returns the best entry. ok is false when empty.
 func (h *GainHeap) Pop() (key int32, gain float64, tie int32, ok bool) {
-	if h.best >= 0 {
-		if len(h.entries) == 0 || before(h.buf[h.best], h.entries[0]) {
-			e := h.buf[h.best]
-			last := len(h.buf) - 1
-			h.buf[h.best] = h.buf[last]
-			h.buf = h.buf[:last]
-			h.rescan()
-			return e.key, e.gain, e.tie, true
-		}
-	}
-	if len(h.entries) == 0 {
+	n := len(h.entries) - 1
+	if n < 0 {
 		return 0, 0, 0, false
 	}
-	e := h.entries[0]
-	last := len(h.entries) - 1
-	h.entries[0] = h.entries[last]
-	h.entries = h.entries[:last]
-	if last > 0 {
-		h.down(0)
+	top, e := h.entries[0], h.entries[n]
+	h.entries = h.entries[:n]
+	if n == 0 {
+		return top.key, top.gain, top.tie, true
 	}
-	return e.key, e.gain, e.tie, true
-}
-
-// rescan recomputes the buffer's best index after a buffer pop.
-func (h *GainHeap) rescan() {
-	h.best = -1
-	for i := range h.buf {
-		if h.best < 0 || before(h.buf[i], h.buf[h.best]) {
-			h.best = i
+	// Sift the former last entry down from the root: move the best
+	// child up into the hole until no child beats the entry.
+	i := 0
+	for {
+		first := heapArity*i + 1
+		if first >= n {
+			break
 		}
+		best, end := first, min(first+heapArity, n)
+		for c := first + 1; c < end; c++ {
+			if before(h.entries[c], h.entries[best]) {
+				best = c
+			}
+		}
+		if !before(h.entries[best], e) {
+			break
+		}
+		h.entries[i] = h.entries[best]
+		i = best
 	}
+	h.entries[i] = e
+	return top.key, top.gain, top.tie, true
 }
 
 // TopGain reports the best queued entry's gain without removing it.
@@ -170,16 +104,10 @@ func (h *GainHeap) rescan() {
 // when the popped entry's gain is strictly ahead of every rival: the
 // tiebreak cannot influence an uncontested maximum.
 func (h *GainHeap) TopGain() (float64, bool) {
-	switch {
-	case h.best < 0 && len(h.entries) == 0:
+	if len(h.entries) == 0 {
 		return 0, false
-	case h.best < 0:
-		return h.entries[0].gain, true
-	case len(h.entries) == 0 || h.buf[h.best].gain >= h.entries[0].gain:
-		return h.buf[h.best].gain, true
-	default:
-		return h.entries[0].gain, true
 	}
+	return h.entries[0].gain, true
 }
 
 // StillBest reports whether an entry (gain, tie, key) would pop before
@@ -188,14 +116,7 @@ func (h *GainHeap) TopGain() (float64, bool) {
 // still beats the queue, requeueing it would only be followed by an
 // immediate pop of the very same entry — the answer is already known.
 func (h *GainHeap) StillBest(key int32, gain float64, tie int32) bool {
-	cand := gainEntry{gain, tie, key}
-	if h.best >= 0 && before(h.buf[h.best], cand) {
-		return false
-	}
-	if len(h.entries) > 0 && before(h.entries[0], cand) {
-		return false
-	}
-	return true
+	return len(h.entries) == 0 || !before(h.entries[0], gainEntry{gain, tie, key})
 }
 
 // before is the queue's total order over entries.
@@ -207,42 +128,4 @@ func before(a, b gainEntry) bool {
 		return a.tie < b.tie
 	}
 	return a.key < b.key
-}
-
-func (h *GainHeap) less(i, j int) bool { return before(h.entries[i], h.entries[j]) }
-
-func (h *GainHeap) up(i int) {
-	for i > 0 {
-		p := (i - 1) / heapArity
-		if !h.less(i, p) {
-			break
-		}
-		h.entries[i], h.entries[p] = h.entries[p], h.entries[i]
-		i = p
-	}
-}
-
-func (h *GainHeap) down(i int) {
-	n := len(h.entries)
-	for {
-		first := heapArity*i + 1
-		if first >= n {
-			return
-		}
-		end := first + heapArity
-		if end > n {
-			end = n
-		}
-		best := i
-		for c := first; c < end; c++ {
-			if h.less(c, best) {
-				best = c
-			}
-		}
-		if best == i {
-			return
-		}
-		h.entries[i], h.entries[best] = h.entries[best], h.entries[i]
-		i = best
-	}
 }

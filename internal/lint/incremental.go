@@ -10,9 +10,9 @@ import (
 // report instead of re-walking the whole design for local rules.
 //
 // The contract mirrors full Lint exactly: for any (parent, child,
-// dirty) produced by Delta.Apply, LintDelta returns the same findings
-// as Lint(child, cfg) — this is locked by a differential test. The
-// split is:
+// dirty) produced by Delta.Apply, LintDelta returns the same findings,
+// per-rule finding counts and skipped rules as Lint(child, cfg) — this
+// is locked by a differential test. The split is:
 //
 //   - Local rules (whose findings depend only on the anchor's own
 //     pins) are re-checked on the dirty neighborhood only; previous
@@ -106,29 +106,27 @@ func LintDelta(prev *Report, parent, child *netlist.Netlist, dirty []netlist.Cel
 		rep.Findings = append(rep.Findings, f)
 	}
 
-	// Local rules on the dirty neighborhood only.
+	// Local rules on the dirty neighborhood only, global rules from
+	// scratch on a fresh unscoped pass, in registry order as in Lint.
 	scoped := &Pass{nl: child, cfg: &norm, scopeCells: scopeCells, scopeNets: scopeNets}
-	local := true
-	runRules(scoped, Rules(), rep, &local)
-	// rep holds only local findings so far; count each rule's merged
-	// total, including any the scoped pass cut off itself.
+	runRules(Rules(), rep, &Pass{nl: child, cfg: &norm}, scoped)
+	// A local rule's stat counted its re-checked findings only; report
+	// the merged total (carried plus re-checked, including any the
+	// scoped pass cut off itself) as Lint would.
 	count := make(map[string]int)
 	for _, f := range rep.Findings {
 		count[f.Rule]++
 	}
-	for _, st := range rep.Rules {
-		count[st.Rule] += st.Truncated
-	}
-	for _, n := range count {
-		if n > norm.MaxFindingsPerRule {
+	for i := range rep.Rules {
+		st := &rep.Rules[i]
+		if !localRules[st.Rule] {
+			continue
+		}
+		st.Findings = count[st.Rule] + st.Truncated
+		if st.Findings > norm.MaxFindingsPerRule {
 			return Lint(child, cfg)
 		}
 	}
-
-	// Global rules from scratch: a fresh unscoped pass.
-	full := &Pass{nl: child, cfg: &norm}
-	local = false
-	runRules(full, Rules(), rep, &local)
 
 	sortFindings(rep.Findings)
 	return rep

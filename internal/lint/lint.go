@@ -468,20 +468,21 @@ func LintWith(nl *netlist.Netlist, cfg Config, rules []Rule) *Report {
 	norm := cfg.normalized()
 	p := &Pass{nl: nl, cfg: &norm}
 	rep := &Report{ConfigKey: cfg.CacheKey()}
-	runRules(p, rules, rep, nil)
+	runRules(rules, rep, p, nil)
 	sortFindings(rep.Findings)
 	return rep
 }
 
-// runRules executes rules on p, appending to rep. When localOnly is
-// non-nil, only rules with Local() == *localOnly run — the incremental
-// path uses this to split scoped local checks from full global ones.
-func runRules(p *Pass, rules []Rule, rep *Report, localOnly *bool) {
+// runRules executes the enabled rules in order, appending to rep. Local
+// rules run on scoped when it is non-nil — the incremental path's
+// dirty neighborhood — and every other rule on full.
+func runRules(rules []Rule, rep *Report, full, scoped *Pass) {
 	for _, r := range rules {
-		if !p.cfg.ruleEnabled(r.ID()) {
-			continue
+		p := full
+		if scoped != nil && r.Local() {
+			p = scoped
 		}
-		if localOnly != nil && r.Local() != *localOnly {
+		if !p.cfg.ruleEnabled(r.ID()) {
 			continue
 		}
 		if r.NeedsDirection() && !p.nl.Directed() {

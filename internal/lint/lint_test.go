@@ -3,6 +3,7 @@ package lint
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -148,17 +149,18 @@ func TestFingerprintStability(t *testing.T) {
 }
 
 func TestDeterministicReports(t *testing.T) {
-	nl := randomDirected(7, 400, 600)
+	nl := randomNetlist(7, 400, 600, true)
 	a, b := Lint(nl, Config{}), Lint(nl, Config{})
 	if !reflect.DeepEqual(a.Findings, b.Findings) {
 		t.Fatal("two runs over the same netlist disagree")
 	}
 }
 
-// randomDirected builds a pseudo-random directed netlist with a mix of
+// randomNetlist builds a pseudo-random netlist with a mix of
 // combinational gates, flops, fanout and the occasional defect — raw
-// material for the differential test.
-func randomDirected(seed int64, cells, nets int) *netlist.Netlist {
+// material for the differential test. Undirected, it has the same pins
+// with no drivers marked.
+func randomNetlist(seed int64, cells, nets int, directed bool) *netlist.Netlist {
 	rng := rand.New(rand.NewSource(seed))
 	var b netlist.Builder
 	for i := 0; i < cells; i++ {
@@ -177,7 +179,11 @@ func randomDirected(seed int64, cells, nets int) *netlist.Netlist {
 		for j := range sinks {
 			sinks[j] = netlist.CellID(rng.Intn(cells))
 		}
-		b.AddDrivenNet(nameN("w", i), []netlist.CellID{drv}, sinks...)
+		if directed {
+			b.AddDrivenNet(nameN("w", i), []netlist.CellID{drv}, sinks...)
+		} else {
+			b.AddNet(nameN("w", i), append(sinks, drv)...)
+		}
 	}
 	return b.MustBuild()
 }
@@ -186,21 +192,26 @@ func nameN(prefix string, i int) string { return prefix + strconv.Itoa(i) }
 
 // TestLintDeltaDifferential is the incremental oracle: across a chain
 // of random deltas, LintDelta must report exactly what a from-scratch
-// Lint of the patched netlist reports. Under the defaults every round
-// is answered incrementally; a cap that truncates high-fanout-net in
-// every round makes each one a full Lint, which still must agree.
+// Lint of the patched netlist reports — the same findings, the same
+// per-rule stats (merged totals, registry order; timings aside) and
+// the same skipped rules. Under the defaults and on an undirected
+// netlist (where the direction-dependent rules are skipped) every
+// round is answered incrementally; a cap that truncates high-fanout-net
+// in every round makes each one a full Lint, which still must agree.
 func TestLintDeltaDifferential(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
 		cfg         Config
+		directed    bool
 		incremental bool
 	}{
-		{"defaults", Config{}, true},
-		{"truncated local rule", Config{MaxFanout: 4, MaxFindingsPerRule: 5}, false},
+		{"defaults", Config{}, true, true},
+		{"undirected", Config{MaxFanout: 4}, false, true},
+		{"truncated local rule", Config{MaxFanout: 4, MaxFindingsPerRule: 5}, true, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			gen := deltatest.NewGen(42)
-			nl := randomDirected(11, 300, 450)
+			nl := randomNetlist(11, 300, 450, tc.directed)
 			prev := Lint(nl, tc.cfg)
 			for round := 0; round < 25; round++ {
 				d, kind := gen.RandomEdit(nl, nil)
@@ -217,16 +228,36 @@ func TestLintDeltaDifferential(t *testing.T) {
 					t.Fatalf("round %d (%s): incremental and full lint disagree\nfull: %+v\ninc:  %+v",
 						round, kind, full.Findings, inc.Findings)
 				}
+				if got, want := untimed(inc.Rules), untimed(full.Rules); !reflect.DeepEqual(got, want) {
+					t.Fatalf("round %d (%s): rule stats disagree\nfull: %+v\ninc:  %+v", round, kind, want, got)
+				}
+				if !reflect.DeepEqual(inc.Skipped, full.Skipped) {
+					t.Fatalf("round %d (%s): skipped rules disagree\nfull: %+v\ninc:  %+v",
+						round, kind, full.Skipped, inc.Skipped)
+				}
+				if tc.directed != (len(inc.Skipped) == 0) {
+					t.Fatalf("round %d (%s): %d skipped rules on a directed=%v netlist",
+						round, kind, len(inc.Skipped), tc.directed)
+				}
 				nl, prev = child, inc
 			}
 		})
 	}
 }
 
+// untimed copies stats with their wall times zeroed.
+func untimed(st []RuleStat) []RuleStat {
+	out := slices.Clone(st)
+	for i := range out {
+		out[i].Nanos = 0
+	}
+	return out
+}
+
 // TestLintDeltaFallback: a stale or missing previous report must
 // trigger an honest full re-lint, never a wrong incremental answer.
 func TestLintDeltaFallback(t *testing.T) {
-	nl := randomDirected(3, 50, 80)
+	nl := randomNetlist(3, 50, 80, true)
 	rep := LintDelta(nil, nl, nl, nil, Config{})
 	if rep.Incremental {
 		t.Error("nil previous report still claimed an incremental run")
