@@ -129,6 +129,19 @@ func TestDirtyFixture(t *testing.T) {
 		}
 	}
 
+	// The .tfb bytes themselves are pinned too: they are directed
+	// (version 2) and named, and content digests hash exactly these.
+	var inCode bytes.Buffer
+	if err := nl.WriteBinary(&inCode); err != nil {
+		t.Fatal(err)
+	}
+	committed, err := os.ReadFile(tfbPath)
+	if err != nil {
+		t.Fatalf("committed fixture unreadable (regenerate with -update): %v", err)
+	}
+	if !bytes.Equal(inCode.Bytes(), committed) {
+		t.Errorf("in-code fixture serializes to %d bytes that differ from the committed %s (%d bytes)", inCode.Len(), tfbPath, len(committed))
+	}
 	disk, err := tanglefind.ReadNetlistFile(tfbPath)
 	if err != nil {
 		t.Fatalf("committed fixture unreadable (regenerate with -update): %v", err)

@@ -14,15 +14,16 @@ import (
 func Embed(b *netlist.Builder, frag Fragment, hostOpen []netlist.CellID, rng *ds.RNG) []netlist.CellID {
 	base := b.AddCells(frag.Cells)
 	global := func(local int32) netlist.CellID { return base + netlist.CellID(local) }
+	var pins []netlist.CellID // one scratch net; AddNet copies
 	for _, net := range frag.InternalNets {
-		pins := make([]netlist.CellID, len(net))
-		for i, l := range net {
-			pins[i] = global(l)
+		pins = pins[:0]
+		for _, l := range net {
+			pins = append(pins, global(l))
 		}
 		b.AddNet("", pins...)
 	}
 	for _, net := range frag.OpenNets {
-		pins := make([]netlist.CellID, 0, len(net)+2)
+		pins = pins[:0]
 		for _, l := range net {
 			pins = append(pins, global(l))
 		}
@@ -48,18 +49,10 @@ func BuildStandalone(frag Fragment) (*netlist.Netlist, error) {
 	b.DropDegenerateNets = false
 	b.AddCells(frag.Cells)
 	for _, net := range frag.InternalNets {
-		pins := make([]netlist.CellID, len(net))
-		for i, l := range net {
-			pins[i] = netlist.CellID(l)
-		}
-		b.AddNet("", pins...)
+		b.AddNet("", net...)
 	}
 	for _, net := range frag.OpenNets {
-		pins := make([]netlist.CellID, len(net))
-		for i, l := range net {
-			pins[i] = netlist.CellID(l)
-		}
-		b.AddNet("", pins...)
+		b.AddNet("", net...)
 	}
 	return b.Build()
 }

@@ -137,8 +137,9 @@ func NewRandomGraph(spec RandomGraphSpec) (*RandomGraph, error) {
 		if ext <= 0 {
 			ext = defaultExternalNets(bs.Size)
 		}
+		var pins []netlist.CellID // one scratch net; AddNet copies
 		for e := 0; e < ext; e++ {
-			pins := []netlist.CellID{cells[rng.Intn(len(cells))]}
+			pins = append(pins[:0], cells[rng.Intn(len(cells))])
 			if rng.Float64() < 0.3 {
 				pins = append(pins, cells[rng.Intn(len(cells))])
 			}
@@ -195,12 +196,13 @@ func addRandomNets(b *netlist.Builder, rng *ds.RNG, pool []netlist.CellID, avgPi
 	}
 	targetPins := int(avgPins * float64(len(pool)))
 	pins := 0
+	var cells []netlist.CellID // one scratch net; AddNet copies
 	for pins < targetPins {
 		sz := drawSize(rng, dist)
 		if sz > len(pool) {
 			sz = len(pool)
 		}
-		cells := make([]netlist.CellID, 0, sz)
+		cells = cells[:0]
 		for len(cells) < sz {
 			c := pool[rng.Intn(len(pool))]
 			dup := false

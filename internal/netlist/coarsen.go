@@ -265,6 +265,7 @@ func coarsenStep(nl *Netlist, maxNetSize int) (*Netlist, levelMap, error) {
 	// self-loops that DropDegenerateNets elides.
 	var b Builder
 	b.DropDegenerateNets = true
+	b.grow(nl.NumPins(), nl.NumNets())
 	b.AddCells(numCoarse)
 	for cc := 0; cc < numCoarse; cc++ {
 		area := 0.0

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 
 	"tanglefind/internal/ds"
 )
@@ -213,7 +214,8 @@ func (d *Delta) plan(nl *Netlist) (*deltaPlan, error) {
 	checkPins := func(what string, cells []CellID) ([]CellID, error) {
 		out := make([]CellID, len(cells))
 		copy(out, cells)
-		out = dedupe(out)
+		slices.Sort(out)
+		out = slices.Compact(out)
 		for _, c := range out {
 			if c < 0 || int(c) >= cellSpace {
 				return nil, fmt.Errorf("netlist: delta: %s pins unknown cell %d", what, c)
@@ -237,7 +239,8 @@ func (d *Delta) plan(nl *Netlist) (*deltaPlan, error) {
 		}
 		drv := make([]CellID, len(drivers))
 		copy(drv, drivers)
-		drv = dedupe(drv)
+		slices.Sort(drv)
+		drv = slices.Compact(drv)
 		if err := checkSubset(drv, run); err != nil {
 			return nil, fmt.Errorf("netlist: delta: %s: %w", what, err)
 		}

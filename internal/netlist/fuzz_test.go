@@ -2,6 +2,8 @@ package netlist
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -66,9 +68,48 @@ func TestReadNeverPanics(t *testing.T) {
 		"tfnet 1\ncells 2\nnet x 99999999\n",
 		"tfnet 1\ncells 1\nnet\n",
 		strings.Repeat("tfnet 1\n", 50),
+		"tfnet 1\ncells 3000000\n", // 22 bytes claiming 3M pinless cells
 	} {
 		check([]byte(s))
 	}
+}
+
+// checkTextInput is the .tfnet twin of checkBinaryInput: the reader
+// must return an error or a netlist that passes Validate — never panic.
+func checkTextInput(tb testing.TB, input []byte) {
+	defer func() {
+		if p := recover(); p != nil {
+			tb.Fatalf("text reader panicked on %q: %v", truncate(input), p)
+		}
+	}()
+	got, err := Read(bytes.NewReader(input))
+	if err == nil {
+		if vErr := got.Validate(); vErr != nil {
+			tb.Fatalf("text reader accepted invalid netlist from %q: %v", truncate(input), vErr)
+		}
+	}
+}
+
+// FuzzRead is the native fuzz target for the .tfnet reader, which
+// parses every text upload; `go test` runs the seed corpus, `go test
+// -fuzz=FuzzRead` explores.
+func FuzzRead(f *testing.F) {
+	var b Builder
+	b.AddCells(6)
+	b.AddDrivenNet("clk", []CellID{0}, 1, 2, 3)
+	b.AddNet("", 3, 4, 5)
+	b.AddNet("q", 5, 0)
+	var text bytes.Buffer
+	if err := b.MustBuild().Write(&text); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(text.Bytes())
+	f.Add([]byte("tfnet 1\ncells 3000000\n"))
+	f.Add([]byte("tfnet 1\n# comment\ncells 2\n\n net a *0 1 1\n"))
+	f.Add([]byte("tfnet 1\ncells 2\nnet\u00a0a 0 1\n"))
+	f.Fuzz(func(t *testing.T, input []byte) {
+		checkTextInput(t, input)
+	})
 }
 
 func truncate(b []byte) string {
@@ -99,7 +140,9 @@ func binarySeed(tb testing.TB) []byte {
 }
 
 // checkBinaryInput is the shared oracle: the reader must return an
-// error or a netlist that passes Validate — never panic.
+// error or a netlist that passes Validate — never panic. The same
+// bytes from a stream that cannot report its length take the
+// chunk-by-chunk allocation path and must read the same.
 func checkBinaryInput(tb testing.TB, input []byte) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -110,6 +153,16 @@ func checkBinaryInput(tb testing.TB, input []byte) {
 	if err == nil {
 		if vErr := got.Validate(); vErr != nil {
 			tb.Fatalf("binary reader accepted invalid netlist from %q: %v", truncate(input), vErr)
+		}
+	}
+	streamed, serr := ReadBinary(io.MultiReader(bytes.NewReader(input)))
+	if fmt.Sprint(err) != fmt.Sprint(serr) {
+		tb.Fatalf("reading %q from memory gave %v, from a stream %v", truncate(input), err, serr)
+	}
+	if err == nil {
+		var a, b bytes.Buffer
+		if got.WriteBinary(&a) != nil || streamed.WriteBinary(&b) != nil || !bytes.Equal(a.Bytes(), b.Bytes()) {
+			tb.Fatalf("reading %q from memory and from a stream gave different netlists", truncate(input))
 		}
 	}
 }

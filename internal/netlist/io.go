@@ -2,11 +2,11 @@ package netlist
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
-	"strings"
 )
 
 // The .tfnet text format is a minimal portable netlist exchange format:
@@ -55,19 +55,21 @@ func Read(r io.Reader) (*Netlist, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
 	line := 0
-	next := func() (string, bool) {
+	// next returns the next line that is neither blank nor a comment,
+	// trimmed; it stays valid until the following call.
+	next := func() ([]byte, bool) {
 		for sc.Scan() {
 			line++
-			t := strings.TrimSpace(sc.Text())
-			if t == "" || strings.HasPrefix(t, "#") {
+			t := bytes.TrimSpace(sc.Bytes())
+			if len(t) == 0 || t[0] == '#' {
 				continue
 			}
 			return t, true
 		}
-		return "", false
+		return nil, false
 	}
 	hdr, ok := next()
-	if !ok || !strings.HasPrefix(hdr, "tfnet ") {
+	if !ok || !bytes.HasPrefix(hdr, []byte("tfnet ")) {
 		return nil, fmt.Errorf("netlist: line %d: missing tfnet header", line)
 	}
 	cellsLine, ok := next()
@@ -75,7 +77,7 @@ func Read(r io.Reader) (*Netlist, error) {
 		return nil, fmt.Errorf("netlist: line %d: missing cells line", line)
 	}
 	var numCells int
-	if _, err := fmt.Sscanf(cellsLine, "cells %d", &numCells); err != nil {
+	if _, err := fmt.Sscanf(string(cellsLine), "cells %d", &numCells); err != nil {
 		return nil, fmt.Errorf("netlist: line %d: bad cells line: %v", line, err)
 	}
 	if numCells < 0 || numCells > math.MaxInt32 {
@@ -83,21 +85,23 @@ func Read(r io.Reader) (*Netlist, error) {
 	}
 	var b Builder
 	b.AddCells(numCells)
+	// One scratch pin list and driver list serve every net line, since
+	// AddNet copies.
+	var cells, drivers []CellID
 	for {
 		t, ok := next()
 		if !ok {
 			break
 		}
-		fields := strings.Fields(t)
-		if fields[0] != "net" || len(fields) < 2 {
+		fields := bytes.Fields(t)
+		if string(fields[0]) != "net" || len(fields) < 2 {
 			return nil, fmt.Errorf("netlist: line %d: expected net line, got %q", line, t)
 		}
-		cells := make([]CellID, 0, len(fields)-2)
-		var drivers []CellID
+		cells, drivers = cells[:0], drivers[:0]
 		for _, f := range fields[2:] {
-			raw, isDrv := strings.CutPrefix(f, "*")
-			id, err := strconv.Atoi(raw)
-			if err != nil {
+			raw, isDrv := bytes.CutPrefix(f, []byte("*"))
+			id, err := strconv.Atoi(string(raw))
+			if err != nil || id < math.MinInt32 || id > math.MaxInt32 {
 				return nil, fmt.Errorf("netlist: line %d: bad cell id %q", line, f)
 			}
 			cells = append(cells, CellID(id))
@@ -105,13 +109,18 @@ func Read(r io.Reader) (*Netlist, error) {
 				drivers = append(drivers, CellID(id))
 			}
 		}
-		id := b.AddNet(fields[1], cells...)
-		if drivers != nil {
+		id := b.AddNet(string(fields[1]), cells...)
+		if len(drivers) > 0 {
 			b.MarkDrivers(id, drivers...)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("netlist: read: %w", err)
+	}
+	// The cell count is a bare header claim, and Build allocates
+	// O(cells): hold it to the .tfb reader's rule before building.
+	if implausibleCells(numCells, len(b.pins)) {
+		return nil, fmt.Errorf("netlist: implausible header: %d cells backed by only %d pins", numCells, len(b.pins))
 	}
 	return b.Build()
 }

@@ -46,9 +46,15 @@ import (
 //
 // The reader rejects any other version, validates ids and sortedness
 // while decoding (so a loaded netlist always passes Validate), and
-// never allocates more than the bytes actually present in the stream —
-// a truncated header claiming 2^31 pins fails on the first short read,
-// not with a 16 GiB allocation.
+// never allocates much more than the bytes actually present in the
+// stream — a truncated header claiming 2^31 pins fails on the first
+// short read, not with a 16 GiB allocation. When the stream reports
+// its length (bytes.Reader, bytes.Buffer), each array is allocated
+// once at its claimed size, capped by what the stream could hold.
+//
+// Both directions move data in 4 KB chunks: the writer encodes values
+// into one chunk before each Write, and the reader decodes each
+// buffered chunk straight into the array it fills.
 
 var tfbMagic = [4]byte{'T', 'F', 'B', 'N'}
 
@@ -70,14 +76,17 @@ const (
 // corrupt or adversarial stream.
 const maxStringLen = 1 << 20
 
-// allocChunk caps speculative slice growth while decoding: arrays are
-// grown in chunks as bytes actually arrive, so a lying header cannot
-// force a huge allocation.
+// allocChunk caps the up-front allocation of an array read from a
+// stream of unknown length: the array grows as bytes actually arrive,
+// so a lying header cannot force a huge allocation.
 const allocChunk = 1 << 16
+
+// chunkBytes is the size of the chunk the writer encodes into before
+// each Write. The reader's unit is its bufio buffer, 4 KB by default.
+const chunkBytes = 4 << 10
 
 // WriteBinary serializes the netlist in .tfb form.
 func (nl *Netlist) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriter(w)
 	var flags uint32
 	if hasAnyName(nl.netNames) {
 		flags |= tfbFlagNetNames
@@ -93,56 +102,124 @@ func (nl *Netlist) WriteBinary(w io.Writer) error {
 		flags |= tfbFlagDrivers
 		version = tfbVersionDrivers
 	}
-	bw.Write(tfbMagic[:])
-	writeU32(bw, version)
-	writeU32(bw, flags)
-	writeU32(bw, uint32(nl.NumCells()))
-	writeU32(bw, uint32(nl.NumNets()))
-	writeU64(bw, uint64(nl.NumPins()))
-	for _, off := range nl.netPinOff {
-		writeU32(bw, uint32(off))
-	}
-	if nl.NumNets() == 0 {
-		// The zero-value netlist has no offset array; emit the
-		// implicit single 0 so the reader sees a well-formed CSR.
-		if len(nl.netPinOff) == 0 {
-			writeU32(bw, 0)
-		}
-	}
-	for _, c := range nl.netPinCell {
-		writeU32(bw, uint32(c))
-	}
+	e := tfbEncoder{w: w, buf: make([]byte, 0, chunkBytes)}
+	e.buf = append(e.buf, tfbMagic[:]...)
+	e.u32(version)
+	e.u32(flags)
+	e.u32(uint32(nl.NumCells()))
+	e.u32(uint32(nl.NumNets()))
+	e.u64(uint64(nl.NumPins()))
+	// The zero-value netlist has no offset arrays; emit the implicit
+	// single 0 so the reader sees a well-formed CSR.
+	e.offsets(nl.netPinOff)
+	e.u32s(nl.netPinCell)
 	if flags&tfbFlagDrivers != 0 {
-		writeU64(bw, uint64(len(nl.netDrvCell)))
-		for _, off := range nl.netDrvOff {
-			writeU32(bw, uint32(off))
-		}
-		if len(nl.netDrvOff) == 0 {
-			writeU32(bw, 0) // zero-net directed netlist: implicit single 0
-		}
-		for _, c := range nl.netDrvCell {
-			writeU32(bw, uint32(c))
-		}
+		e.u64(uint64(len(nl.netDrvCell)))
+		e.offsets(nl.netDrvOff)
+		e.u32s(nl.netDrvCell)
 	}
 	if flags&tfbFlagNetNames != 0 {
-		writeStrings(bw, nl.netNames, nl.NumNets())
+		e.names(nl.netNames, nl.NumNets())
 	}
 	if flags&tfbFlagCellNames != 0 {
-		writeStrings(bw, nl.cellNames, nl.NumCells())
+		e.names(nl.cellNames, nl.NumCells())
 	}
 	if flags&tfbFlagAreas != 0 {
 		for _, a := range nl.cellArea {
-			writeU64(bw, math.Float64bits(a))
+			e.u64(math.Float64bits(a))
 		}
 	}
-	return bw.Flush()
+	return e.flush()
+}
+
+// tfbEncoder encodes a .tfb stream into one chunk and hands the writer
+// a full chunk at a time. The first write error sticks: later chunks
+// are dropped and flush returns it.
+type tfbEncoder struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
+
+// room makes sure the chunk has n free bytes (n <= chunkBytes).
+func (e *tfbEncoder) room(n int) {
+	if cap(e.buf)-len(e.buf) < n {
+		e.flush()
+	}
+}
+
+func (e *tfbEncoder) flush() error {
+	if e.err == nil && len(e.buf) > 0 {
+		_, e.err = e.w.Write(e.buf)
+	}
+	e.buf = e.buf[:0]
+	return e.err
+}
+
+func (e *tfbEncoder) u32(v uint32) {
+	e.room(4)
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
+}
+
+func (e *tfbEncoder) u64(v uint64) {
+	e.room(8)
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
+}
+
+func (e *tfbEncoder) u32s(vals []int32) {
+	for _, v := range vals {
+		e.u32(uint32(v))
+	}
+}
+
+// offsets writes a CSR offset array, or the single 0 a nil one stands
+// for.
+func (e *tfbEncoder) offsets(off []int32) {
+	if len(off) == 0 {
+		e.u32(0)
+		return
+	}
+	e.u32s(off)
+}
+
+// names writes n length-prefixed names; ids past the end of names are
+// unnamed.
+func (e *tfbEncoder) names(names []string, n int) {
+	for i := 0; i < n; i++ {
+		s := ""
+		if i < len(names) {
+			s = names[i]
+		}
+		e.room(binary.MaxVarintLen64)
+		e.buf = binary.AppendUvarint(e.buf, uint64(len(s)))
+		for len(s) > 0 {
+			e.room(1)
+			k := min(len(s), cap(e.buf)-len(e.buf))
+			e.buf = append(e.buf, s[:k]...)
+			s = s[k:]
+		}
+	}
 }
 
 // ReadBinary parses a .tfb stream produced by WriteBinary.
 func ReadBinary(r io.Reader) (*Netlist, error) {
-	br := bufio.NewReader(r)
-	var hdr [28]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	return readBinary(bufio.NewReader(r), streamLen(r))
+}
+
+// streamLen returns the number of unread bytes r holds when it can
+// tell (bytes.Reader, bytes.Buffer, strings.Reader), else -1.
+func streamLen(r io.Reader) int {
+	if l, ok := r.(interface{ Len() int }); ok {
+		return l.Len()
+	}
+	return -1
+}
+
+// readBinary decodes a .tfb stream of size bytes (-1 when unknown).
+func readBinary(br *bufio.Reader, size int) (*Netlist, error) {
+	d := tfbDecoder{r: br, size: size}
+	hdr, err := d.next(28, 1)
+	if err != nil {
 		return nil, fmt.Errorf("netlist: tfb: short header: %w", err)
 	}
 	if [4]byte(hdr[0:4]) != tfbMagic {
@@ -160,6 +237,7 @@ func ReadBinary(r io.Reader) (*Netlist, error) {
 	numCells := int(le.Uint32(hdr[12:16]))
 	numNets := int(le.Uint32(hdr[16:20]))
 	numPins64 := le.Uint64(hdr[20:28])
+	br.Discard(28)
 	if numCells > math.MaxInt32 || numNets > math.MaxInt32 || numPins64 > math.MaxInt32 {
 		return nil, fmt.Errorf("netlist: tfb: sizes out of range (%d cells, %d nets, %d pins)", numCells, numNets, numPins64)
 	}
@@ -170,11 +248,11 @@ func ReadBinary(r io.Reader) (*Netlist, error) {
 	// allowance, demand pin evidence — real netlists average ~4 pins
 	// per cell; a stream claiming over 1M cells with fewer than half a
 	// pin per cell is a crafted allocation bomb, not a netlist.
-	if numCells > 1<<20 && numCells > 2*numPins {
+	if implausibleCells(numCells, numPins) {
 		return nil, fmt.Errorf("netlist: tfb: implausible header: %d cells backed by only %d pins", numCells, numPins)
 	}
 
-	off, err := readU32sAsI32(br, numNets+1)
+	off, err := d.u32s(numNets + 1)
 	if err != nil {
 		return nil, fmt.Errorf("netlist: tfb: offsets: %w", err)
 	}
@@ -186,7 +264,7 @@ func ReadBinary(r io.Reader) (*Netlist, error) {
 			return nil, fmt.Errorf("netlist: tfb: offsets decrease at net %d", i-1)
 		}
 	}
-	pins, err := readU32sAsI32(br, numPins)
+	pins, err := d.u32s(numPins)
 	if err != nil {
 		return nil, fmt.Errorf("netlist: tfb: pins: %w", err)
 	}
@@ -204,16 +282,17 @@ func ReadBinary(r io.Reader) (*Netlist, error) {
 	var drvOff []int32
 	var drvCell []CellID
 	if flags&tfbFlagDrivers != 0 {
-		var cnt [8]byte
-		if _, err := io.ReadFull(br, cnt[:]); err != nil {
+		cnt, err := d.next(8, 8)
+		if err != nil {
 			return nil, fmt.Errorf("netlist: tfb: driver count: %w", err)
 		}
-		numDrv64 := le.Uint64(cnt[:])
+		numDrv64 := le.Uint64(cnt)
+		br.Discard(8)
 		if numDrv64 > uint64(numPins) {
 			return nil, fmt.Errorf("netlist: tfb: %d driver pins exceed %d pins", numDrv64, numPins)
 		}
 		numDrv := int(numDrv64)
-		if drvOff, err = readU32sAsI32(br, numNets+1); err != nil {
+		if drvOff, err = d.u32s(numNets + 1); err != nil {
 			return nil, fmt.Errorf("netlist: tfb: driver offsets: %w", err)
 		}
 		if drvOff[0] != 0 || int(drvOff[numNets]) != numDrv {
@@ -227,7 +306,7 @@ func ReadBinary(r io.Reader) (*Netlist, error) {
 				return nil, fmt.Errorf("netlist: tfb: net %d has more drivers than pins", i-1)
 			}
 		}
-		drvCell, err = readU32sAsI32(br, numDrv)
+		drvCell, err = d.u32s(numDrv)
 		if err != nil {
 			return nil, fmt.Errorf("netlist: tfb: driver pins: %w", err)
 		}
@@ -250,28 +329,19 @@ func ReadBinary(r io.Reader) (*Netlist, error) {
 	}
 	var netNames, cellNames []string
 	if flags&tfbFlagNetNames != 0 {
-		if netNames, err = readStrings(br, numNets); err != nil {
+		if netNames, err = d.names(numNets); err != nil {
 			return nil, fmt.Errorf("netlist: tfb: net names: %w", err)
 		}
 	}
 	if flags&tfbFlagCellNames != 0 {
-		if cellNames, err = readStrings(br, numCells); err != nil {
+		if cellNames, err = d.names(numCells); err != nil {
 			return nil, fmt.Errorf("netlist: tfb: cell names: %w", err)
 		}
 	}
 	var areas []float64
 	if flags&tfbFlagAreas != 0 {
-		areas = make([]float64, 0, min(numCells, allocChunk))
-		var buf [8]byte
-		for i := 0; i < numCells; i++ {
-			if _, err := io.ReadFull(br, buf[:]); err != nil {
-				return nil, fmt.Errorf("netlist: tfb: areas: %w", err)
-			}
-			a := math.Float64frombits(le.Uint64(buf[:]))
-			if math.IsNaN(a) || math.IsInf(a, 0) || a < 0 {
-				return nil, fmt.Errorf("netlist: tfb: cell %d has invalid area %v", i, a)
-			}
-			areas = append(areas, a)
+		if areas, err = d.areas(numCells); err != nil {
+			return nil, fmt.Errorf("netlist: tfb: %w", err)
 		}
 	}
 	nl := fromNetCSR(numCells, off, pins, netNames, cellNames, areas)
@@ -281,6 +351,118 @@ func ReadBinary(r io.Reader) (*Netlist, error) {
 	return nl, nil
 }
 
+// implausibleCells is the rule both readers apply to a cell count:
+// beyond 1<<20 cells it must be backed by at least one pin per two
+// cells.
+func implausibleCells(numCells, numPins int) bool {
+	return numCells > 1<<20 && numCells > 2*numPins
+}
+
+// tfbDecoder reads the arrays of a .tfb stream straight out of the
+// reader's buffer, one chunk at a time. size is the stream's length
+// (-1 when unknown): an array is allocated whole when that many
+// elements could fit in the stream, and otherwise starts at allocChunk
+// elements and grows as bytes arrive, so a lying header never costs
+// an allocation much larger than the stream.
+type tfbDecoder struct {
+	r    *bufio.Reader
+	size int
+}
+
+// capFor returns the capacity to allocate up front for an array of n
+// elements of elemBytes each.
+func (d *tfbDecoder) capFor(n, elemBytes int) int {
+	if d.size >= 0 {
+		return min(n, d.size/elemBytes)
+	}
+	return min(n, allocChunk)
+}
+
+// next returns, without consuming them, the next min(want, chunk)
+// bytes of the stream, a whole number of elemBytes-sized elements.
+// Running out of stream mid-chunk is io.ErrUnexpectedEOF.
+func (d *tfbDecoder) next(want, elemBytes int) ([]byte, error) {
+	k := min(want, d.r.Size()/elemBytes*elemBytes)
+	b, err := d.r.Peek(k)
+	if len(b) < k {
+		if err == io.EOF && len(b) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	return b, nil
+}
+
+// u32s decodes n little-endian uint32 values that must fit in int32.
+func (d *tfbDecoder) u32s(n int) ([]int32, error) {
+	out := make([]int32, 0, d.capFor(n, 4))
+	for len(out) < n {
+		b, err := d.next(4*(n-len(out)), 4)
+		if err != nil {
+			return nil, err
+		}
+		for i := 0; i < len(b); i += 4 {
+			v := binary.LittleEndian.Uint32(b[i:])
+			if v > math.MaxInt32 {
+				return nil, fmt.Errorf("value %d overflows int32", v)
+			}
+			out = append(out, int32(v))
+		}
+		d.r.Discard(len(b))
+	}
+	return out, nil
+}
+
+// areas decodes n cell areas, each finite and non-negative.
+func (d *tfbDecoder) areas(n int) ([]float64, error) {
+	out := make([]float64, 0, d.capFor(n, 8))
+	for len(out) < n {
+		b, err := d.next(8*(n-len(out)), 8)
+		if err != nil {
+			return nil, fmt.Errorf("areas: %w", err)
+		}
+		for i := 0; i < len(b); i += 8 {
+			a := math.Float64frombits(binary.LittleEndian.Uint64(b[i:]))
+			if math.IsNaN(a) || math.IsInf(a, 0) || a < 0 {
+				return nil, fmt.Errorf("cell %d has invalid area %v", len(out), a)
+			}
+			out = append(out, a)
+		}
+		d.r.Discard(len(b))
+	}
+	return out, nil
+}
+
+// names decodes n length-prefixed names and keeps them only up to the
+// last non-empty one (nil when every name is empty).
+func (d *tfbDecoder) names(n int) ([]string, error) {
+	var out []string
+	for i := 0; i < n; i++ {
+		l, err := binary.ReadUvarint(d.r)
+		if err != nil {
+			return nil, err
+		}
+		if l > maxStringLen {
+			return nil, fmt.Errorf("name %d length %d exceeds limit", i, l)
+		}
+		if l == 0 {
+			continue
+		}
+		var sb strings.Builder
+		sb.Grow(int(l))
+		for sb.Len() < int(l) {
+			b, err := d.next(int(l)-sb.Len(), 1)
+			if err != nil {
+				return nil, err
+			}
+			sb.Write(b)
+			d.r.Discard(len(b))
+		}
+		out = setAt(out, i, sb.String(), "")
+	}
+	return out, nil
+}
+
 // ReadAuto parses a netlist from r, autodetecting the format by
 // content: a "TFBN" magic selects the .tfb binary reader, anything
 // else falls through to the .tfnet text parser.
@@ -288,7 +470,7 @@ func ReadAuto(r io.Reader) (*Netlist, error) {
 	br := bufio.NewReader(r)
 	head, _ := br.Peek(len(tfbMagic))
 	if len(head) == len(tfbMagic) && [4]byte(head) == tfbMagic {
-		return ReadBinary(br)
+		return readBinary(br, streamLen(r))
 	}
 	return Read(br)
 }
@@ -340,69 +522,4 @@ func allUnitArea(area []float64) bool {
 		}
 	}
 	return true
-}
-
-func writeU32(w *bufio.Writer, v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	w.Write(b[:])
-}
-
-func writeU64(w *bufio.Writer, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	w.Write(b[:])
-}
-
-func writeStrings(w *bufio.Writer, names []string, n int) {
-	var b [binary.MaxVarintLen64]byte
-	for i := 0; i < n; i++ {
-		s := ""
-		if i < len(names) {
-			s = names[i]
-		}
-		w.Write(b[:binary.PutUvarint(b[:], uint64(len(s)))])
-		w.WriteString(s)
-	}
-}
-
-// readU32sAsI32 decodes n little-endian uint32 values that must fit in
-// int32, growing the result chunk by chunk so the allocation tracks
-// the bytes actually read.
-func readU32sAsI32(r *bufio.Reader, n int) ([]int32, error) {
-	out := make([]int32, 0, min(n, allocChunk))
-	var buf [4 * 1024]byte
-	for len(out) < n {
-		want := min((n-len(out))*4, len(buf))
-		if _, err := io.ReadFull(r, buf[:want]); err != nil {
-			return nil, err
-		}
-		for i := 0; i < want; i += 4 {
-			v := binary.LittleEndian.Uint32(buf[i : i+4])
-			if v > math.MaxInt32 {
-				return nil, fmt.Errorf("value %d overflows int32", v)
-			}
-			out = append(out, int32(v))
-		}
-	}
-	return out, nil
-}
-
-func readStrings(r *bufio.Reader, n int) ([]string, error) {
-	out := make([]string, 0, min(n, allocChunk))
-	for i := 0; i < n; i++ {
-		l, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, err
-		}
-		if l > maxStringLen {
-			return nil, fmt.Errorf("name %d length %d exceeds limit", i, l)
-		}
-		b := make([]byte, l)
-		if _, err := io.ReadFull(r, b); err != nil {
-			return nil, err
-		}
-		out = append(out, string(b))
-	}
-	return out, nil
 }

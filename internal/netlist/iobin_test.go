@@ -2,10 +2,13 @@ package netlist
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -217,6 +220,26 @@ func TestBinaryLyingHeaderDoesNotOverAllocate(t *testing.T) {
 	if _, err := ReadBinary(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("expected error for truncated stream")
 	}
+	// The same for 2^31-1 nets, whose offsets are read first: from
+	// memory or from a stream of unknown length, the reader allocates
+	// well under a megabyte before the short read.
+	hdr := buf.Bytes()
+	copy(hdr[16:20], []byte{0xff, 0xff, 0xff, 0x7f})
+	for _, r := range []func() io.Reader{
+		func() io.Reader { return bytes.NewReader(hdr) },
+		func() io.Reader { return io.MultiReader(bytes.NewReader(hdr)) },
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadBinary(r())
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatal("expected error for truncated stream")
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("a 28-byte header made the reader allocate %d bytes", grew)
+		}
+	}
 }
 
 func TestBinaryRejectsImplausibleCellCount(t *testing.T) {
@@ -233,5 +256,71 @@ func TestBinaryRejectsImplausibleCellCount(t *testing.T) {
 	buf.Write([]byte{0, 0, 0, 0})             // offsets[0] = 0
 	if _, err := ReadBinary(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("expected implausible-header error")
+	}
+}
+
+// TestReadRejectsImplausibleCellCount is the .tfnet twin of
+// TestBinaryRejectsImplausibleCellCount: a header claiming more than
+// 1<<20 cells with fewer than one pin per two cells is rejected before
+// anything O(cells) is allocated; at the limit it still loads.
+func TestReadRejectsImplausibleCellCount(t *testing.T) {
+	for _, in := range []string{
+		"tfnet 1\ncells 3000000\n",
+		"tfnet 1\ncells 2147483647\n",
+		"tfnet 1\ncells 1048577\nnet a 0 1\n",
+	} {
+		if _, err := Read(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "implausible") {
+			t.Errorf("%q: err = %v, want an implausible-header error", in, err)
+		}
+	}
+	nl, err := Read(strings.NewReader("tfnet 1\ncells 1048576\nnet a 0 1\n"))
+	if err != nil {
+		t.Fatalf("1<<20 cells: %v", err)
+	}
+	if nl.NumCells() != 1<<20 || nl.NumPins() != 2 {
+		t.Fatalf("loaded %d cells and %d pins", nl.NumCells(), nl.NumPins())
+	}
+}
+
+// TestNamesAndAreasKeptOnlyWhereSet checks that names are stored only
+// up to the last named id and areas only once one is non-unit, through
+// the Builder and through a .tfb round trip, and that a built netlist
+// does not change when its Builder is edited afterwards.
+func TestNamesAndAreasKeptOnlyWhereSet(t *testing.T) {
+	var b Builder
+	b.AddCells(1000)
+	b.AddNet("tag", 0, 1)
+	for i := 1; i < 999; i++ {
+		b.AddNet("", CellID(i), CellID(i+1))
+	}
+	b.SetCellArea(5, 1) // unit: nothing to store
+	nl := b.MustBuild()
+	if len(nl.netNames) != 1 || nl.cellNames != nil || nl.cellArea != nil {
+		t.Fatalf("kept %d net names, %d cell names, %d areas; want 1, 0, 0", len(nl.netNames), len(nl.cellNames), len(nl.cellArea))
+	}
+	var buf bytes.Buffer
+	if err := nl.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadBinary(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(back.netNames) != 1 || back.NetName(0) != "tag" || back.NetName(1) != "n1" {
+		t.Fatalf("read back %d net names (%q, %q)", len(back.netNames), back.NetName(0), back.NetName(1))
+	}
+
+	named := b.AddCell("late")
+	b.SetCellArea(7, 2.5)
+	nl2 := b.MustBuild()
+	if len(nl2.cellNames) != int(named)+1 || nl2.CellName(named) != "late" || nl2.CellName(3) != "c3" {
+		t.Fatalf("kept %d cell names", len(nl2.cellNames))
+	}
+	if len(nl2.cellArea) != nl2.NumCells() || nl2.CellArea(7) != 2.5 || nl2.CellArea(named) != 1 {
+		t.Fatalf("areas: %d entries, cell 7 %v, cell %d %v", len(nl2.cellArea), nl2.CellArea(7), named, nl2.CellArea(named))
+	}
+	b.SetCellArea(7, 4)
+	if nl2.CellArea(7) != 2.5 || nl.CellArea(7) != 1 {
+		t.Fatal("editing the Builder changed a netlist it built")
 	}
 }

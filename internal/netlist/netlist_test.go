@@ -153,6 +153,10 @@ func TestReadRejectsGarbage(t *testing.T) {
 		"tfnet 1\nnets 3\n",
 		"tfnet 1\ncells 2\nnet n0 0 xyz\n",
 		"tfnet 1\ncells 2\nunexpected line\n",
+		// Ids past int32 must not wrap onto real cells (4294967297 is 1
+		// modulo 2^32).
+		"tfnet 1\ncells 2\nnet n0 0 4294967297\n",
+		"tfnet 1\ncells 2\nnet n0 *-2147483649 1\n",
 	}
 	for i, c := range cases {
 		if _, err := Read(strings.NewReader(c)); err == nil {

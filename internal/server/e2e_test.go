@@ -274,6 +274,10 @@ func TestHTTPErrors(t *testing.T) {
 	wantStatus(err, http.StatusBadRequest)
 	_, err = c.UploadNetlist(ctx, nil)
 	wantStatus(err, http.StatusBadRequest)
+	// 22 bytes claiming three million pinless cells: rejected before
+	// the reader allocates anything O(cells).
+	_, err = c.UploadNetlist(ctx, []byte("tfnet 1\ncells 3000000\n"))
+	wantStatus(err, http.StatusBadRequest)
 	_, err = c.Netlist(ctx, "missing-digest")
 	wantStatus(err, http.StatusNotFound)
 	_, err = c.Submit(ctx, api.JobRequest{Kind: api.KindFind, Digest: "missing-digest"})
