@@ -278,7 +278,8 @@ type JobStats struct {
 	IncrementalFallbacks int64 `json:"incremental_fallbacks,omitempty"`
 	// IncrStateBytes estimates the memory retained by recorded
 	// incremental seed states (the -incr-states LRU) — footprint
-	// bitsets plus stored growth curves.
+	// bitsets, recorded orderings and outcome candidates, each counted
+	// once however many cached states of a delta chain share it.
 	IncrStateBytes int64 `json:"incr_state_bytes,omitempty"`
 	// LintRuns counts completed lint engine runs; LintIncremental
 	// counts the subset answered incrementally from a parent report

@@ -324,36 +324,40 @@ func (f *Finder) runSeeds(ctx context.Context, opt *Options, plan seedPlan, reco
 	if record {
 		recs = make([]*seedRecord, len(run))
 	}
-	// A seed whose replay diverges falls through to the full pipeline
-	// and counts wholly as reseed (its grow/score/recombine phases also
-	// land in the worker's phase clocks).
+	// A seed whose replay diverges falls through to the live pipeline
+	// and counts wholly as reseed. A re-scored replay's phases, like a
+	// live seed's, also land in the worker's phase clocks.
 	var replayNS, reseedNS atomic.Int64
 	completed, sched, phases := f.runSeedPool(ctx, opt, len(run), func(ws *workerState, k int) bool {
 		i := run[k]
+		p := seedPipe{gr: ws.gr, ev: ws.ev, opt: opt, aG: f.aG}
 		var t time.Time
 		if src != nil {
 			t = clock()
 			if rec := src.st.seeds[i]; rec != nil && rec.seed == plan.ids[i] && !rec.foot.IntersectsWith(src.region) {
-				if o, ok := f.replaySeed(ws, rec, i, opt); ok {
+				if o, r, ok := p.replay(rec, seedRNG(opt.RandSeed, i)); ok {
+					o.idx, o.replayed = i, true
 					outs[k] = o
 					if record {
-						recs[k] = rec // immutable; chains share it
+						recs[k] = r
 					}
 					replayNS.Add(int64(clock().Sub(t)))
 					return o.cand != nil
 				}
 			}
 		}
-		var rec *seedRecord
 		if record {
-			rec = &seedRecord{}
-			recs[k] = rec
+			p.rec = &seedRecord{seed: plan.ids[i], foot: ds.NewBitset(f.nl.NumCells()), aG: f.aG}
 		}
 		// Per-seed RNG derived from (RandSeed, i): identical streams
 		// no matter which worker runs the job.
-		o := runSeed(f.nl, ws.gr, ws.ev, seedRNG(opt.RandSeed, i), plan.ids[i], opt, f.aG, rec)
+		o, _ := p.runSeed(seedRNG(opt.RandSeed, i), plan.ids[i])
 		o.idx = i
 		outs[k] = o
+		if record {
+			p.rec.out = o
+			recs[k] = p.rec
+		}
 		if src != nil {
 			reseedNS.Add(int64(clock().Sub(t)))
 		}

@@ -64,12 +64,18 @@ type Result struct {
 	// Stages is the run's flat per-stage wall-time breakdown. The
 	// per-seed phases ("grow", "score", "recombine", and the
 	// incremental "replay"/"reseed" split) are summed across workers,
-	// so they can exceed Elapsed when Workers > 1; "prune" is the
-	// global pruning pass, and multilevel runs add "coarse_detect"
-	// (the coarse detection's wall time, which overlaps its own
-	// per-seed phases) and "project" (the projection/refinement
-	// descent). Always non-nil on a completed run. Purely diagnostic —
-	// timing never affects detection results.
+	// so they can exceed Elapsed when Workers > 1. "grow" covers each
+	// seed's growth with its Rent exponent (and, recording, its
+	// capture), "score" curve scoring and extraction, and "recombine"
+	// refinement through recombination. An incremental run adds a
+	// replayed seed's wall time to "replay" and a re-grown seed's to
+	// "reseed"; a replay re-scored under a new A(G) also lands its
+	// phases in grow, score and recombine, as a re-grown seed does.
+	// "prune" is the global pruning pass, and multilevel runs add
+	// "coarse_detect" (the coarse detection's wall time, which
+	// overlaps its own per-seed phases) and "project" (the
+	// projection/refinement descent). Always non-nil on a completed
+	// run. Purely diagnostic — timing never affects detection results.
 	Stages telemetry.StageTimings
 }
 
@@ -129,56 +135,91 @@ type seedOut struct {
 	replayed bool // answered from a recorded seed instead of grown
 }
 
+// seedPipe is one seed's pass through Phases I–III on a worker: the
+// worker's grower and evaluator, the run's options and A(G), and where
+// the seed's growths come from and go to. growFrom is the one place a
+// growth is produced, so a grown and a replayed seed run the same
+// extraction, refinement and recombination code.
+type seedPipe struct {
+	gr  *grower
+	ev  *group.Evaluator
+	opt *Options
+	aG  float64
+	// rec captures every live growth for later replay; nil when the
+	// run does not record.
+	rec *seedRecord
+	// from is the recording being replayed; nil when growing live.
+	from *seedRecord
+}
+
+// growFrom returns growth k of the seed — 0 is the seed's own, k > 0
+// the refinement re-growth k — started from cell s, with the
+// ordering's structural Rent exponent. Growing live, it grows and, when
+// recording, captures the growth and its read set into p.rec. Replaying,
+// it returns recorded growth k if that growth started from s (the
+// record's clean footprint makes it exactly what a live growth would
+// produce) and otherwise reports divergence with ok false. The
+// returned ordering stays valid until the next growFrom call.
+func (p *seedPipe) growFrom(s netlist.CellID, k int) (ord *OrderingStats, rent float64, ok bool) {
+	if p.from != nil {
+		if k < len(p.from.grows) && p.from.grows[k].start == s {
+			g := &p.from.grows[k]
+			return &g.ord, g.rent, true
+		}
+		return nil, 0, false
+	}
+	ord = p.gr.grow(s, p.opt.MaxOrderLen)
+	rent = averageRent(ord)
+	if p.rec != nil {
+		p.rec.markFootprint(p.gr)
+		p.rec.grows = append(p.rec.grows, growth{start: s, ord: ord.clone(), rent: rent})
+	}
+	return ord, rent, true
+}
+
+// score evaluates the Phase II curve of one ordering into the grower's
+// reusable buffer, valid until the next score call.
+func (p *seedPipe) score(ord *OrderingStats, rent float64) *Curve {
+	scoreCurveWithRent(&p.gr.curve, ord, rent, p.opt.Metric, p.aG)
+	return &p.gr.curve
+}
+
 // runSeed executes Phases I–III (refinement, not pruning) for one
-// seed. When rec is non-nil it also captures the seed's structural
-// state — orderings, score-curve inputs and the exact read footprint —
-// for later incremental replay; capture never changes the outcome.
-func runSeed(nl *netlist.Netlist, gr *grower, ev *group.Evaluator, rng *ds.RNG, seed netlist.CellID, opt *Options, aG float64, rec *seedRecord) (out seedOut) {
+// seed. ok is false only when a replay diverges from its recording;
+// a live run always completes. Recording never changes the outcome.
+func (p *seedPipe) runSeed(rng *ds.RNG, seed netlist.CellID) (out seedOut, ok bool) {
+	gr := p.gr
 	t := clock()
-	ord := gr.grow(seed, opt.MaxOrderLen)
+	ord, rent, ok := p.growFrom(seed, 0)
+	if !ok {
+		return out, false
+	}
+	// Grow covers the growth, its Rent exponent and a recording's
+	// capture; score covers curve scoring and extraction; recombine
+	// runs from here through refinement.
 	t = gr.stamp(phaseGrow, t)
-	curve := gr.scoreCurve(ord, opt.Metric, aG)
-	if rec != nil {
-		rec.seed = seed
-		rec.foot = ds.NewBitset(nl.NumCells())
-		rec.markFootprint(gr)
-		rec.aG = aG
-		rec.ord = copyOrdRecord(ord, curve.Rent)
-	}
-	ex := extract(curve, opt)
-	// Score covers curve scoring, extraction and the incremental
-	// footprint capture above; recombine starts here and runs through
-	// refinement.
+	ex := extract(p.score(ord, rent), p.opt)
 	t = gr.stamp(phaseScore, t)
-	if rec != nil {
-		rec.extracted = ex.ok
-		rec.size = ex.size
-		rec.score = ex.score
-	}
 	out.trace = SeedTrace{Seed: seed, OrderLen: ord.Len()}
 	if !ex.ok {
-		return out
+		return out, true
 	}
 	out.trace.Extracted = true
 	out.trace.Size = ex.size
 	out.trace.Score = ex.score
+	out.rent = ex.rent
 
-	base := ev.Eval(ord.Prefix(ex.size))
-	if !opt.Refine {
-		out.cand = &base
-		out.score = ex.score
-		out.rent = ex.rent
+	base := p.ev.Eval(ord.Prefix(ex.size))
+	if !p.opt.Refine {
+		out.cand, out.score = &base, ex.score
 		gr.stamp(phaseRecombine, t)
-		return out
+		return out, true
 	}
 	// Refinement's internal re-growths and re-scores are attributed to
 	// recombine wholesale: they exist to feed the recombination family.
-	refined, score := refine(gr, ev, rng, base, ex, opt, aG, rec)
-	out.cand = refined
-	out.score = score
-	out.rent = ex.rent
+	out.cand, out.score, ok = p.refine(rng, base, ex)
 	gr.stamp(phaseRecombine, t)
-	return out
+	return out, ok
 }
 
 // comboScratch is the reusable arena of Phase III recombination: one
@@ -208,34 +249,29 @@ func (sc *comboScratch) sortFamily(family []group.Set) [][]netlist.CellID {
 // refine implements Phase III for one candidate B: re-grow from
 // RefineSeeds random interior cells, then search the closure of the
 // resulting family under pairwise union, intersection and difference
-// for the best-scoring set (the paper's "genetic" recombination).
-func refine(gr *grower, ev *group.Evaluator, rng *ds.RNG, base group.Set, ex extraction, opt *Options, aG float64, rec *seedRecord) (*group.Set, float64) {
+// for the best-scoring set (the paper's "genetic" recombination). ok
+// is false when a replayed re-growth diverges from its recording.
+func (p *seedPipe) refine(rng *ds.RNG, base group.Set, ex extraction) (*group.Set, float64, bool) {
 	family := []group.Set{base}
-	for r := 0; r < opt.RefineSeeds && base.Size() > 0; r++ {
+	for r := 0; r < p.opt.RefineSeeds && base.Size() > 0; r++ {
 		s := base.Members[rng.Intn(base.Size())]
-		ord := gr.grow(s, opt.MaxOrderLen)
-		curve := gr.scoreCurve(ord, opt.Metric, aG)
-		ex2 := extract(curve, opt)
-		if rec != nil {
-			rec.markFootprint(gr)
-			rec.refine = append(rec.refine, refineRecord{
-				seed: s, ord: copyOrdRecord(ord, curve.Rent),
-				extracted: ex2.ok, size: ex2.size,
-			})
+		ord, rent, ok := p.growFrom(s, r+1)
+		if !ok {
+			return nil, 0, false
 		}
+		ex2 := extract(p.score(ord, rent), p.opt)
 		if !ex2.ok {
 			continue
 		}
-		family = append(family, ev.Eval(ord.Prefix(ex2.size)))
+		family = append(family, p.ev.Eval(ord.Prefix(ex2.size)))
 	}
-	return recombine(ev, &gr.combo, family, ex, opt, aG)
+	set, score := recombine(p.ev, &p.gr.combo, family, ex, p.opt, p.aG)
+	return set, score, true
 }
 
-// recombine is the shared tail of Phase III (paper steps III.6–III.12)
-// over an assembled family whose first entry is the base candidate:
+// recombine is the tail of Phase III (paper steps III.6–III.12) over
+// an assembled family whose first entry is the base candidate:
 // pairwise union/intersection/difference closure, best score wins.
-// Both the live pipeline (refine) and incremental replay feed it, so
-// replayed seeds recombine exactly as a full run would.
 //
 // Combos are streamed through the arena in the same order the closure
 // has always enumerated them (union, intersection, both differences,

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"tanglefind/internal/ds"
-	"tanglefind/internal/group"
 	"tanglefind/internal/netlist"
 )
 
@@ -17,61 +16,47 @@ import (
 // read last time. FindIncremental exploits that with an exact-replay
 // argument rather than a heuristic:
 //
-//   - A recorded run (Options.RecordIncremental) stores, per seed, the
-//     structural outcome of every growth — the ordering members and
-//     the per-prefix cut/pin totals Phase II scores are computed from
-//     — plus the growth's exact read set (its "footprint": ordering
-//     members plus the frontier cells whose own pin runs the grower
-//     re-verified). Scores themselves are NOT stored: they depend on
-//     the netlist-wide A(G), which almost every delta changes.
+//   - A recorded run (Options.RecordIncremental) stores, per seed, its
+//     growths in the order it ran them — each one's start cell,
+//     ordering with the per-prefix cut/pin totals Phase II scores, and
+//     structural Rent exponent — the union of their exact read sets
+//     (the "footprint": ordering members plus the frontier cells whose
+//     own pin runs the grower re-verified), the seed's outcome, and
+//     the A(G) that outcome was scored under.
 //   - A delta reports its dirty cells: every cell on a touched net,
 //     old or new side. A net incident to any cell a seed read is
 //     touched only if that cell is dirty, so footprint ∩ dirty = ∅
-//     proves the seed's growths would re-run byte-for-byte.
-//   - For such seeds, replay re-derives Phase II from the stored
-//     cut/pin curves under the patched netlist's A(G) (GTL-SD couples
-//     A_G into the score exponent, so extraction must genuinely be
-//     re-decided), re-evaluates candidate sets on the patched netlist
-//     and re-runs recombination — identical to what a full run would
-//     compute, at O(ordering length) cost instead of a growth.
-//   - Seeds whose footprint intersects the dirty region, or whose
-//     replay diverges from the recorded control flow (an extraction
-//     flipped under the new A_G), re-run the full growth pipeline.
-//     Phase III pruning is global and always re-runs.
+//     proves every recorded growth would re-run byte-for-byte, and
+//     every set the seed evaluated — each lies inside the footprint —
+//     keeps its cut and pins.
+//   - Such a seed under the recorded A(G) therefore has exactly its
+//     recorded outcome, which replay returns verbatim: the common case
+//     for pin-count-preserving edits (reconnects, splits, merges).
+//   - Under a new A(G) (GTL-SD couples A_G into the score exponent, so
+//     extraction must genuinely be re-decided) the seed runs the live
+//     pipeline, runSeed, with its recorded growths as the growth
+//     source: each growth whose start cell matches the recording is
+//     read back instead of re-grown. A mismatch — an extraction that
+//     flipped or moved, so Phase III draws other interior cells — is a
+//     divergence, and the seed re-grows live.
+//   - Seeds whose footprint intersects the dirty region re-grow live
+//     too. Phase III pruning is global and always re-runs.
 //
 // The differential guarantee — incremental output equals a full run on
 // the patched netlist — is locked by internal/netlist/deltatest.
 
-// ordRecord is the structural (A_G-independent) content of one growth:
-// the ordering and the per-prefix totals its score curve derives from.
-type ordRecord struct {
-	members []netlist.CellID
-	cuts    []int32
-	pins    []int64
-	rent    float64 // averageRent of the ordering; structural too
-}
-
-func copyOrdRecord(o *OrderingStats, rent float64) ordRecord {
-	return ordRecord{
-		members: append([]netlist.CellID(nil), o.Members...),
-		cuts:    append([]int32(nil), o.Cuts...),
-		pins:    append([]int64(nil), o.Pins...),
-		rent:    rent,
-	}
-}
-
-// refineRecord is one Phase III re-growth: the interior cell drawn
-// (verified on replay against the reproduced RNG stream), its growth
-// record and its Phase II outcome at record time — the latter lets
-// A_G-preserving replays skip rescoring entirely.
-type refineRecord struct {
-	seed      netlist.CellID
-	ord       ordRecord
-	extracted bool
-	size      int
+// growth is one recorded Phase I run: its start cell, its ordering and
+// the ordering's Rent exponent, which is structural like the ordering.
+type growth struct {
+	start netlist.CellID
+	ord   OrderingStats
+	rent  float64
 }
 
 // seedRecord is everything one executed seed needs for exact replay.
+// Records are immutable once their run completes: a replaying run
+// reuses a record whole under its A(G) and shares its footprint and
+// growths under a new one.
 type seedRecord struct {
 	seed netlist.CellID
 	// foot is the union read set of all the seed's growths. For
@@ -80,13 +65,10 @@ type seedRecord struct {
 	// member-incident nets — and a touched member-incident net makes
 	// the member itself dirty); OrderMinCut reads every frontier
 	// cell's pin run at insert, so there the whole touched set counts.
-	foot      *ds.Bitset
-	aG        float64 // A(G) the curves were scored under
-	ord       ordRecord
-	extracted bool    // Phase II outcome at record time
-	size      int     // extraction size at record time
-	score     float64 // extraction score at record time
-	refine    []refineRecord
+	foot  *ds.Bitset
+	aG    float64  // A(G) out was scored under
+	out   seedOut  // the seed's outcome
+	grows []growth // growth 0 from the seed, then refinement re-growths
 }
 
 // markFootprint folds the grower's current growth into the record's
@@ -113,7 +95,8 @@ func (rec *seedRecord) markFootprint(gr *grower) {
 // and also keeps that level's netlist, which a later run diffs its own
 // coarsening against, and that level's options key. It is immutable
 // once built; replayed seeds of an incremental run share their records
-// with the previous state, so chains of deltas stay cheap.
+// (or their footprints and growths) with the previous state, so chains
+// of deltas stay cheap.
 type IncrementalState struct {
 	key    string        // Options.Key of the recorded run
 	maxLen int           // effective ordering cap of the detection level
@@ -123,25 +106,48 @@ type IncrementalState struct {
 	coarseKey string           // multilevel only: its options' key
 }
 
-// MemoryEstimate reports the state's retained bytes: footprint bitsets
-// plus the stored growth records, and for multilevel states the
-// retained coarse netlist.
-func (st *IncrementalState) MemoryEstimate() int64 {
+// MemoryEstimate reports the state's retained bytes; see
+// IncrementalStatesMemory.
+func (st *IncrementalState) MemoryEstimate() int64 { return IncrementalStatesMemory(st) }
+
+// IncrementalStatesMemory reports the bytes a set of recorded states
+// retains: footprint bitsets, recorded orderings (16 B per ordered
+// cell), outcome candidates and, for multilevel states, the coarse
+// netlist. Each is counted once however many of the states share it,
+// as the states of one delta chain do. nil states are skipped.
+func IncrementalStatesMemory(states ...*IncrementalState) int64 {
+	seen := make(map[any]bool)
+	first := func(p any) bool {
+		if seen[p] {
+			return false
+		}
+		seen[p] = true
+		return true
+	}
 	var b int64
-	if st.coarseNl != nil {
-		b += st.coarseNl.MemoryFootprint()
-	}
-	ord := func(o *ordRecord) {
-		b += int64(cap(o.members))*4 + int64(cap(o.cuts))*4 + int64(cap(o.pins))*8
-	}
-	for _, r := range st.seeds {
-		if r == nil {
+	for _, st := range states {
+		if st == nil {
 			continue
 		}
-		b += int64(r.foot.Capacity()) / 8
-		ord(&r.ord)
-		for i := range r.refine {
-			ord(&r.refine[i].ord)
+		if st.coarseNl != nil && first(st.coarseNl) {
+			b += st.coarseNl.MemoryFootprint()
+		}
+		for _, r := range st.seeds {
+			if r == nil {
+				continue
+			}
+			if first(r.foot) {
+				b += int64(r.foot.Capacity()) / 8
+			}
+			if len(r.grows) > 0 && first(&r.grows[0]) {
+				for i := range r.grows {
+					o := &r.grows[i].ord
+					b += int64(cap(o.Members))*4 + int64(cap(o.Cuts))*4 + int64(cap(o.Pins))*8
+				}
+			}
+			if c := r.out.cand; c != nil && first(c) {
+				b += int64(cap(c.Members)) * 4
+			}
 		}
 	}
 	return b
@@ -159,85 +165,23 @@ func (lv *detectLevel) record(opt *Options, sr *seedRun) *IncrementalState {
 	return st
 }
 
-// rescoreInto recomputes a growth's Phase II curve from its structural
-// record under a (possibly new) A(G), through the same scoring loop a
-// live re-growth would run (scoreCurveWithRent) with the stored
-// structural rent — so a replayed curve is bit-identical by
-// construction.
-func rescoreInto(c *Curve, rec *ordRecord, m Metric, aG float64) {
-	o := OrderingStats{Members: rec.members, Cuts: rec.cuts, Pins: rec.pins}
-	scoreCurveWithRent(c, &o, rec.rent, m, aG)
-}
-
-// replaySeed reproduces one recorded seed's outcome on the patched
-// netlist without re-growing. It reports ok=false when the replay
-// would diverge from the recorded control flow — a Phase II extraction
-// that flipped or moved under the new A(G) changes which interior
-// cells Phase III draws, so the seed must re-run its growths instead.
-//
-// When the patched A(G) is bitwise-identical to the recorded one (the
-// common case for pin-count-preserving ECO edits: reconnects, splits,
-// merges) the recorded Phase II outcomes ARE this run's outcomes, so
-// rescoring is skipped entirely and the replay is just the candidate
-// set evaluations and recombination.
-func (f *Finder) replaySeed(ws *workerState, rec *seedRecord, idx int, opt *Options) (seedOut, bool) {
-	sameAG := rec.aG == f.aG
-	out := seedOut{idx: idx, replayed: true}
-	out.trace = SeedTrace{Seed: rec.seed, OrderLen: len(rec.ord.members)}
-	var ex extraction
-	if sameAG {
-		if !rec.extracted {
-			return out, true
-		}
-		ex = extraction{size: rec.size, score: rec.score, rent: rec.ord.rent, ok: true}
-	} else {
-		curve := &ws.gr.curve
-		rescoreInto(curve, &rec.ord, opt.Metric, f.aG)
-		ex = extract(curve, opt)
-		if !ex.ok {
-			// A full run would reject this curve too (same integers,
-			// same A_G): no candidate, no Phase III, nothing to replay.
-			return out, true
-		}
-		if !rec.extracted || ex.size != rec.size {
-			return seedOut{}, false
-		}
+// replay answers a recorded seed whose footprint the edit left clean.
+// Under the A(G) its outcome was scored under, that outcome is exact
+// and comes back verbatim with the record itself. Under a new A(G) the
+// seed runs the pipeline over its recorded growths, and the returned
+// record pairs the new outcome with the old footprint and growths. ok
+// is false when the replay diverges from the recording.
+func (p *seedPipe) replay(rec *seedRecord, rng *ds.RNG) (seedOut, *seedRecord, bool) {
+	if rec.aG == p.aG {
+		return rec.out, rec, true
 	}
-	out.trace.Extracted = true
-	out.trace.Size = ex.size
-	out.trace.Score = ex.score
-
-	base := ws.ev.Eval(rec.ord.members[:ex.size])
-	if !opt.Refine {
-		out.cand, out.score, out.rent = &base, ex.score, ex.rent
-		return out, true
+	p.from = rec
+	out, ok := p.runSeed(rng, rec.seed)
+	p.from = nil
+	if !ok {
+		return seedOut{}, nil, false
 	}
-	rng := seedRNG(opt.RandSeed, idx)
-	family := []group.Set{base}
-	var rc Curve
-	for r := 0; r < opt.RefineSeeds && base.Size() > 0; r++ {
-		if r >= len(rec.refine) {
-			return seedOut{}, false
-		}
-		s := base.Members[rng.Intn(base.Size())]
-		rr := &rec.refine[r]
-		if rr.seed != s {
-			return seedOut{}, false
-		}
-		ok2, size2 := rr.extracted, rr.size
-		if !sameAG {
-			rescoreInto(&rc, &rr.ord, opt.Metric, f.aG)
-			ex2 := extract(&rc, opt)
-			ok2, size2 = ex2.ok, ex2.size
-		}
-		if !ok2 {
-			continue
-		}
-		family = append(family, ws.ev.Eval(rr.ord.members[:size2]))
-	}
-	refined, score := recombine(ws.ev, &ws.gr.combo, family, ex, opt, f.aG)
-	out.cand, out.score, out.rent = refined, score, ex.rent
-	return out, true
+	return out, &seedRecord{seed: rec.seed, foot: rec.foot, aG: p.aG, out: out, grows: rec.grows}, true
 }
 
 // fallbackFrac is the dirty fraction of the detection level past which

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"weak"
 
@@ -605,5 +606,251 @@ func TestIncrementalReplaysUnreadOptions(t *testing.T) {
 		if o.Key() == tc.base.Key() {
 			t.Errorf("%s: a field the run reads left the key unchanged", tc.name)
 		}
+	}
+}
+
+// backgroundEdit returns a background net of rg (one with no pin in a
+// planted block) and a background cell not on it, both from the high
+// end of the id space, away from the blocks.
+func backgroundEdit(t *testing.T, rg *generate.RandomGraph) (netlist.NetID, netlist.CellID) {
+	t.Helper()
+	nl := rg.Netlist
+	inBlock := make(map[netlist.CellID]bool)
+	for _, b := range rg.Blocks {
+		for _, c := range b {
+			inBlock[c] = true
+		}
+	}
+	for e := nl.NumNets() - 1; e >= 0; e-- {
+		pins := nl.NetPins(netlist.NetID(e))
+		if len(pins) < 3 || slices.ContainsFunc(pins, func(c netlist.CellID) bool { return inBlock[c] }) {
+			continue
+		}
+		for c := nl.NumCells() - 1; c >= 0; c-- {
+			if id := netlist.CellID(c); !inBlock[id] && !slices.Contains(pins, id) {
+				return netlist.NetID(e), id
+			}
+		}
+	}
+	t.Fatal("no background net found")
+	return 0, 0
+}
+
+// replayedOuts runs the seed loop of an incremental run directly, so a
+// test can inspect each replayed seed's outcome against its record.
+func replayedOuts(t *testing.T, nl *netlist.Netlist, opt Options, prev *Result, dirty []netlist.CellID) []seedOut {
+	t.Helper()
+	f, err := NewFinder(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lv, err := f.pickLevel(&opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, reason := lv.replaySource(&opt, prev, dirty)
+	if src == nil {
+		t.Fatalf("no replay source: %s", reason)
+	}
+	sr, err := lv.f.runSeeds(context.Background(), lv.opt, lv.f.plan(lv.opt), false, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sr.outs
+}
+
+// TestSameAGReplayReturnsRecordedOutcome: after a pin-preserving edit
+// (A(G) unchanged) every replayed seed returns its recorded outcome
+// verbatim — the very candidate set, not a re-evaluated copy — and the
+// run still equals Find.
+func TestSameAGReplayReturnsRecordedOutcome(t *testing.T) {
+	rg, opt := incrWorkload(t, 6000, 400, 3)
+	ctx := context.Background()
+	f0, err := NewFinder(rg.Netlist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev, err := f0.Find(ctx, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, c := backgroundEdit(t, rg)
+	pins := append([]netlist.CellID(nil), rg.Netlist.NetPins(e)...)
+	pins[0] = c
+	patched, eff, err := (&netlist.Delta{SetNets: []netlist.NetEdit{{Net: e, Cells: pins}}}).Apply(rg.Netlist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if patched.AvgPins() != rg.Netlist.AvgPins() {
+		t.Fatal("the edit changed A(G)")
+	}
+	replayed, withCand := 0, 0
+	for _, o := range replayedOuts(t, patched, opt, prev, eff.Dirty) {
+		if !o.replayed {
+			continue
+		}
+		replayed++
+		rec := prev.IncrState.seeds[o.idx]
+		if o.cand != rec.out.cand || o.score != rec.out.score || o.trace != rec.out.trace {
+			t.Errorf("seed %d: replay did not return the recorded outcome", o.idx)
+		}
+		if o.cand != nil {
+			withCand++
+		}
+	}
+	if replayed == 0 || withCand == 0 {
+		t.Fatalf("%d seeds replayed, %d with a candidate; the test pins nothing", replayed, withCand)
+	}
+	f, err := NewFinder(patched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	incr, err := f.FindIncremental(ctx, opt, prev, eff.Dirty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := opt
+	plain.RecordIncremental = false
+	full, err := f.Find(ctx, plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, full, incr)
+}
+
+// TestBufferInsertionReplays: inserting a buffer — one new cell taking
+// over half a background net's sinks through one new net — changes
+// A(G) and the cell count, yet seeds away from the edit still replay,
+// re-scored through the live pipeline, and the run equals Find.
+func TestBufferInsertionReplays(t *testing.T) {
+	rg, opt := incrWorkload(t, 6000, 400, 3)
+	ctx := context.Background()
+	f0, err := NewFinder(rg.Netlist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev, err := f0.Find(ctx, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, _ := backgroundEdit(t, rg)
+	pins := rg.Netlist.NetPins(e)
+	buf := netlist.CellID(rg.Netlist.NumCells())
+	d := &netlist.Delta{
+		AddCells: []netlist.NewCell{{Name: "buf"}},
+		SetNets:  []netlist.NetEdit{{Net: e, Cells: append(slices.Clone(pins[:len(pins)/2]), buf)}},
+		AddNets:  []netlist.NewNet{{Name: "buf_out", Cells: append([]netlist.CellID{buf}, pins[len(pins)/2:]...)}},
+	}
+	patched, eff, err := d.Apply(rg.Netlist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if patched.AvgPins() == rg.Netlist.AvgPins() {
+		t.Fatal("the buffer insertion kept A(G)")
+	}
+	f, err := NewFinder(patched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	incr, err := f.FindIncremental(ctx, opt, prev, eff.Dirty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := incr.Incremental; st == nil || st.FullFallback || st.ReusedSeeds == 0 {
+		t.Fatalf("buffer insertion replayed nothing: %+v", st)
+	}
+	plain := opt
+	plain.RecordIncremental = false
+	full, err := f.Find(ctx, plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, full, incr)
+}
+
+// TestReplayDivergesUnderNewAG: engines whose A(G) is scaled stand in
+// for edits that move A(G) without touching any recorded read set.
+// Every seed is then clean and re-decides extraction on its recorded
+// growths; on these hierarchical netlists some extractions move, so
+// their refinement draws cells the recording never grew from, and
+// those seeds must diverge and re-grow live. Each run must equal Find
+// under the same A(G).
+func TestReplayDivergesUnderNewAG(t *testing.T) {
+	ctx := context.Background()
+	reused, diverged := 0, 0
+	for _, seed := range []uint64{1, 2} {
+		nl, err := generate.NewHierarchical(generate.HierSpec{Cells: 4096, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := DefaultOptions()
+		opt.Seeds = 24
+		opt.MaxOrderLen = 800
+		opt.RecordIncremental = true
+		plain := opt
+		plain.RecordIncremental = false
+		f0, err := NewFinder(nl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev, err := f0.Find(ctx, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, scale := range []float64{0.85, 0.9, 0.95, 1.05} {
+			f, err := NewFinder(nl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.aG *= scale
+			incr, err := f.FindIncremental(ctx, opt, prev, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := f.Find(ctx, plain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResult(t, full, incr)
+			reused += incr.Incremental.ReusedSeeds
+			diverged += incr.Incremental.RerunSeeds
+		}
+	}
+	if reused == 0 || diverged == 0 {
+		t.Fatalf("%d seeds re-scored and %d diverged; both must occur", reused, diverged)
+	}
+}
+
+// TestGrowFromReplaysOnlyMatchingStarts pins the replay's growth
+// source: recorded growth k comes back only when asked for from the
+// cell it started at, and any other start or a k past the recording
+// reports divergence.
+func TestGrowFromReplaysOnlyMatchingStarts(t *testing.T) {
+	rg, opt := incrWorkload(t, 3000, 200, 11)
+	res, err := Find(rg.Netlist, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec *seedRecord
+	for _, r := range res.IncrState.seeds {
+		if r != nil && len(r.grows) > 1 {
+			rec = r
+			break
+		}
+	}
+	if rec == nil {
+		t.Fatal("no recorded seed refined")
+	}
+	p := seedPipe{from: rec}
+	for k, g := range rec.grows {
+		if ord, rent, ok := p.growFrom(g.start, k); !ok || ord != &rec.grows[k].ord || rent != g.rent {
+			t.Errorf("growth %d from its own start did not replay", k)
+		}
+		if _, _, ok := p.growFrom(g.start+1, k); ok {
+			t.Errorf("growth %d replayed from another start", k)
+		}
+	}
+	if _, _, ok := p.growFrom(rec.seed, len(rec.grows)); ok {
+		t.Error("a growth past the recording replayed")
 	}
 }

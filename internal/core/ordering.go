@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"tanglefind/internal/ds"
 	"tanglefind/internal/group"
 	"tanglefind/internal/netlist"
@@ -20,6 +22,11 @@ func (o *OrderingStats) Len() int { return len(o.Members) }
 
 // Prefix returns the first k members (aliasing the ordering).
 func (o *OrderingStats) Prefix(k int) []netlist.CellID { return o.Members[:k] }
+
+// clone returns a copy that owns its arrays.
+func (o *OrderingStats) clone() OrderingStats {
+	return OrderingStats{Members: slices.Clone(o.Members), Cuts: slices.Clone(o.Cuts), Pins: slices.Clone(o.Pins)}
+}
 
 // grower owns the reusable state for running Phase I repeatedly over
 // one netlist. It is not safe for concurrent use; the engine pools
@@ -74,7 +81,7 @@ type grower struct {
 	phases phaseAcc
 
 	ord   OrderingStats // reusable Phase I output (aliased by grow's return)
-	curve Curve         // reusable Phase II score buffer (see scoreCurve)
+	curve Curve         // reusable Phase II score buffer (see seedPipe.score)
 	combo comboScratch  // reusable Phase III recombination arena
 }
 

@@ -38,20 +38,15 @@ func averageRent(o *OrderingStats) float64 {
 // aG is the netlist's average pin count A(G).
 func ScoreCurve(o *OrderingStats, m Metric, aG float64) *Curve {
 	c := &Curve{}
-	scoreCurveInto(c, o, m, aG)
+	scoreCurveWithRent(c, o, averageRent(o), m, aG)
 	return c
 }
 
-// scoreCurveInto fills c (reusing its Scores capacity) with metric m
-// over every prefix of the ordering.
-func scoreCurveInto(c *Curve, o *OrderingStats, m Metric, aG float64) {
-	scoreCurveWithRent(c, o, averageRent(o), m, aG)
-}
-
-// scoreCurveWithRent is scoreCurveInto with the Rent exponent supplied
-// by the caller — incremental replay re-scores recorded orderings whose
-// (structural) rent it already stored, under a new A(G), through this
-// exact loop, so replayed curves are bit-identical by construction.
+// scoreCurveWithRent fills c (reusing its Scores capacity) with metric
+// m over every prefix of the ordering under Rent exponent p. The
+// exponent is structural, so the seed pipeline computes it once per
+// growth and a replay re-scores a recorded ordering under a new A(G)
+// with its stored exponent, through this same loop.
 func scoreCurveWithRent(c *Curve, o *OrderingStats, p float64, m Metric, aG float64) {
 	if cap(c.Scores) < o.Len() {
 		c.Scores = make([]float64, o.Len())
@@ -68,14 +63,6 @@ func scoreCurveWithRent(c *Curve, o *OrderingStats, p float64, m Metric, aG floa
 			c.Scores[k-1] = metrics.GTLSD(cut, k, int(o.Pins[k-1]), p, aG)
 		}
 	}
-}
-
-// scoreCurve evaluates the Phase II curve for one ordering into the
-// grower's reusable buffer: the returned curve is valid only until the
-// grower's next scoreCurve call.
-func (g *grower) scoreCurve(o *OrderingStats, m Metric, aG float64) *Curve {
-	scoreCurveInto(&g.curve, o, m, aG)
-	return &g.curve
 }
 
 // extraction is the outcome of Phase II for one ordering.

@@ -723,11 +723,11 @@ func (m *Manager) Stats() api.JobStats {
 		RewarmedResults:      m.rewarmed.Load(),
 		JournalErrors:        m.journalErrs.Load(),
 	}
-	m.incr.each(func(res *tanglefind.Result) {
-		if res.IncrState != nil {
-			st.IncrStateBytes += res.IncrState.MemoryEstimate()
-		}
-	})
+	// A replayed seed's record shares its footprint and orderings with
+	// the previous state of its chain; count them once.
+	var states []*tanglefind.IncrementalState
+	m.incr.each(func(res *tanglefind.Result) { states = append(states, res.IncrState) })
+	st.IncrStateBytes = tanglefind.IncrementalStatesMemory(states...)
 	m.grantMu.Lock()
 	st.EngineRuns, st.WorkerGrantsCapped = m.engineRuns, m.grantsCapped
 	m.grantMu.Unlock()

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"tanglefind"
 	"tanglefind/api"
 	"tanglefind/internal/generate"
 	"tanglefind/internal/store"
@@ -776,6 +777,50 @@ func TestCacheHitDoesNotStarveStatePriming(t *testing.T) {
 	}
 	if m.Stats().IncrStateBytes <= 0 {
 		t.Errorf("IncrStateBytes = %d, want > 0", m.Stats().IncrStateBytes)
+	}
+}
+
+// TestIncrStateBytesCountsSharedRecordsOnce: after a recorded find and
+// a replaying find_incremental the state LRU holds two states whose
+// replayed seeds share footprints and orderings, so IncrStateBytes
+// must come in below the sum of the two states' own estimates.
+func TestIncrStateBytesCountsSharedRecordsOnce(t *testing.T) {
+	s, digest := registered(t, 9000, 400, 61)
+	m := New(Config{Store: s, Workers: 1})
+	defer m.Shutdown(context.Background())
+	opts, err := json.Marshal(map[string]any{
+		"seeds": 16, "max_order_len": 700, "record_incremental": true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := m.Submit(api.JobRequest{Kind: api.KindFind, Digest: digest, Options: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait(t, m, base.ID)
+	child := applyTestDelta(t, s, digest)
+	incr, err := m.Submit(api.JobRequest{Kind: api.KindFindIncremental, Digest: child, Options: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := wait(t, m, incr.ID)
+	if st := got.Result.Incremental; st == nil || st.FullFallback || st.ReusedSeeds == 0 {
+		t.Fatalf("incremental job replayed nothing: %+v", st)
+	}
+	var sum, most int64
+	states := 0
+	m.incr.each(func(res *tanglefind.Result) {
+		b := res.IncrState.MemoryEstimate()
+		sum += b
+		most = max(most, b)
+		states++
+	})
+	if states != 2 {
+		t.Fatalf("state LRU holds %d states, want 2", states)
+	}
+	if b := m.Stats().IncrStateBytes; b >= sum || b < most {
+		t.Fatalf("IncrStateBytes = %d, want below the states' sum %d and at least the larger state's %d", b, sum, most)
 	}
 }
 

@@ -34,20 +34,16 @@ type CoarsenOptions struct {
 	// cells — detection on a tiny coarse netlist has nothing left to
 	// contrast candidate groups against. 0 means DefaultMinCoarseCells.
 	MinCells int
-	// MaxNetSize excludes nets larger than this from the matching's
-	// clique expansion (they carry almost no clustering signal and
-	// expand quadratically). 0 means DefaultCoarsenMaxNet; negative
-	// disables the limit.
-	MaxNetSize int
 }
 
 // DefaultMinCoarseCells is the coarsening floor when
 // CoarsenOptions.MinCells is zero.
 const DefaultMinCoarseCells = 2500
 
-// DefaultCoarsenMaxNet is the matching's net-size cutoff when
-// CoarsenOptions.MaxNetSize is zero.
-const DefaultCoarsenMaxNet = 64
+// coarsenMaxNet is the matching's net-size cutoff: larger nets carry
+// almost no clustering signal and their clique expansion is quadratic,
+// so the matching skips them.
+const coarsenMaxNet = 64
 
 // levelMap records one coarsening step: how the cells of level l
 // (fine) aggregate into the cells of level l+1 (coarse).
@@ -80,20 +76,13 @@ func BuildHierarchy(nl *Netlist, o CoarsenOptions) (*Hierarchy, error) {
 	if o.MinCells == 0 {
 		o.MinCells = DefaultMinCoarseCells
 	}
-	maxNet := o.MaxNetSize
-	switch {
-	case maxNet == 0:
-		maxNet = DefaultCoarsenMaxNet
-	case maxNet < 0:
-		maxNet = 0 // coarsenStep's "no limit"
-	}
 	h := &Hierarchy{levels: []*Netlist{nl}}
 	for len(h.levels) < o.Levels {
 		fine := h.levels[len(h.levels)-1]
 		if fine.NumCells() <= o.MinCells {
 			break
 		}
-		coarse, m, err := coarsenStep(fine, maxNet)
+		coarse, m, err := coarsenStep(fine)
 		if err != nil {
 			return nil, err
 		}
@@ -174,14 +163,15 @@ func (h *Hierarchy) RepresentativeAtFinest(l int, c CellID) CellID {
 // coarse netlist and the fine→coarse aggregation map. Deterministic
 // for a fixed input.
 //
-// The matching accumulates clique-expansion weights (each net e
-// contributes 1/(|e|-1) between every pair of its cells) directly off
-// the net-side CSR, one cell at a time with an epoch-free scatter
-// buffer — it never materializes the expanded graph. Only each cell's
-// best unmatched neighbor is needed, so building and sorting tens of
-// millions of expanded edges would be pure overhead; the direct walk
-// is O(Σ_c Σ_{e∋c} |e|) with two O(cells) scratch arrays.
-func coarsenStep(nl *Netlist, maxNetSize int) (*Netlist, levelMap, error) {
+// The matching accumulates clique-expansion weights (each net e of at
+// most coarsenMaxNet pins contributes 1/(|e|-1) between every pair of
+// its cells) directly off the net-side CSR, one cell at a time with an
+// epoch-free scatter buffer — it never materializes the expanded
+// graph. Only each cell's best unmatched neighbor is needed, so
+// building and sorting tens of millions of expanded edges would be
+// pure overhead; the direct walk is O(Σ_c Σ_{e∋c} |e|) with two
+// O(cells) scratch arrays.
+func coarsenStep(nl *Netlist) (*Netlist, levelMap, error) {
 	n := nl.NumCells()
 
 	// Heavy-edge matching: visit cells in ascending id order; each
@@ -200,7 +190,7 @@ func coarsenStep(nl *Netlist, maxNetSize int) (*Netlist, levelMap, error) {
 		touched = touched[:0]
 		for _, e := range nl.CellPins(CellID(c)) {
 			k := nl.NetSize(e)
-			if k < 2 || (maxNetSize > 0 && k > maxNetSize) {
+			if k < 2 || k > coarsenMaxNet {
 				continue
 			}
 			we := 1.0 / float64(k-1)

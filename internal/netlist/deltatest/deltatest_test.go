@@ -21,7 +21,7 @@ type base struct {
 // buildBases generates Table-1-sized workloads (the paper's case 1/2
 // geometries at test scale) and records one incremental-capable run
 // over each; every differential sequence starts from one of them.
-func buildBases(t *testing.T) []*base {
+func buildBases(t testing.TB) []*base {
 	t.Helper()
 	specs := []struct {
 		name   string
@@ -73,13 +73,17 @@ func buildBases(t *testing.T) []*base {
 // deltas drawn from every generator kind), the incremental result on
 // each patched netlist must match a from-scratch full run — same
 // groups, scores within 1e-9 — and the chain feeds each incremental
-// result forward as the next step's previous state.
+// result forward as the next step's previous state. Both replay
+// branches must run: seeds replayed verbatim on steps that keep A(G),
+// and seeds re-scored on steps that change it.
 func TestDifferentialOracle(t *testing.T) {
 	const sequences = differentialSequences
 	bases := buildBases(t)
 	ctx := context.Background()
 
-	totalSteps, reusedSeeds, rerunSeeds, fallbacks := 0, 0, 0, 0
+	totalSteps, rerunSeeds, fallbacks := 0, 0, 0
+	// Replayed seeds and steps, by whether the step kept A(G).
+	var reused, stepsBy [2]int
 	kindCount := map[string]int{}
 	for s := 0; s < sequences; s++ {
 		b := bases[s%len(bases)]
@@ -123,8 +127,13 @@ func TestDifferentialOracle(t *testing.T) {
 				t.Fatalf("seq %d step %d (%s, %d dirty): differential oracle failed: %v",
 					s, step, kind, len(eff.Dirty), err)
 			}
+			keep := 0
+			if patched.AvgPins() == nl.AvgPins() {
+				keep = 1
+			}
+			stepsBy[keep]++
 			if st := incr.Incremental; st != nil {
-				reusedSeeds += st.ReusedSeeds
+				reused[keep] += st.ReusedSeeds
 				rerunSeeds += st.RerunSeeds
 				if st.FullFallback {
 					fallbacks++
@@ -137,13 +146,13 @@ func TestDifferentialOracle(t *testing.T) {
 	if totalSteps < sequences {
 		t.Fatalf("only %d steps executed across %d sequences", totalSteps, sequences)
 	}
-	// The harness must exercise actual reuse, or it proves nothing
-	// about the replay path.
-	if reusedSeeds == 0 {
-		t.Fatal("no seed was ever reused; the incremental path never ran")
+	// The harness must exercise actual reuse on both branches, or it
+	// proves nothing about the replay path.
+	if reused[0] == 0 || reused[1] == 0 {
+		t.Fatalf("seeds replayed: %d on A(G)-changing steps, %d on A(G)-keeping steps; both replay branches must run", reused[0], reused[1])
 	}
-	t.Logf("oracle held on %d sequences / %d steps: %d seeds replayed, %d rerun, %d full fallbacks, kinds %v",
-		sequences, totalSteps, reusedSeeds, rerunSeeds, fallbacks, kindCount)
+	t.Logf("oracle held on %d sequences / %d steps: %d A(G)-changing steps replayed %d seeds, %d A(G)-keeping steps replayed %d; %d rerun, %d full fallbacks, kinds %v",
+		sequences, totalSteps, stepsBy[0], reused[0], stepsBy[1], reused[1], rerunSeeds, fallbacks, kindCount)
 }
 
 // TestRelabelInvariance pins the strongest special case: pure net-id
@@ -178,4 +187,53 @@ func TestRelabelInvariance(t *testing.T) {
 	if err := DiffResults(full, incr, 1e-9); err != nil {
 		t.Fatalf("incremental diverged on relabeling: %v", err)
 	}
+}
+
+// FuzzIncrementalMatchesFull drives the differential oracle from fuzz
+// input: it picks a base and a chain of RandomEdit deltas, and every
+// step's incremental run, fed the previous step's result, must equal
+// a from-scratch Find on the patched netlist.
+func FuzzIncrementalMatchesFull(f *testing.F) {
+	bases := buildBases(f)
+	ctx := context.Background()
+	f.Add(uint8(0), uint64(1), uint8(0))
+	f.Add(uint8(1), uint64(7), uint8(1))
+	f.Add(uint8(2), uint64(42), uint8(2))
+	f.Fuzz(func(t *testing.T, pick uint8, seed uint64, chain uint8) {
+		b := bases[int(pick)%len(bases)]
+		gen := NewGen(seed)
+		nl, prev := b.nl, b.prev
+		optFull := b.opt
+		optFull.RecordIncremental = false
+		for step := 0; step < 1+int(chain)%3; step++ {
+			d, kind := gen.RandomEdit(nl, b.blocks)
+			if d.Empty() {
+				continue
+			}
+			patched, eff, err := d.Apply(nl)
+			if err != nil {
+				t.Fatalf("step %d (%s): apply: %v", step, kind, err)
+			}
+			fFull, err := core.NewFinder(patched)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := fFull.Find(ctx, optFull)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fIncr, err := core.NewFinder(patched)
+			if err != nil {
+				t.Fatal(err)
+			}
+			incr, err := fIncr.FindIncremental(ctx, b.opt, prev, eff.Dirty)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := DiffResults(full, incr, 1e-9); err != nil {
+				t.Fatalf("step %d (%s, %d dirty): %v", step, kind, len(eff.Dirty), err)
+			}
+			nl, prev = patched, incr
+		}
+	})
 }

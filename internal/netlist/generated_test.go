@@ -35,13 +35,14 @@ func tagged(tb testing.TB, cells int, seed uint64) *netlist.Netlist {
 	return b.MustBuild()
 }
 
-// TestConstructionAllocGuard pins netlist construction and the .tfb
-// codec to O(1) allocations: AddNet+Build on warm builder arrays,
-// WriteBinary into a warm buffer and ReadBinary from memory must
-// allocate the same number of times on a 20K- and an 80K-cell netlist.
-// The counts repeat exactly, so the guard cannot flake.
+// TestConstructionAllocGuard pins netlist construction and both codecs
+// to O(1) allocations: AddNet+Build on warm builder arrays,
+// WriteBinary into a warm buffer, ReadBinary from memory and the
+// .tfnet Read from memory must allocate the same number of times on a
+// 20K- and an 80K-cell netlist. The counts repeat exactly, so the
+// guard cannot flake.
 func TestConstructionAllocGuard(t *testing.T) {
-	var counts [2][3]float64
+	var counts [2][4]float64
 	for i, cells := range []int{20_000, 80_000} {
 		nl := tagged(t, cells, 1)
 		var b netlist.Builder
@@ -69,13 +70,22 @@ func TestConstructionAllocGuard(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+		var text bytes.Buffer
+		if err := nl.Write(&text); err != nil {
+			t.Fatal(err)
+		}
+		counts[i][3] = testing.AllocsPerRun(3, func() {
+			if _, err := netlist.Read(bytes.NewReader(text.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	for op, name := range []string{"AddNet+Build", "WriteBinary", "ReadBinary"} {
+	for op, name := range []string{"AddNet+Build", "WriteBinary", "ReadBinary", "Read"} {
 		if counts[0][op] != counts[1][op] {
 			t.Errorf("%s allocates %v times at 20K cells and %v at 80K: it allocates per net", name, counts[0][op], counts[1][op])
 		}
 	}
-	t.Logf("allocations per run (AddNet+Build, WriteBinary, ReadBinary): %v", counts[0])
+	t.Logf("allocations per run (AddNet+Build, WriteBinary, ReadBinary, Read): %v", counts[0])
 }
 
 // TestTFBDigestPinned pins the version-1 (undirected) .tfb bytes of a

@@ -472,6 +472,13 @@ func ReadAuto(r io.Reader) (*Netlist, error) {
 	if len(head) == len(tfbMagic) && [4]byte(head) == tfbMagic {
 		return readBinary(br, streamLen(r))
 	}
+	// Hand a seekable stream to Read rewound, so it can size its arrays
+	// in a counting pass.
+	if s, ok := r.(io.Seeker); ok {
+		if _, err := s.Seek(-int64(br.Buffered()), io.SeekCurrent); err == nil {
+			return Read(r)
+		}
+	}
 	return Read(br)
 }
 

@@ -135,6 +135,12 @@ type (
 	IncrementalState = core.IncrementalState
 )
 
+// IncrementalStatesMemory reports the bytes a set of recorded states
+// retains, counting once what the states of one delta chain share.
+func IncrementalStatesMemory(states ...*IncrementalState) int64 {
+	return core.IncrementalStatesMemory(states...)
+}
+
 // ParseDelta decodes a JSON delta document (unknown fields rejected).
 func ParseDelta(data []byte) (*Delta, error) { return netlist.ParseDelta(data) }
 
