@@ -190,7 +190,7 @@ func TestFacadeOptionsWire(t *testing.T) {
 	}
 	// A seed's score curve is reachable by re-growing its ordering.
 	ord := tanglefind.GrowOrdering(rg.Netlist, traces[0].Seed, opt.MaxOrderLen, opt)
-	var c *tanglefind.Curve = tanglefind.ScoreCurve(ord, opt.Metric, res.AG)
+	var c *tanglefind.Curve = tanglefind.ScoreCurve(rg.Netlist, ord, opt.Metric, res.AG)
 	if len(c.Scores) != traces[0].OrderLen {
 		t.Errorf("curve through the facade has %d scores, want %d", len(c.Scores), traces[0].OrderLen)
 	}

@@ -93,7 +93,7 @@ func main() {
 	fmt.Println("\nnGTL-S along an ordering grown from inside the dissolved ROM:")
 	rom := truth[len(truth)-1].cells
 	ord := tanglefind.GrowOrdering(nl, rom[0], 6000, tanglefind.DefaultOptions())
-	curve := tanglefind.ScoreCurve(ord, tanglefind.MetricNGTLS, nl.AvgPins())
+	curve := tanglefind.ScoreCurve(nl, ord, tanglefind.MetricNGTLS, nl.AvgPins())
 	for k := 250; k <= ord.Len(); k += 250 {
 		bar := int(curve.Scores[k-1] * 40)
 		if bar > 60 {

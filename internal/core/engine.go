@@ -99,7 +99,7 @@ func (ws *workerState) memoryFootprint() int64 {
 	}
 	b += g.heap.MemoryFootprint()
 	b += g.tracker.MemoryFootprint()
-	b += int64(cap(g.ord.Members))*4 + int64(cap(g.ord.Cuts))*4 + int64(cap(g.ord.Pins))*8
+	b += int64(cap(g.ord.Members))*4 + int64(cap(g.ord.Cuts))*4
 	b += int64(cap(g.curve.Scores)) * 8
 	b += ws.ev.MemoryFootprint()
 	return b

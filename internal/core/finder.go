@@ -169,7 +169,7 @@ func (p *seedPipe) growFrom(s netlist.CellID, k int) (ord *OrderingStats, rent f
 		return nil, 0, false
 	}
 	ord = p.gr.grow(s, p.opt.MaxOrderLen)
-	rent = averageRent(ord)
+	rent = averageRent(p.gr.nl, ord)
 	if p.rec != nil {
 		p.rec.markFootprint(p.gr)
 		p.rec.grows = append(p.rec.grows, growth{start: s, ord: ord.clone(), rent: rent})
@@ -180,7 +180,7 @@ func (p *seedPipe) growFrom(s netlist.CellID, k int) (ord *OrderingStats, rent f
 // score evaluates the Phase II curve of one ordering into the grower's
 // reusable buffer, valid until the next score call.
 func (p *seedPipe) score(ord *OrderingStats, rent float64) *Curve {
-	scoreCurveWithRent(&p.gr.curve, ord, rent, p.opt.Metric, p.aG)
+	scoreCurveWithRent(&p.gr.curve, p.gr.nl, ord, rent, p.opt.Metric, p.aG)
 	return &p.gr.curve
 }
 
@@ -341,6 +341,8 @@ func score(s *group.Set, rent, aG float64, m Metric) float64 {
 
 // GrowOrdering exposes Phase I for one seed — the building block the
 // figure generators (Figures 2, 3, 5) use to plot raw score curves.
+// The ordering carries each prefix's cut; ScoreCurve(nl, ...) derives
+// the prefixes' pin totals from nl's cell degrees.
 func GrowOrdering(nl *netlist.Netlist, seed netlist.CellID, maxLen int, opt Options) *OrderingStats {
 	gr := newGrower(nl)
 	gr.opt = &opt

@@ -18,8 +18,8 @@ import (
 //
 //   - A recorded run (Options.RecordIncremental) stores, per seed, its
 //     growths in the order it ran them — each one's start cell,
-//     ordering with the per-prefix cut/pin totals Phase II scores, and
-//     structural Rent exponent — the union of their exact read sets
+//     ordering with the per-prefix cuts Phase II scores, and structural
+//     Rent exponent — the union of their exact read sets
 //     (the "footprint": ordering members plus the frontier cells whose
 //     own pin runs the grower re-verified), the seed's outcome, and
 //     the A(G) that outcome was scored under.
@@ -28,7 +28,9 @@ import (
 //     touched only if that cell is dirty, so footprint ∩ dirty = ∅
 //     proves every recorded growth would re-run byte-for-byte, and
 //     every set the seed evaluated — each lies inside the footprint —
-//     keeps its cut and pins.
+//     keeps its cut and pins. So does every recorded prefix: Phase II
+//     sums its pins from the patched netlist's member degrees, which a
+//     clean footprint leaves as they were.
 //   - Such a seed under the recorded A(G) therefore has exactly its
 //     recorded outcome, which replay returns verbatim: the common case
 //     for pin-count-preserving edits (reconnects, splits, merges).
@@ -111,10 +113,11 @@ type IncrementalState struct {
 func (st *IncrementalState) MemoryEstimate() int64 { return IncrementalStatesMemory(st) }
 
 // IncrementalStatesMemory reports the bytes a set of recorded states
-// retains: footprint bitsets, recorded orderings (16 B per ordered
-// cell), outcome candidates and, for multilevel states, the coarse
-// netlist. Each is counted once however many of the states share it,
-// as the states of one delta chain do. nil states are skipped.
+// retains: footprint bitsets, recorded orderings (8 B per ordered cell:
+// its id and its prefix's cut), outcome candidates and, for multilevel
+// states, the coarse netlist. Each is counted once however many of the
+// states share it, as the states of one delta chain do. nil states are
+// skipped.
 func IncrementalStatesMemory(states ...*IncrementalState) int64 {
 	seen := make(map[any]bool)
 	first := func(p any) bool {
@@ -142,7 +145,7 @@ func IncrementalStatesMemory(states ...*IncrementalState) int64 {
 			if len(r.grows) > 0 && first(&r.grows[0]) {
 				for i := range r.grows {
 					o := &r.grows[i].ord
-					b += int64(cap(o.Members))*4 + int64(cap(o.Cuts))*4 + int64(cap(o.Pins))*8
+					b += int64(cap(o.Members))*4 + int64(cap(o.Cuts))*4
 				}
 			}
 			if c := r.out.cand; c != nil && first(c) {

@@ -399,6 +399,40 @@ func TestSchedRetainsNoSeedRecords(t *testing.T) {
 	runtime.KeepAlive(sched)
 }
 
+// TestRecordedStateBytes: a recorded run's state costs 8 bytes per
+// prefix of every recorded growth (the member id and the prefix's cut;
+// Phase II derives pin totals from the netlist), plus each footprint
+// bitset and each outcome candidate — nothing else.
+func TestRecordedStateBytes(t *testing.T) {
+	rg, opt := incrWorkload(t, 6000, 400, 3)
+	res, err := Find(rg.Netlist, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, ordBytes int64
+	seeds, growths := 0, 0
+	for _, r := range res.IncrState.seeds {
+		if r == nil {
+			continue
+		}
+		seeds++
+		want += int64(r.foot.Capacity()) / 8
+		for i := range r.grows {
+			ordBytes += 8 * int64(r.grows[i].ord.Len())
+			growths++
+		}
+		if c := r.out.cand; c != nil {
+			want += int64(cap(c.Members)) * 4
+		}
+	}
+	if growths <= seeds {
+		t.Fatalf("%d growths over %d seeds; want refinement re-growths recorded too", growths, seeds)
+	}
+	if got := IncrementalStatesMemory(res.IncrState); got != want+ordBytes {
+		t.Errorf("IncrementalStatesMemory = %d; want %d (%d in %d recorded orderings)", got, want+ordBytes, ordBytes, growths)
+	}
+}
+
 // TestMultilevelMatrixComposes: FindIncremental accepts Levels > 1
 // and reproduces Find's multilevel output exactly.
 func TestMultilevelMatrixComposes(t *testing.T) {

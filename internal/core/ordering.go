@@ -1,20 +1,20 @@
 package core
 
 import (
-	"slices"
-
 	"tanglefind/internal/ds"
 	"tanglefind/internal/group"
 	"tanglefind/internal/netlist"
 )
 
 // OrderingStats is the outcome of Phase I for one seed: the ordering
-// itself plus the per-prefix cut and pin totals Phase II scores.
-// Cuts[k-1] and Pins[k-1] describe the prefix of the first k cells.
+// itself plus the per-prefix cuts Phase II scores. Cuts[k-1] is the
+// cut of the prefix of the first k cells. A prefix's pin total is not
+// stored: it is Σ CellDegree over the prefix's members in the netlist
+// the ordering was grown on, which Phase II sums as it goes. An
+// ordering thus holds 8 bytes per prefix.
 type OrderingStats struct {
 	Members []netlist.CellID
 	Cuts    []int32
-	Pins    []int64
 }
 
 // Len returns the ordering length.
@@ -23,9 +23,13 @@ func (o *OrderingStats) Len() int { return len(o.Members) }
 // Prefix returns the first k members (aliasing the ordering).
 func (o *OrderingStats) Prefix(k int) []netlist.CellID { return o.Members[:k] }
 
-// clone returns a copy that owns its arrays.
+// clone returns a copy that owns its arrays, sized exactly so that a
+// recorded growth costs 8 bytes per prefix (IncrementalStatesMemory).
 func (o *OrderingStats) clone() OrderingStats {
-	return OrderingStats{Members: slices.Clone(o.Members), Cuts: slices.Clone(o.Cuts), Pins: slices.Clone(o.Pins)}
+	return OrderingStats{
+		Members: append(make([]netlist.CellID, 0, len(o.Members)), o.Members...),
+		Cuts:    append(make([]int32, 0, len(o.Cuts)), o.Cuts...),
+	}
 }
 
 // grower owns the reusable state for running Phase I repeatedly over
@@ -193,11 +197,9 @@ func (g *grower) grow(seed netlist.CellID, maxLen int) *OrderingStats {
 	out := &g.ord
 	out.Members = out.Members[:0]
 	out.Cuts = out.Cuts[:0]
-	out.Pins = out.Pins[:0]
 	record := func() {
 		out.Members = append(out.Members, g.tracker.Members()[g.tracker.Size()-1])
 		out.Cuts = append(out.Cuts, int32(g.tracker.Cut()))
-		out.Pins = append(out.Pins, int64(g.tracker.Pins()))
 	}
 	g.addCell(seed)
 	record()

@@ -122,8 +122,8 @@ func TestOrderingCutsMatchTrackerSemantics(t *testing.T) {
 			t.Errorf("cut[%d] = %d, want %d (%v)", i, ord.Cuts[i], w, ord.Cuts)
 		}
 	}
-	if ord.Pins[3] != 6 {
-		t.Errorf("pins[3] = %d, want 6", ord.Pins[3])
+	if pins := prefixPins(nl, ord); pins[3] != 6 {
+		t.Errorf("pins[3] = %d, want 6", pins[3])
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"tanglefind/internal/metrics"
+	"tanglefind/internal/netlist"
 )
 
 // Curve is the Phase II score function Φ(C_k) over prefixes of one
@@ -19,11 +20,14 @@ type Curve struct {
 // averageRent implements the paper's estimator: the Rent exponent of
 // the ordering is the mean of per-prefix estimates
 // (ln T(C_k) − ln A_{C_k}) / ln k over all prefixes where it is defined.
-func averageRent(o *OrderingStats) float64 {
+// nl is the netlist the ordering was grown on; a prefix's pin total is
+// the running sum of its members' degrees there.
+func averageRent(nl *netlist.Netlist, o *OrderingStats) float64 {
 	sum, n := 0.0, 0
-	for k := 2; k <= o.Len(); k++ {
-		p, ok := metrics.RentExponent(int(o.Cuts[k-1]), k, int(o.Pins[k-1]))
-		if ok {
+	pins := 0
+	for k := 1; k <= o.Len(); k++ {
+		pins += nl.CellDegree(o.Members[k-1])
+		if p, ok := metrics.RentExponent(int(o.Cuts[k-1]), k, pins); ok {
 			sum += p
 			n++
 		}
@@ -34,33 +38,38 @@ func averageRent(o *OrderingStats) float64 {
 	return sum / float64(n)
 }
 
-// ScoreCurve evaluates metric m over every prefix of the ordering.
-// aG is the netlist's average pin count A(G).
-func ScoreCurve(o *OrderingStats, m Metric, aG float64) *Curve {
+// ScoreCurve evaluates metric m over every prefix of an ordering grown
+// on nl (GrowOrdering's), which supplies the prefixes' pin totals. aG
+// is the netlist's average pin count A(G).
+func ScoreCurve(nl *netlist.Netlist, o *OrderingStats, m Metric, aG float64) *Curve {
 	c := &Curve{}
-	scoreCurveWithRent(c, o, averageRent(o), m, aG)
+	scoreCurveWithRent(c, nl, o, averageRent(nl, o), m, aG)
 	return c
 }
 
 // scoreCurveWithRent fills c (reusing its Scores capacity) with metric
-// m over every prefix of the ordering under Rent exponent p. The
-// exponent is structural, so the seed pipeline computes it once per
-// growth and a replay re-scores a recorded ordering under a new A(G)
-// with its stored exponent, through this same loop.
-func scoreCurveWithRent(c *Curve, o *OrderingStats, p float64, m Metric, aG float64) {
+// m over every prefix of an ordering grown on nl under Rent exponent
+// p. The exponent is structural, so the seed pipeline computes it once
+// per growth and a replay re-scores a recorded ordering under a new
+// A(G) with its stored exponent, through this same loop. The recorded
+// members lie in a clean footprint, so their degrees in the patched
+// netlist are the ones they were grown with.
+func scoreCurveWithRent(c *Curve, nl *netlist.Netlist, o *OrderingStats, p float64, m Metric, aG float64) {
 	if cap(c.Scores) < o.Len() {
 		c.Scores = make([]float64, o.Len())
 	}
 	c.Scores = c.Scores[:o.Len()]
 	c.Rent = p
 	c.AG = aG
+	pins := 0
 	for k := 1; k <= o.Len(); k++ {
 		cut := int(o.Cuts[k-1])
 		switch m {
 		case MetricNGTLS:
 			c.Scores[k-1] = metrics.NGTLScore(cut, k, p, aG)
 		case MetricGTLSD:
-			c.Scores[k-1] = metrics.GTLSD(cut, k, int(o.Pins[k-1]), p, aG)
+			pins += nl.CellDegree(o.Members[k-1])
+			c.Scores[k-1] = metrics.GTLSD(cut, k, pins, p, aG)
 		}
 	}
 }

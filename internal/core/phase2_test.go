@@ -5,21 +5,23 @@ import (
 	"testing"
 
 	"tanglefind/internal/metrics"
+	"tanglefind/internal/netlist"
 )
 
 // syntheticOrdering fabricates an OrderingStats whose prefix cuts are
-// supplied directly; pins follow a fixed 4 pins/cell density.
-func syntheticOrdering(cuts []int32) *OrderingStats {
-	o := &OrderingStats{
-		Members: make([]int32, len(cuts)),
-		Cuts:    cuts,
-		Pins:    make([]int64, len(cuts)),
-	}
+// supplied directly, over a netlist of four nets that each pin every
+// cell: every cell has degree 4, so the first k cells hold 4k pins.
+func syntheticOrdering(cuts []int32) (*netlist.Netlist, *OrderingStats) {
+	var b netlist.Builder
+	b.AddCells(len(cuts))
+	o := &OrderingStats{Members: make([]netlist.CellID, len(cuts)), Cuts: cuts}
 	for i := range cuts {
-		o.Members[i] = int32(i)
-		o.Pins[i] = int64(4 * (i + 1))
+		o.Members[i] = netlist.CellID(i)
 	}
-	return o
+	for range 4 {
+		b.AddNet("", o.Members...)
+	}
+	return b.MustBuild(), o
 }
 
 // rentCuts builds a cut curve T(k) = aC·k^p with a dip to dipCut at
@@ -36,8 +38,8 @@ func rentCuts(n int, p float64, dipAt int, dipCut int32) []int32 {
 }
 
 func TestAverageRentRecoversExponent(t *testing.T) {
-	o := syntheticOrdering(rentCuts(500, 0.65, -1, 0))
-	got := averageRent(o)
+	nl, o := syntheticOrdering(rentCuts(500, 0.65, -1, 0))
+	got := averageRent(nl, o)
 	if math.Abs(got-0.65) > 0.05 {
 		t.Errorf("averageRent = %v, want ≈ 0.65", got)
 	}
@@ -46,8 +48,8 @@ func TestAverageRentRecoversExponent(t *testing.T) {
 func TestScoreCurveFlatForAverageGroups(t *testing.T) {
 	// A curve that follows Rent's rule exactly should score ≈ 1
 	// everywhere under nGTL-S (past the noisy small prefixes).
-	o := syntheticOrdering(rentCuts(500, 0.65, -1, 0))
-	c := ScoreCurve(o, MetricNGTLS, 4.0)
+	nl, o := syntheticOrdering(rentCuts(500, 0.65, -1, 0))
+	c := ScoreCurve(nl, o, MetricNGTLS, 4.0)
 	for k := 50; k <= 500; k += 50 {
 		if v := c.Scores[k-1]; v < 0.7 || v > 1.4 {
 			t.Errorf("score at %d = %v, want ≈ 1", k, v)
@@ -56,8 +58,8 @@ func TestScoreCurveFlatForAverageGroups(t *testing.T) {
 }
 
 func TestExtractFindsClearDip(t *testing.T) {
-	o := syntheticOrdering(rentCuts(500, 0.65, 299, 3))
-	c := ScoreCurve(o, MetricNGTLS, 4.0)
+	nl, o := syntheticOrdering(rentCuts(500, 0.65, 299, 3))
+	c := ScoreCurve(nl, o, MetricNGTLS, 4.0)
 	opt := DefaultOptions()
 	ex := extract(c, &opt)
 	if !ex.ok {
@@ -72,8 +74,8 @@ func TestExtractFindsClearDip(t *testing.T) {
 }
 
 func TestExtractRejectsFlatCurve(t *testing.T) {
-	o := syntheticOrdering(rentCuts(500, 0.65, -1, 0))
-	c := ScoreCurve(o, MetricNGTLS, 4.0)
+	nl, o := syntheticOrdering(rentCuts(500, 0.65, -1, 0))
+	c := ScoreCurve(nl, o, MetricNGTLS, 4.0)
 	opt := DefaultOptions()
 	if ex := extract(c, &opt); ex.ok {
 		t.Errorf("flat curve extracted at %d (score %v)", ex.size, ex.score)
@@ -87,8 +89,8 @@ func TestExtractRejectsRightEdgeMinimum(t *testing.T) {
 	for k := 1; k <= 300; k++ {
 		cuts[k-1] = 10 // constant cut: score decreases as k^-p
 	}
-	o := syntheticOrdering(cuts)
-	c := ScoreCurve(o, MetricNGTLS, 4.0)
+	nl, o := syntheticOrdering(cuts)
+	c := ScoreCurve(nl, o, MetricNGTLS, 4.0)
 	opt := DefaultOptions()
 	if ex := extract(c, &opt); ex.ok {
 		t.Errorf("right-edge minimum extracted at %d", ex.size)
@@ -97,8 +99,8 @@ func TestExtractRejectsRightEdgeMinimum(t *testing.T) {
 
 func TestExtractRespectsMinGroupSize(t *testing.T) {
 	// Dip at size 10, below MinGroupSize 24: must be ignored.
-	o := syntheticOrdering(rentCuts(200, 0.65, 9, 1))
-	c := ScoreCurve(o, MetricNGTLS, 4.0)
+	nl, o := syntheticOrdering(rentCuts(200, 0.65, 9, 1))
+	c := ScoreCurve(nl, o, MetricNGTLS, 4.0)
 	opt := DefaultOptions()
 	if ex := extract(c, &opt); ex.ok && ex.size == 10 {
 		t.Error("tiny dip below MinGroupSize extracted")
@@ -108,8 +110,8 @@ func TestExtractRespectsMinGroupSize(t *testing.T) {
 func TestExtractRespectsThreshold(t *testing.T) {
 	// A mild dip (score ~0.9 · ambient) must not pass a strict
 	// threshold.
-	o := syntheticOrdering(rentCuts(500, 0.65, 299, 40))
-	c := ScoreCurve(o, MetricNGTLS, 4.0)
+	nl, o := syntheticOrdering(rentCuts(500, 0.65, 299, 40))
+	c := ScoreCurve(nl, o, MetricNGTLS, 4.0)
 	opt := DefaultOptions()
 	opt.AcceptThreshold = 0.2
 	if ex := extract(c, &opt); ex.ok {
@@ -122,8 +124,8 @@ func TestExtractEmptyAndShortCurves(t *testing.T) {
 	if ex := extract(&Curve{}, &opt); ex.ok {
 		t.Error("empty curve extracted")
 	}
-	o := syntheticOrdering(rentCuts(10, 0.65, -1, 0)) // shorter than MinGroupSize
-	c := ScoreCurve(o, MetricNGTLS, 4.0)
+	nl, o := syntheticOrdering(rentCuts(10, 0.65, -1, 0)) // shorter than MinGroupSize
+	c := ScoreCurve(nl, o, MetricNGTLS, 4.0)
 	if ex := extract(c, &opt); ex.ok {
 		t.Error("curve shorter than MinGroupSize extracted")
 	}
@@ -131,9 +133,9 @@ func TestExtractEmptyAndShortCurves(t *testing.T) {
 
 func TestScoreCurveMetricsAgreeAtUniformDensity(t *testing.T) {
 	// With A_C == A_G everywhere, GTL-SD degenerates to nGTL-S.
-	o := syntheticOrdering(rentCuts(300, 0.6, 149, 5))
-	cN := ScoreCurve(o, MetricNGTLS, 4.0)
-	cD := ScoreCurve(o, MetricGTLSD, 4.0)
+	nl, o := syntheticOrdering(rentCuts(300, 0.6, 149, 5))
+	cN := ScoreCurve(nl, o, MetricNGTLS, 4.0)
+	cD := ScoreCurve(nl, o, MetricGTLSD, 4.0)
 	for k := 30; k <= 300; k += 30 {
 		if math.Abs(cN.Scores[k-1]-cD.Scores[k-1]) > 1e-9 {
 			t.Fatalf("metrics disagree at %d: %v vs %v", k, cN.Scores[k-1], cD.Scores[k-1])
@@ -143,8 +145,8 @@ func TestScoreCurveMetricsAgreeAtUniformDensity(t *testing.T) {
 
 func TestRentExponentConsistency(t *testing.T) {
 	// The curve's Rent value is what the scores are computed with.
-	o := syntheticOrdering(rentCuts(400, 0.7, -1, 0))
-	c := ScoreCurve(o, MetricNGTLS, 4.0)
+	nl, o := syntheticOrdering(rentCuts(400, 0.7, -1, 0))
+	c := ScoreCurve(nl, o, MetricNGTLS, 4.0)
 	k := 200
 	want := metrics.NGTLScore(int(o.Cuts[k-1]), k, c.Rent, 4.0)
 	if got := c.Scores[k-1]; math.Abs(got-want) > 1e-12 {

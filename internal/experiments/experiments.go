@@ -21,7 +21,6 @@ import (
 	"runtime"
 	"time"
 
-	"tanglefind/internal/bookshelf"
 	"tanglefind/internal/core"
 	"tanglefind/internal/generate"
 	"tanglefind/internal/netlist"
@@ -498,32 +497,4 @@ func argmin(scores []float64, from int) (int, float64) {
 		}
 	}
 	return bestK, bestV
-}
-
-// Table2RunBookshelf measures a real Bookshelf circuit (e.g. a genuine
-// ISPD 2005/06 benchmark) with the same procedure as Table2Run. The
-// expected maximum GTL size is unknown for real circuits, so Z follows
-// the paper's 100K cap, bounded by |V|/2.
-func Table2RunBookshelf(ctx context.Context, name, auxPath string, cfg Config) (*Table2Result, error) {
-	d, err := bookshelf.ReadAux(auxPath)
-	if err != nil {
-		return nil, err
-	}
-	nl := d.Netlist
-	opt := core.DefaultOptions()
-	opt.Seeds = cfg.Seeds
-	opt.RandSeed = cfg.Seed
-	opt.Workers = cfg.Workers
-	if opt.MaxOrderLen > nl.NumCells()/2 {
-		opt.MaxOrderLen = nl.NumCells() / 2
-	}
-	res, err := findCtx(ctx, nl, opt)
-	if err != nil {
-		return nil, err
-	}
-	out := &Table2Result{Name: name, Cells: nl.NumCells(), Found: len(res.GTLs), Elapsed: res.Elapsed}
-	for i := 0; i < len(res.GTLs) && i < 3; i++ {
-		out.Top = append(out.Top, res.GTLs[i])
-	}
-	return out, nil
 }

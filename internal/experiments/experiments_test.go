@@ -9,9 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"tanglefind/internal/bookshelf"
 	"tanglefind/internal/core"
-	"tanglefind/internal/generate"
 )
 
 // tiny is a fast config for CI-style runs of the full suite.
@@ -209,38 +207,6 @@ func TestAblationOrderingMatters(t *testing.T) {
 	if mc := byName["min-cut greedy ordering"]; mc.RecoveryP >= paper.RecoveryP {
 		t.Errorf("min-cut greed (%.1f%%) should underperform the paper's rule (%.1f%%)",
 			mc.RecoveryP, paper.RecoveryP)
-	}
-}
-
-func TestTable2Bookshelf(t *testing.T) {
-	// Round-trip a generated proxy through Bookshelf files and run the
-	// real-benchmark entry point on them.
-	rg, err := generate.NewRandomGraph(generate.RandomGraphSpec{
-		Cells:  6000,
-		Blocks: []generate.BlockSpec{{Size: 500}},
-		Seed:   9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := bookshelf.Write(dir, "bb", rg.Netlist); err != nil {
-		t.Fatal(err)
-	}
-	cfg := tiny
-	cfg.Seeds = 64
-	r, err := Table2RunBookshelf(context.Background(), "bb", filepath.Join(dir, "bb.aux"), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Cells != 6000 {
-		t.Fatalf("cells = %d", r.Cells)
-	}
-	if r.Found < 1 {
-		t.Fatal("no GTLs found on the Bookshelf round trip")
-	}
-	if r.Top[0].Size() < 450 {
-		t.Errorf("top GTL size = %d, want ~500", r.Top[0].Size())
 	}
 }
 

@@ -66,7 +66,7 @@ func Figure23(ctx context.Context, metric core.Metric, cfg Config, w io.Writer) 
 	z := 2 * block
 	curveFor := func(seed netlist.CellID) *core.Curve {
 		ord := core.GrowOrdering(nl, seed, z, opt)
-		return core.ScoreCurve(ord, metric, aG)
+		return core.ScoreCurve(nl, ord, metric, aG)
 	}
 	cIn := curveFor(seedIn)
 	cOut := curveFor(seedOut)
@@ -162,8 +162,8 @@ func Figure5(ctx context.Context, cfg Config, w io.Writer) (*Figure5Result, erro
 	}
 	opt := core.DefaultOptions()
 	ord := core.GrowOrdering(nl, seed, z, opt)
-	cN := core.ScoreCurve(ord, core.MetricNGTLS, aG)
-	cD := core.ScoreCurve(ord, core.MetricGTLSD, aG)
+	cN := core.ScoreCurve(nl, ord, core.MetricNGTLS, aG)
+	cD := core.ScoreCurve(nl, ord, core.MetricGTLSD, aG)
 	ratio := make([]float64, ord.Len())
 	for k := 1; k <= ord.Len(); k++ {
 		ratio[k-1] = metrics.RatioCut(int(ord.Cuts[k-1]), k)

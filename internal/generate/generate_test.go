@@ -95,8 +95,6 @@ func TestStructuralFragmentsAreValid(t *testing.T) {
 		MuxTree(64),
 		ArrayMultiplier(8),
 		DissolvedROM(500, 30, 1),
-		BarrelShifter(16),
-		Crossbar(8),
 	}
 	for _, f := range frags {
 		f := f

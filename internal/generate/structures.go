@@ -291,53 +291,3 @@ func DissolvedROM(cells, openNets int, seed uint64) Fragment {
 	}
 	return fb.f
 }
-
-// BarrelShifter builds a width-bit, log2(width)-stage barrel shifter:
-// each stage is a rank of 2:1 muxes whose inputs come from the previous
-// rank at offsets 0 and 2^stage, with a buffered per-stage select line.
-func BarrelShifter(width int) Fragment {
-	fb := &fragBuilder{f: Fragment{Name: fmt.Sprintf("bshift%d", width)}}
-	prev := fb.cells(width) // input drivers
-	for _, d := range prev {
-		fb.open(d) // data inputs
-	}
-	for shift := 1; shift < width; shift <<= 1 {
-		rank := fb.cells(width)
-		for i := 0; i < width; i++ {
-			fb.net(prev[i], rank[i])               // pass-through input
-			fb.net(prev[(i+shift)%width], rank[i]) // shifted input
-		}
-		sel := fb.cell()
-		fb.open(sel) // stage select line
-		fb.buffered(sel, rank, 8)
-		prev = rank
-	}
-	for _, d := range prev {
-		fb.open(d) // shifted outputs
-	}
-	return fb.f
-}
-
-// Crossbar builds an n×n crossbar: n² switch cells on row and column
-// nets (n+1 pins each), a uniformly tangled 2-D structure.
-func Crossbar(n int) Fragment {
-	fb := &fragBuilder{f: Fragment{Name: fmt.Sprintf("xbar%d", n)}}
-	sw := make([][]int32, n)
-	for i := range sw {
-		sw[i] = fb.cells(n)
-	}
-	for i := 0; i < n; i++ {
-		row := []int32{}
-		col := []int32{}
-		for j := 0; j < n; j++ {
-			row = append(row, sw[i][j])
-			col = append(col, sw[j][i])
-		}
-		rDrv, cDrv := fb.cell(), fb.cell()
-		fb.open(rDrv)
-		fb.open(cDrv)
-		fb.buffered(rDrv, row, 8)
-		fb.buffered(cDrv, col, 8)
-	}
-	return fb.f
-}

@@ -43,19 +43,6 @@ func TestMuxTreeStructure(t *testing.T) {
 	}
 }
 
-func TestBarrelShifterStructure(t *testing.T) {
-	w := 16
-	f := BarrelShifter(w)
-	// Interface: w data in + w data out + log2(w) selects.
-	if got, want := len(f.OpenNets), 2*w+4; got != want {
-		t.Errorf("open nets = %d, want %d", got, want)
-	}
-	// 1 input rank + 4 mux ranks + 4 selects + buffers.
-	if f.Cells < 5*w+4 {
-		t.Errorf("cells = %d, want >= %d", f.Cells, 5*w+4)
-	}
-}
-
 func TestArrayMultiplierStructure(t *testing.T) {
 	w := 6
 	f := ArrayMultiplier(w)

@@ -371,22 +371,6 @@ func (p *Pass) EachInNet(c netlist.CellID, f func(netlist.NetID)) {
 	}
 }
 
-// EachSink invokes f for every sink pin of net n (pins that are not
-// drivers), ascending.
-func (p *Pass) EachSink(n netlist.NetID, f func(netlist.CellID)) {
-	drv := p.nl.NetDrivers(n)
-	at := 0
-	for _, c := range p.nl.NetPins(n) {
-		for at < len(drv) && drv[at] < c {
-			at++
-		}
-		if at < len(drv) && drv[at] == c {
-			continue
-		}
-		f(c)
-	}
-}
-
 // cellKey and netKey are the fingerprint identities of netlist
 // objects: the name when present, the id otherwise. Named objects keep
 // their fingerprint across deltas even when ids shift.

@@ -11,6 +11,16 @@ import (
 	"tanglefind/internal/netlist/deltatest"
 )
 
+// ruleByID returns the builtin rule with the given id, or nil.
+func ruleByID(id string) Rule {
+	for _, r := range Rules() {
+		if r.ID() == id {
+			return r
+		}
+	}
+	return nil
+}
+
 // TestGoldenPairs is the rule specification: every builtin rule must
 // fire on its planted-defect netlist (anchored where the defect was
 // planted) and stay silent on the repaired control.
@@ -20,7 +30,7 @@ func TestGoldenPairs(t *testing.T) {
 		d := d
 		t.Run(d.Rule, func(t *testing.T) {
 			covered[d.Rule] = true
-			if RuleByID(d.Rule) == nil {
+			if ruleByID(d.Rule) == nil {
 				t.Fatalf("defect pair names unknown rule %q", d.Rule)
 			}
 			pos := Lint(d.Pos, Config{})
@@ -79,7 +89,7 @@ func TestUndirectedSkips(t *testing.T) {
 		}
 	}
 	for _, f := range rep.Findings {
-		if RuleByID(f.Rule).NeedsDirection() {
+		if ruleByID(f.Rule).NeedsDirection() {
 			t.Errorf("direction-dependent finding on undirected netlist: %+v", f)
 		}
 	}

@@ -84,16 +84,6 @@ func Rules() []Rule {
 	return out
 }
 
-// RuleByID returns the builtin rule with the given id, or nil.
-func RuleByID(id string) Rule {
-	for _, r := range registry {
-		if r.ID() == id {
-			return r
-		}
-	}
-	return nil
-}
-
 func checkMultiDriven(r Rule, p *Pass) []Finding {
 	var fs []Finding
 	nl := p.Netlist()

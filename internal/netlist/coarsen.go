@@ -103,19 +103,6 @@ func (h *Hierarchy) NumLevels() int { return len(h.levels) }
 // Level returns the netlist at level l (0 = original/finest).
 func (h *Hierarchy) Level(l int) *Netlist { return h.levels[l] }
 
-// CoarseCell maps a level-l cell to its level-l+1 aggregate.
-func (h *Hierarchy) CoarseCell(l int, c CellID) CellID {
-	return h.maps[l].fineToCoarse[c]
-}
-
-// FineCells returns the level-l cells aggregated into level-l+1 cell
-// c (one or two of them — matching pairs at most two cells per step).
-// The returned slice aliases the hierarchy; do not modify it.
-func (h *Hierarchy) FineCells(l int, c CellID) []CellID {
-	m := &h.maps[l]
-	return m.members[m.memOff[c]:m.memOff[c+1]]
-}
-
 // ExpandDown projects level-l cells one level down, to level l-1. The
 // result is duplicate-free when cells is duplicate-free (aggregates
 // partition the finer level) but not sorted: members follow the input
@@ -132,14 +119,6 @@ func (h *Hierarchy) ExpandDown(l int, cells []CellID) []CellID {
 		out = append(out, m.members[m.memOff[c]:m.memOff[c+1]]...)
 	}
 	return out
-}
-
-// ExpandToFinest projects level-l cells all the way down to level 0.
-func (h *Hierarchy) ExpandToFinest(l int, cells []CellID) []CellID {
-	for ; l > 0; l-- {
-		cells = h.ExpandDown(l, cells)
-	}
-	return cells
 }
 
 // RepresentativeAtFinest maps one level-l cell to a single level-0

@@ -50,7 +50,7 @@ func randomTestNetlist(t testing.TB, cells, nets int, seed int64) *Netlist {
 func checkHierarchyInvariants(t testing.TB, h *Hierarchy) {
 	t.Helper()
 	for l := 0; l+1 < h.NumLevels(); l++ {
-		fine, coarse := h.Level(l), h.Level(l+1)
+		fine, coarse, m := h.Level(l), h.Level(l+1), &h.maps[l]
 		if err := coarse.Validate(); err != nil {
 			t.Fatalf("level %d: coarse netlist invalid: %v", l+1, err)
 		}
@@ -58,7 +58,7 @@ func checkHierarchyInvariants(t testing.TB, h *Hierarchy) {
 		// Total map, in range.
 		seen := make([]int, coarse.NumCells())
 		for c := 0; c < fine.NumCells(); c++ {
-			cc := h.CoarseCell(l, CellID(c))
+			cc := m.fineToCoarse[c]
 			if cc < 0 || int(cc) >= coarse.NumCells() {
 				t.Fatalf("level %d: cell %d maps out of range (%d)", l, c, cc)
 			}
@@ -67,7 +67,7 @@ func checkHierarchyInvariants(t testing.TB, h *Hierarchy) {
 		// Partition: members match the forward map, 1-2 per aggregate.
 		total := 0
 		for cc := 0; cc < coarse.NumCells(); cc++ {
-			mem := h.FineCells(l, CellID(cc))
+			mem := m.members[m.memOff[cc]:m.memOff[cc+1]]
 			if len(mem) < 1 || len(mem) > 2 {
 				t.Fatalf("level %d: coarse cell %d has %d members", l, cc, len(mem))
 			}
@@ -75,8 +75,8 @@ func checkHierarchyInvariants(t testing.TB, h *Hierarchy) {
 				t.Fatalf("level %d: coarse cell %d members %d != forward-map count %d", l, cc, len(mem), seen[cc])
 			}
 			for _, f := range mem {
-				if h.CoarseCell(l, f) != CellID(cc) {
-					t.Fatalf("level %d: member %d of coarse %d maps to %d", l, f, cc, h.CoarseCell(l, f))
+				if m.fineToCoarse[f] != CellID(cc) {
+					t.Fatalf("level %d: member %d of coarse %d maps to %d", l, f, cc, m.fineToCoarse[f])
 				}
 			}
 			total += len(mem)
@@ -97,7 +97,7 @@ func checkHierarchyInvariants(t testing.TB, h *Hierarchy) {
 		for e := 0; e < fine.NumNets(); e++ {
 			set := map[CellID]bool{}
 			for _, c := range fine.NetPins(NetID(e)) {
-				set[h.CoarseCell(l, c)] = true
+				set[m.fineToCoarse[c]] = true
 			}
 			if len(set) < 2 {
 				continue // self-loop: elided
@@ -147,10 +147,10 @@ func TestBuildHierarchyInvariants(t *testing.T) {
 	checkHierarchyInvariants(t, h)
 }
 
-// TestHierarchyProjectionRoundTrip checks ExpandDown/ExpandToFinest
-// against the forward map: projecting any coarse subset down and
-// mapping every resulting cell back up recovers exactly the subset,
-// and expansions of disjoint sets stay disjoint.
+// TestHierarchyProjectionRoundTrip checks ExpandDown, one level and
+// all the way to level 0, against the forward map: projecting any
+// coarse subset down and mapping every resulting cell back up recovers
+// exactly the subset, and expansions of disjoint sets stay disjoint.
 func TestHierarchyProjectionRoundTrip(t *testing.T) {
 	nl := randomTestNetlist(t, 3000, 6000, 11)
 	h, err := BuildHierarchy(nl, CoarsenOptions{Levels: 3, MinCells: 50})
@@ -159,6 +159,12 @@ func TestHierarchyProjectionRoundTrip(t *testing.T) {
 	}
 	if h.NumLevels() < 3 {
 		t.Fatalf("want 3 levels, got %d", h.NumLevels())
+	}
+	toFinest := func(l int, cells []CellID) []CellID {
+		for ; l > 0; l-- {
+			cells = h.ExpandDown(l, cells)
+		}
+		return cells
 	}
 	r := rand.New(rand.NewSource(5))
 	for l := 1; l < h.NumLevels(); l++ {
@@ -175,13 +181,14 @@ func TestHierarchyProjectionRoundTrip(t *testing.T) {
 		// Round trip: every expanded cell maps back into the subset,
 		// and expansion counts add up (partition ⇒ no dup, no loss).
 		for _, f := range down {
-			if !pick[h.CoarseCell(l-1, f)] {
+			if !pick[h.maps[l-1].fineToCoarse[f]] {
 				t.Fatalf("level %d: expanded cell %d maps outside the subset", l, f)
 			}
 		}
 		wantLen := 0
 		for c := range pick {
-			wantLen += len(h.FineCells(l-1, c))
+			m := &h.maps[l-1]
+			wantLen += int(m.memOff[c+1] - m.memOff[c])
 		}
 		if len(down) != wantLen {
 			t.Fatalf("level %d: expansion has %d cells, want %d", l, len(down), wantLen)
@@ -198,7 +205,7 @@ func TestHierarchyProjectionRoundTrip(t *testing.T) {
 		for i := range all {
 			all[i] = CellID(i)
 		}
-		if got := h.ExpandToFinest(l, all); len(got) != nl.NumCells() {
+		if got := toFinest(l, all); len(got) != nl.NumCells() {
 			t.Fatalf("level %d: full expansion has %d cells, want %d", l, len(got), nl.NumCells())
 		}
 	}
@@ -207,7 +214,7 @@ func TestHierarchyProjectionRoundTrip(t *testing.T) {
 		c := CellID(r.Intn(h.Level(l).NumCells()))
 		rep := h.RepresentativeAtFinest(l, c)
 		found := false
-		for _, f := range h.ExpandToFinest(l, []CellID{c}) {
+		for _, f := range toFinest(l, []CellID{c}) {
 			if f == rep {
 				found = true
 			}
@@ -290,7 +297,7 @@ func TestCoarsenDeterminism(t *testing.T) {
 	}
 	for l := 0; l+1 < h1.NumLevels(); l++ {
 		for c := 0; c < h1.Level(l).NumCells(); c++ {
-			if h1.CoarseCell(l, CellID(c)) != h2.CoarseCell(l, CellID(c)) {
+			if h1.maps[l].fineToCoarse[c] != h2.maps[l].fineToCoarse[c] {
 				t.Fatalf("level %d: cell %d maps differently across runs", l, c)
 			}
 		}

@@ -325,7 +325,9 @@ func (d *Delta) Validate(nl *Netlist) error {
 // Only touched pin runs are rebuilt (sorted, deduped, validated);
 // untouched runs are copied verbatim into the child's CSR arrays, and
 // the cell-side direction is re-derived with the same counting pass
-// the .tfb loader uses.
+// the .tfb loader uses. The name tables are shared with the parent
+// unless the delta names an added cell or net, and the area table
+// unless it adds a cell; added names are kept up to the last named id.
 func (d *Delta) Apply(nl *Netlist) (*Netlist, *DeltaEffect, error) {
 	p, err := d.plan(nl)
 	if err != nil {
@@ -379,18 +381,9 @@ func (d *Delta) Apply(nl *Netlist) (*Netlist, *DeltaEffect, error) {
 
 	// Names and areas: tombstones keep theirs (a later delta can
 	// reconnect the cell); truncated entries drop for real.
-	netNames := extendNames(nl.netNames, p.nNets, len(d.AddNets), func(i int) string { return d.AddNets[i].Name })
-	if len(netNames) > newNets {
-		netNames = netNames[:newNets]
-	}
-	cellNames := extendNames(nl.cellNames, p.nCells, len(d.AddCells), func(i int) string { return d.AddCells[i].Name })
-	if len(cellNames) > newCells {
-		cellNames = cellNames[:newCells]
-	}
-	cellArea := extendAreas(nl.cellArea, p.nCells, d.AddCells)
-	if cellArea != nil && len(cellArea) > newCells {
-		cellArea = cellArea[:newCells]
-	}
+	netNames := extendNames(nl.netNames, p.nNets, newNets, len(d.AddNets), func(i int) string { return d.AddNets[i].Name })
+	cellNames := extendNames(nl.cellNames, p.nCells, newCells, len(d.AddCells), func(i int) string { return d.AddCells[i].Name })
+	cellArea := extendAreas(nl.cellArea, p.nCells, newCells, d.AddCells)
 
 	child := fromNetCSR(newCells, netPinOff, netPinCell, netNames, cellNames, cellArea)
 
@@ -532,38 +525,44 @@ func (d *Delta) Inverse(parent *Netlist) (*Delta, error) {
 	return inv, nil
 }
 
-// extendNames copies a (possibly nil or short) name slice out to base
-// entries and appends extra added names. Returns nil when no name
-// exists anywhere, preserving the parent's "no names" representation.
-func extendNames(names []string, base, added int, name func(int) string) []string {
-	any := false
-	for _, s := range names {
-		if s != "" {
-			any = true
-			break
-		}
-	}
+// extendNames returns the child's name table for n ids from the
+// parent's (possibly nil or short) table over base ids and the added
+// ids' names. When no added id is named the child shares the parent's
+// table, resliced to n with capped capacity: the parent is immutable
+// and an append can never write into its array. Otherwise the table is
+// copied and extended only up to the last named added id, as Build
+// keeps names.
+func extendNames(names []string, base, n, added int, name func(int) string) []string {
+	last := -1
 	for i := 0; i < added; i++ {
 		if name(i) != "" {
-			any = true
-			break
+			last = i
 		}
 	}
-	if !any {
-		return nil
+	if last < 0 {
+		n = min(n, len(names))
+		return names[:n:n]
 	}
-	out := make([]string, base+added)
+	out := make([]string, base+last+1)
 	copy(out, names)
-	for i := 0; i < added; i++ {
+	for i := 0; i <= last; i++ {
 		out[base+i] = name(i)
 	}
 	return out
 }
 
-// extendAreas extends the area slice with added cells' areas (<= 0
-// means unit). A parent with implicit unit areas stays implicit when
-// every added cell is unit too.
-func extendAreas(area []float64, base int, added []NewCell) []float64 {
+// extendAreas returns the child's area table for n cells from the
+// parent's table over base cells and the added cells' areas (<= 0
+// means unit). A delta that adds no cell shares the parent's table,
+// resliced to n with capped capacity. A parent with implicit unit
+// areas stays implicit when every added cell is unit too.
+func extendAreas(area []float64, base, n int, added []NewCell) []float64 {
+	if len(added) == 0 {
+		if area == nil {
+			return nil
+		}
+		return area[:n:n]
+	}
 	allUnit := area == nil
 	if allUnit {
 		for _, c := range added {

@@ -29,9 +29,6 @@ type Gen struct {
 // NewGen returns a generator with its own RNG stream.
 func NewGen(seed uint64) *Gen { return &Gen{rng: ds.NewRNG(seed)} }
 
-// KindNames enumerates the generator's edit kinds, for reporting.
-var KindNames = []string{"relabel", "reconnect", "split", "merge", "remove_cells", "insert_tangle", "delete_cells_block"}
-
 func (g *Gen) randNet(nl *netlist.Netlist, minSize int) netlist.NetID {
 	for tries := 0; tries < 64; tries++ {
 		n := netlist.NetID(g.rng.Intn(nl.NumNets()))

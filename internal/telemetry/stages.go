@@ -30,17 +30,6 @@ func (t StageTimings) Merge(o StageTimings) {
 	}
 }
 
-// Total sums all stages. Stages may overlap in wall time (worker-
-// summed phases, nested stages), so this is an accounting total, not
-// an elapsed time.
-func (t StageTimings) Total() time.Duration {
-	var sum time.Duration
-	for _, d := range t {
-		sum += d
-	}
-	return sum
-}
-
 // String renders every stage as "name=dur", longest first (ties by
 // name), space-separated — the one-line form used in experiment
 // tables and logs.

@@ -181,9 +181,6 @@ func TestStageTimings(t *testing.T) {
 	if st["grow"] != 150*time.Millisecond || st["score"] != 60*time.Millisecond {
 		t.Fatalf("accumulation wrong: %v", st)
 	}
-	if st.Total() != 215*time.Millisecond {
-		t.Errorf("Total = %v, want 215ms", st.Total())
-	}
 	if got := st.String(); got != "grow=150ms score=60ms prune=5ms" {
 		t.Errorf("String = %q", got)
 	}

@@ -382,8 +382,8 @@ func ParseLintConfig(data []byte) (LintConfig, error) {
 // ---- Single-seed ordering exports (for notebooks and examples that
 // want the paper's Phase I/II primitives without a full Finder run) ----
 
-// OrderingStats is one grown linear ordering with its per-step cut and
-// pin counts — the raw material of a score curve.
+// OrderingStats is one grown linear ordering with its per-step cuts —
+// with the netlist it was grown on, the raw material of a score curve.
 type OrderingStats = core.OrderingStats
 
 // GrowOrdering grows a single Phase I linear ordering from seed.
@@ -391,8 +391,9 @@ func GrowOrdering(nl *Netlist, seed CellID, maxLen int, opt Options) *OrderingSt
 	return core.GrowOrdering(nl, seed, maxLen, opt)
 }
 
-// ScoreCurve evaluates metric m along an ordering (aG is the
-// netlist's average pins per cell, Netlist.AvgPins).
-func ScoreCurve(o *OrderingStats, m Metric, aG float64) *Curve {
-	return core.ScoreCurve(o, m, aG)
+// ScoreCurve evaluates metric m along an ordering grown on nl, which
+// supplies the prefixes' pin totals (aG is the netlist's average pins
+// per cell, Netlist.AvgPins).
+func ScoreCurve(nl *Netlist, o *OrderingStats, m Metric, aG float64) *Curve {
+	return core.ScoreCurve(nl, o, m, aG)
 }
