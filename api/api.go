@@ -11,6 +11,7 @@ package api
 
 import (
 	"encoding/json"
+	"slices"
 	"time"
 
 	"tanglefind"
@@ -43,14 +44,14 @@ const (
 	KindLint Kind = "lint"
 )
 
-// Valid reports whether k names a known job kind.
-func (k Kind) Valid() bool {
-	switch k {
-	case KindFind, KindCluster, KindDecompose, KindFindIncremental, KindLint:
-		return true
-	}
-	return false
+// Kinds returns every job kind, in the order the server's unknown-kind
+// error names them.
+func Kinds() []Kind {
+	return []Kind{KindFind, KindCluster, KindDecompose, KindFindIncremental, KindLint}
 }
+
+// Valid reports whether k names a known job kind.
+func (k Kind) Valid() bool { return slices.Contains(Kinds(), k) }
 
 // State is a job's position in its lifecycle:
 // queued → running → done | failed | cancelled.

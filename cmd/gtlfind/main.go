@@ -89,18 +89,6 @@ func main() {
 	if patched != nil {
 		target = patched
 	}
-	minCells := target.NumCells()
-	if *incr && nl.NumCells() < minCells {
-		// The base and patched runs must share one effective ordering
-		// cap or the recorded state is unusable.
-		minCells = nl.NumCells()
-	}
-	if opt.MaxOrderLen >= minCells {
-		opt.MaxOrderLen = minCells / 2
-		if opt.MaxOrderLen < 2 {
-			fatal(fmt.Errorf("netlist too small (%d cells)", minCells))
-		}
-	}
 
 	st := target.Stats()
 	fmt.Printf("netlist: %d cells, %d nets, %d pins (A_G = %.2f)\n",

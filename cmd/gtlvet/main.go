@@ -6,9 +6,8 @@
 // and core remains free to change shape.
 //
 // A small allowlist exists for packages whose job requires reaching
-// under the facade: the facade itself (and its tests), the experiment
-// tables (which sweep core options no public caller needs), and the
-// delta differential harness.
+// under the facade: the facade itself (and its tests) and the delta
+// differential harness.
 //
 // Usage:
 //
@@ -43,12 +42,10 @@ const restricted = "tanglefind/internal/core"
 //
 //	.                         — the facade is the one sanctioned door
 //	internal/core             — the subtree may import itself
-//	internal/experiments      — paper tables sweep non-public core knobs
 //	internal/netlist/deltatest — differential harness compares core runs
 var allowed = map[string]bool{
 	".":                          true,
 	"internal/core":              true,
-	"internal/experiments":       true,
 	"internal/netlist/deltatest": true,
 }
 

@@ -44,8 +44,8 @@ func TestViolationsFlagged(t *testing.T) {
 	write(t, root, "go.mod", "module tanglefind\n\ngo 1.24\n")
 	// The facade may import core.
 	write(t, root, "facade.go", "package tanglefind\n\nimport _ \"tanglefind/internal/core\"\n")
-	// Experiments may too.
-	write(t, root, "internal/experiments/e.go", "package experiments\n\nimport _ \"tanglefind/internal/core\"\n")
+	// So may the differential harness.
+	write(t, root, "internal/netlist/deltatest/d.go", "package deltatest\n\nimport _ \"tanglefind/internal/core\"\n")
 	// A command may not — not even a core subpackage.
 	write(t, root, "cmd/bad/main.go", "package main\n\nimport (\n\t_ \"tanglefind/internal/core\"\n\t_ \"tanglefind/internal/core/sub\"\n)\n")
 	// Other internal imports stay unrestricted.

@@ -71,9 +71,6 @@ func run(ctx context.Context, cfg config, w io.Writer) error {
 		opt := tanglefind.DefaultOptions()
 		opt.Seeds = cfg.seeds
 		opt.RandSeed = cfg.seed
-		if opt.MaxOrderLen >= nl.NumCells() {
-			opt.MaxOrderLen = nl.NumCells() / 2
-		}
 		finder, err := tanglefind.NewFinder(nl)
 		if err != nil {
 			return err

@@ -545,7 +545,19 @@ type detectLevel struct {
 // pickLevel decides where a run's seeds execute. A hierarchy that
 // cannot coarsen (netlist at or below the coarsening floor) makes the
 // flat run the multilevel run.
+//
+// It also owns the ordering cap's one data-dependent rule: an ordering
+// may not swallow the netlist, or Phase II has no exterior to contrast
+// a minimum against, so a MaxOrderLen of |V| or more runs at
+// max(⌊|V|/2⌋, 2). The rule applies to the level's copy of the
+// options, before any coarse rescaling; opt keeps the cap as
+// requested, so Options.Key, and with it the replay check and every
+// cache, keys on what the caller asked for.
 func (f *Finder) pickLevel(opt *Options) (detectLevel, error) {
+	capped := *opt
+	if n := f.nl.NumCells(); capped.MaxOrderLen >= n {
+		capped.MaxOrderLen = max(n/2, 2)
+	}
 	if opt.Levels > 1 {
 		ms, err := f.multilevelState(opt)
 		if err != nil {
@@ -553,11 +565,11 @@ func (f *Finder) pickLevel(opt *Options) (detectLevel, error) {
 		}
 		if L := ms.hier.NumLevels(); L > 1 {
 			top := ms.finders[L-1]
-			copt := coarseOptions(opt, f.nl.NumCells(), top.nl.NumCells(), L-1)
+			copt := coarseOptions(&capped, f.nl.NumCells(), top.nl.NumCells(), L-1)
 			return detectLevel{f: top, opt: &copt, ms: ms}, nil
 		}
 	}
-	return detectLevel{f: f, opt: opt}, nil
+	return detectLevel{f: f, opt: &capped}, nil
 }
 
 // maxLen is the level's effective ordering cap.

@@ -341,7 +341,7 @@ func TestFindIncrementalFallbackReasons(t *testing.T) {
 		{"coarsening reshaped", grown, ml, mlRecorded, grownDirty,
 			"coarsening reshaped under the edit; no local coarse diff exists"},
 		{"ordering cap changed", small, capped, find(base, capped), trimDirty,
-			"effective ordering cap changed (3000 -> 2997)"},
+			"effective ordering cap changed (1500 -> 1498)"},
 		{"dirty region past IncrementalFallback", base, opt, recorded, spread,
 			"dirty region spans 26.7% of cells (fallback threshold 25%)"},
 	} {

@@ -172,7 +172,9 @@ type Options struct {
 	// Seeds is m, the number of random starting cells (paper: 100).
 	Seeds int `json:"seeds"`
 	// MaxOrderLen is Z, the cap on each linear ordering's length
-	// (paper: 100K). It is clamped to the netlist size.
+	// (paper: 100K). A cap of |V| or more runs at max(⌊|V|/2⌋, 2), so
+	// an ordering always leaves Phase II an exterior; Key keeps the
+	// value as given.
 	MaxOrderLen int `json:"max_order_len"`
 	// Metric is Φ, the score driving extraction and pruning.
 	Metric Metric `json:"metric"`

@@ -6,7 +6,7 @@ import (
 	"io"
 	"time"
 
-	"tanglefind/internal/core"
+	"tanglefind"
 	"tanglefind/internal/generate"
 	"tanglefind/internal/netlist"
 	"tanglefind/internal/report"
@@ -43,18 +43,18 @@ func Ablation(ctx context.Context, cfg Config, w io.Writer) ([]AblationRow, erro
 
 	variants := []struct {
 		name   string
-		mutate func(*core.Options)
+		mutate func(*tanglefind.Options)
 	}{
-		{"weighted ordering (paper)", func(o *core.Options) {}},
-		{"min-cut greedy ordering", func(o *core.Options) { o.Ordering = core.OrderMinCut }},
-		{"BFS ordering", func(o *core.Options) { o.Ordering = core.OrderBFS }},
-		{"refinement off", func(o *core.Options) { o.Refine = false }},
-		{"metric nGTL-S", func(o *core.Options) { o.Metric = core.MetricNGTLS }},
-		{"big-net skip off", func(o *core.Options) { o.BigNetSkip = 0 }},
+		{"weighted ordering (paper)", func(o *tanglefind.Options) {}},
+		{"min-cut greedy ordering", func(o *tanglefind.Options) { o.Ordering = tanglefind.OrderMinCut }},
+		{"BFS ordering", func(o *tanglefind.Options) { o.Ordering = tanglefind.OrderBFS }},
+		{"refinement off", func(o *tanglefind.Options) { o.Refine = false }},
+		{"metric nGTL-S", func(o *tanglefind.Options) { o.Metric = tanglefind.MetricNGTLS }},
+		{"big-net skip off", func(o *tanglefind.Options) { o.BigNetSkip = 0 }},
 	}
 	// One engine serves every variant: the ablation sweep is exactly the
 	// repeated-run-over-one-netlist shape engine reuse exists for.
-	finder, err := core.NewFinder(rg.Netlist)
+	finder, err := tanglefind.NewFinder(rg.Netlist)
 	if err != nil {
 		return nil, err
 	}

@@ -21,7 +21,7 @@ import (
 	"runtime"
 	"time"
 
-	"tanglefind/internal/core"
+	"tanglefind"
 	"tanglefind/internal/generate"
 	"tanglefind/internal/netlist"
 	"tanglefind/internal/report"
@@ -95,7 +95,7 @@ type BlockOutcome struct {
 }
 
 // matchOutcome pairs a truth block with its best-overlap GTL.
-func matchOutcome(truth []netlist.CellID, gtls []core.GTL) BlockOutcome {
+func matchOutcome(truth []netlist.CellID, gtls []tanglefind.GTL) BlockOutcome {
 	out := BlockOutcome{TruthSize: len(truth)}
 	in := make(map[netlist.CellID]bool, len(truth))
 	for _, c := range truth {
@@ -131,8 +131,8 @@ func matchOutcome(truth []netlist.CellID, gtls []core.GTL) BlockOutcome {
 // Experiments build each workload once and run it once, so the engine
 // lives for just that run; the ablation sweep, which reruns one
 // workload many times, keeps its engine across variants instead.
-func findCtx(ctx context.Context, nl *netlist.Netlist, opt core.Options) (*core.Result, error) {
-	f, err := core.NewFinder(nl)
+func findCtx(ctx context.Context, nl *netlist.Netlist, opt tanglefind.Options) (*tanglefind.Result, error) {
+	f, err := tanglefind.NewFinder(nl)
 	if err != nil {
 		return nil, err
 	}
@@ -144,8 +144,8 @@ func findCtx(ctx context.Context, nl *netlist.Netlist, opt core.Options) (*core.
 // kept well below |V| — an ordering that swallows the whole netlist
 // ends at cut 0 and score 0, which would defeat Phase II's
 // interior-minimum test.
-func (c Config) finderOptions(maxBlock, numCells int) core.Options {
-	opt := core.DefaultOptions()
+func (c Config) finderOptions(maxBlock, numCells int) tanglefind.Options {
+	opt := tanglefind.DefaultOptions()
 	opt.Seeds = c.Seeds
 	opt.RandSeed = c.Seed
 	opt.Workers = c.Workers
@@ -327,7 +327,7 @@ type Table2Result struct {
 	Name    string
 	Cells   int
 	Found   int
-	Top     []core.GTL // up to 3 best
+	Top     []tanglefind.GTL // up to 3 best
 	Elapsed time.Duration
 }
 

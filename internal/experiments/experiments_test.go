@@ -9,7 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"tanglefind/internal/core"
+	"tanglefind"
 )
 
 // tiny is a fast config for CI-style runs of the full suite.
@@ -82,7 +82,7 @@ func TestTable3ShapeHolds(t *testing.T) {
 }
 
 func TestFigure23Shapes(t *testing.T) {
-	for _, m := range []core.Metric{core.MetricNGTLS, core.MetricGTLSD} {
+	for _, m := range []tanglefind.Metric{tanglefind.MetricNGTLS, tanglefind.MetricGTLSD} {
 		var buf bytes.Buffer
 		r, err := Figure23(context.Background(), m, tiny, &buf)
 		if err != nil {

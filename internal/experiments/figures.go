@@ -6,7 +6,7 @@ import (
 	"io"
 	"math"
 
-	"tanglefind/internal/core"
+	"tanglefind"
 	"tanglefind/internal/ds"
 	"tanglefind/internal/generate"
 	"tanglefind/internal/metrics"
@@ -20,7 +20,7 @@ import (
 // Figure23Result captures the two agglomeration curves of Figures 2
 // and 3: one seed inside the planted 40K-cell GTL, one outside.
 type Figure23Result struct {
-	Metric       core.Metric
+	Metric       tanglefind.Metric
 	BlockSize    int
 	InsideMinK   int     // group size at the inside curve's minimum
 	InsideMinV   float64 // score at that minimum
@@ -33,7 +33,7 @@ type Figure23Result struct {
 // Figure23 regenerates Figure 2 (nGTL-S) or Figure 3 (GTL-SD): the
 // paper's 250K-cell random graph with one 40K-cell GTL, two
 // agglomerations, score versus group size.
-func Figure23(ctx context.Context, metric core.Metric, cfg Config, w io.Writer) (*Figure23Result, error) {
+func Figure23(ctx context.Context, metric tanglefind.Metric, cfg Config, w io.Writer) (*Figure23Result, error) {
 	cells := cfg.scaled(250_000)
 	block := cfg.scaled(40_000)
 	if block < 200 {
@@ -62,11 +62,11 @@ func Figure23(ctx context.Context, metric core.Metric, cfg Config, w io.Writer) 
 			break
 		}
 	}
-	opt := core.DefaultOptions()
+	opt := tanglefind.DefaultOptions()
 	z := 2 * block
-	curveFor := func(seed netlist.CellID) *core.Curve {
-		ord := core.GrowOrdering(nl, seed, z, opt)
-		return core.ScoreCurve(nl, ord, metric, aG)
+	curveFor := func(seed netlist.CellID) *tanglefind.Curve {
+		ord := tanglefind.GrowOrdering(nl, seed, z, opt)
+		return tanglefind.ScoreCurve(nl, ord, metric, aG)
 	}
 	cIn := curveFor(seedIn)
 	cOut := curveFor(seedOut)
@@ -80,7 +80,7 @@ func Figure23(ctx context.Context, metric core.Metric, cfg Config, w io.Writer) 
 	res.OutsideCurve = sampleCurve(cOut.Scores, 40)
 	if w != nil {
 		fig := "Figure 2"
-		if metric == core.MetricGTLSD {
+		if metric == tanglefind.MetricGTLSD {
 			fig = "Figure 3"
 		}
 		fmt.Fprintf(w, "%s: %s vs group size (|V|=%d, planted GTL=%d cells)\n",
@@ -160,10 +160,10 @@ func Figure5(ctx context.Context, cfg Config, w io.Writer) (*Figure5Result, erro
 	if z > nl.NumCells()/2 {
 		z = nl.NumCells() / 2
 	}
-	opt := core.DefaultOptions()
-	ord := core.GrowOrdering(nl, seed, z, opt)
-	cN := core.ScoreCurve(nl, ord, core.MetricNGTLS, aG)
-	cD := core.ScoreCurve(nl, ord, core.MetricGTLSD, aG)
+	opt := tanglefind.DefaultOptions()
+	ord := tanglefind.GrowOrdering(nl, seed, z, opt)
+	cN := tanglefind.ScoreCurve(nl, ord, tanglefind.MetricNGTLS, aG)
+	cD := tanglefind.ScoreCurve(nl, ord, tanglefind.MetricGTLSD, aG)
 	ratio := make([]float64, ord.Len())
 	for k := 1; k <= ord.Len(); k++ {
 		ratio[k-1] = metrics.RatioCut(int(ord.Cuts[k-1]), k)

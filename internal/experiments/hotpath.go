@@ -7,7 +7,7 @@ import (
 	"runtime"
 	"time"
 
-	"tanglefind/internal/core"
+	"tanglefind"
 	"tanglefind/internal/report"
 	"tanglefind/internal/telemetry"
 )
@@ -49,7 +49,7 @@ func HotPathRun(ctx context.Context, cs MultilevelCase, cfg Config) (*HotPathRes
 	opt.Levels = 1 // flat: time the absorb loop itself, not coarsening
 	opt.Workers = 1
 
-	f, err := core.NewFinder(nl)
+	f, err := tanglefind.NewFinder(nl)
 	if err != nil {
 		return nil, err
 	}

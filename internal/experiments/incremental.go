@@ -7,7 +7,7 @@ import (
 	"runtime"
 	"time"
 
-	"tanglefind/internal/core"
+	"tanglefind"
 	"tanglefind/internal/netlist"
 	"tanglefind/internal/netlist/deltatest"
 	"tanglefind/internal/report"
@@ -18,7 +18,7 @@ import (
 // evaluation, run over the Table 1 random-graph workload. A recorded
 // baseline run detects the netlist once; an ECO-style delta then
 // perturbs it, and the comparison is a from-scratch re-detection of
-// the patched netlist against core.FindIncremental reusing the
+// the patched netlist against Finder.FindIncremental reusing the
 // baseline's seed state. Results are verified identical (the
 // deltatest differential oracle) before any timing is reported.
 // ---------------------------------------------------------------------
@@ -64,7 +64,7 @@ type IncrementalResult struct {
 // cap is kept at ~2x the largest expected tangle — enough margin for
 // Phase II's interior-minimum test, while keeping each seed's read
 // footprint (and therefore the reuse blast radius of an edit) tight.
-func incrementalOptions(cfg Config, maxBlock, numCells int) core.Options {
+func incrementalOptions(cfg Config, maxBlock, numCells int) tanglefind.Options {
 	opt := cfg.finderOptions(maxBlock, numCells)
 	z := 2 * maxBlock
 	if z < 2000 {
@@ -190,7 +190,7 @@ func IncrementalRun(ctx context.Context, cs IncrementalCase, cfg Config) (*Incre
 		Seeds: opt.Seeds,
 	}
 
-	base, err := core.NewFinder(nl)
+	base, err := tanglefind.NewFinder(nl)
 	if err != nil {
 		return nil, err
 	}
@@ -219,7 +219,7 @@ func IncrementalRun(ctx context.Context, cs IncrementalCase, cfg Config) (*Incre
 
 	fullOpt := opt
 	fullOpt.RecordIncremental = false
-	fFull, err := core.NewFinder(patched)
+	fFull, err := tanglefind.NewFinder(patched)
 	if err != nil {
 		return nil, err
 	}
@@ -230,7 +230,7 @@ func IncrementalRun(ctx context.Context, cs IncrementalCase, cfg Config) (*Incre
 	}
 	out.FullMS = float64(time.Since(start)) / float64(time.Millisecond)
 
-	fIncr, err := core.NewFinder(patched)
+	fIncr, err := tanglefind.NewFinder(patched)
 	if err != nil {
 		return nil, err
 	}

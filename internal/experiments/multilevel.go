@@ -7,7 +7,7 @@ import (
 	"runtime"
 	"time"
 
-	"tanglefind/internal/core"
+	"tanglefind"
 	"tanglefind/internal/generate"
 	"tanglefind/internal/netlist"
 	"tanglefind/internal/report"
@@ -55,7 +55,7 @@ type MultilevelResult struct {
 
 // unionRecovery returns the percentage of planted cells appearing in
 // any reported GTL — the pipeline's cell-recovery quality metric.
-func unionRecovery(blocks [][]netlist.CellID, gtls []core.GTL) float64 {
+func unionRecovery(blocks [][]netlist.CellID, gtls []tanglefind.GTL) float64 {
 	planted := make(map[netlist.CellID]bool)
 	for _, b := range blocks {
 		for _, c := range b {
@@ -131,7 +131,7 @@ func MultilevelRun(ctx context.Context, cs MultilevelCase, cfg Config) (*Multile
 		opt.Seeds = want
 	}
 
-	f, err := core.NewFinder(nl)
+	f, err := tanglefind.NewFinder(nl)
 	if err != nil {
 		return nil, err
 	}

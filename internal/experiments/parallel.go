@@ -8,7 +8,7 @@ import (
 	"slices"
 	"time"
 
-	"tanglefind/internal/core"
+	"tanglefind"
 	"tanglefind/internal/netlist"
 	"tanglefind/internal/netlist/deltatest"
 	"tanglefind/internal/report"
@@ -43,7 +43,7 @@ type ParallelResult struct {
 	// SpeedupVsFlat compares against the flat sequential reference run
 	// (Levels=1, Workers=1): the combined multilevel × parallel gain.
 	SpeedupVsFlat float64 `json:"speedup_vs_flat"`
-	// WorkerSeeds mirrors core.SchedStats for the run: the per-worker
+	// WorkerSeeds mirrors tanglefind.SchedStats for the run: the per-worker
 	// seed counts whose spread is the utilization picture.
 	WorkerSeeds []int64 `json:"worker_seeds,omitempty"`
 	GTLs        int     `json:"gtls"`
@@ -77,7 +77,7 @@ func ParallelRun(ctx context.Context, cfg Config, sweep []int) (flatMS float64, 
 		opt.MinCoarseCells = max(floor, 256)
 	}
 
-	f, err := core.NewFinder(nl)
+	f, err := tanglefind.NewFinder(nl)
 	if err != nil {
 		return 0, nil, 0, 0, err
 	}
@@ -101,7 +101,7 @@ func ParallelRun(ctx context.Context, cfg Config, sweep []int) (flatMS float64, 
 		return 0, nil, 0, 0, fmt.Errorf("parallel: warmup: %w", err)
 	}
 
-	var baseline *core.Result
+	var baseline *tanglefind.Result
 	var baseMS float64
 	for _, w := range sweep {
 		runOpt := opt

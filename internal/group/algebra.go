@@ -122,46 +122,33 @@ func (e *Evaluator) MemoryFootprint() int64 {
 // Eval computes the Set value (cut and pins) for the given members.
 // Duplicate ids are tolerated and collapsed.
 func (e *Evaluator) Eval(members []netlist.CellID) Set {
-	e.stamp++
 	uniq := members[:0:0]
 	for _, c := range members {
 		if e.in.Add(int(c)) {
 			uniq = append(uniq, c)
 		}
 	}
-	cut, pins := 0, 0
-	for _, c := range uniq {
-		nets := e.nl.CellPins(c)
-		pins += len(nets)
-		for _, n := range nets {
-			if e.netSeen[n] == e.stamp {
-				continue
-			}
-			e.netSeen[n] = e.stamp
-			for _, other := range e.nl.NetPins(n) {
-				if !e.in.Has(int(other)) {
-					cut++
-					break
-				}
-			}
-		}
-	}
-	for _, c := range uniq {
-		e.in.Remove(int(c))
-	}
+	cut, pins := e.count(uniq)
 	return Set{Members: uniq, Cut: cut, Pins: pins}
 }
 
 // Tally computes the cut and pin totals of a duplicate-free member
-// slice without copying or retaining it — the zero-allocation core of
-// Eval, for callers that manage their own member storage (the Phase
-// III recombination arena). Eval(members) == Set{members, Tally(members)}
-// whenever members is duplicate-free.
+// slice without copying or retaining it, for callers that manage their
+// own member storage (the Phase III recombination arena).
+// Eval(members) == Set{members, Tally(members)} whenever members is
+// duplicate-free.
 func (e *Evaluator) Tally(members []netlist.CellID) (cut, pins int) {
-	e.stamp++
 	for _, c := range members {
 		e.in.Add(int(c))
 	}
+	return e.count(members)
+}
+
+// count walks the nets of members, which must be exactly the cells
+// marked in e.in, totalling their pins and the nets that leave the
+// set, then clears the marks.
+func (e *Evaluator) count(members []netlist.CellID) (cut, pins int) {
+	e.stamp++
 	for _, c := range members {
 		nets := e.nl.CellPins(c)
 		pins += len(nets)

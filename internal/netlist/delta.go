@@ -336,48 +336,10 @@ func (d *Delta) Apply(nl *Netlist) (*Netlist, *DeltaEffect, error) {
 	newNets := p.truncNetStart
 	newCells := p.truncCellStart
 
-	// run returns the child pin set of one surviving net.
-	run := func(n int) []CellID {
-		switch {
-		case n >= p.nNets:
-			return p.addNetCanonical[n-p.nNets]
-		case p.removedNet.Has(n):
-			return nil
-		default:
-			if r, ok := p.edited[NetID(n)]; ok {
-				return r
-			}
-			old := nl.NetPins(NetID(n))
-			if !p.touchedNet.Has(n) {
-				return old
-			}
-			// Incident to a removed cell: drop the removed pins, keep
-			// the (already ascending) remainder.
-			kept := make([]CellID, 0, len(old))
-			for _, c := range old {
-				if !p.removedCell.Has(int(c)) {
-					kept = append(kept, c)
-				}
-			}
-			return kept
-		}
+	netPinOff, netPinCell, err := p.pack(newNets, p.addNetCanonical, p.edited, nl.NetPins)
+	if err != nil {
+		return nil, nil, err
 	}
-
-	totalPins := 0
-	for n := 0; n < newNets; n++ {
-		totalPins += len(run(n))
-	}
-	if totalPins > math.MaxInt32 {
-		return nil, nil, fmt.Errorf("netlist: delta: %d pins overflow the int32 CSR offset space", totalPins)
-	}
-	netPinOff := make([]int32, newNets+1)
-	netPinCell := make([]CellID, totalPins)
-	at := int32(0)
-	for n := 0; n < newNets; n++ {
-		netPinOff[n] = at
-		at += int32(copy(netPinCell[at:], run(n)))
-	}
-	netPinOff[newNets] = at
 
 	// Names and areas: tombstones keep theirs (a later delta can
 	// reconnect the cell); truncated entries drop for real.
@@ -389,45 +351,12 @@ func (d *Delta) Apply(nl *Netlist) (*Netlist, *DeltaEffect, error) {
 
 	// Direction: a directed parent yields a directed child (and an
 	// undirected parent cannot gain drivers — plan rejects that).
-	// Untouched nets copy their driver runs verbatim; edited and added
-	// nets take the delta's (canonical) driver lists; nets incident to
-	// a removed cell drop the removed drivers.
+	// Edited and added nets take the delta's (canonical) driver lists.
 	if p.directed {
-		drvRun := func(n int) []CellID {
-			switch {
-			case n >= p.nNets:
-				return p.addNetDrv[n-p.nNets]
-			case p.removedNet.Has(n):
-				return nil
-			default:
-				if _, ok := p.edited[NetID(n)]; ok {
-					return p.editedDrv[NetID(n)]
-				}
-				old := nl.NetDrivers(NetID(n))
-				if !p.touchedNet.Has(n) {
-					return old
-				}
-				kept := make([]CellID, 0, len(old))
-				for _, c := range old {
-					if !p.removedCell.Has(int(c)) {
-						kept = append(kept, c)
-					}
-				}
-				return kept
-			}
+		drvOff, drvCell, err := p.pack(newNets, p.addNetDrv, p.editedDrv, nl.NetDrivers)
+		if err != nil {
+			return nil, nil, err
 		}
-		totalDrv := 0
-		for n := 0; n < newNets; n++ {
-			totalDrv += len(drvRun(n))
-		}
-		drvOff := make([]int32, newNets+1)
-		drvCell := make([]CellID, totalDrv)
-		dat := int32(0)
-		for n := 0; n < newNets; n++ {
-			drvOff[n] = dat
-			dat += int32(copy(drvCell[dat:], drvRun(n)))
-		}
-		drvOff[newNets] = dat
 		child.attachDrivers(drvOff, drvCell)
 	}
 
@@ -473,6 +402,55 @@ func (d *Delta) Apply(nl *Netlist) (*Netlist, *DeltaEffect, error) {
 	eff.Dirty = make([]CellID, 0, dirty.Len())
 	dirty.ForEach(func(c int) { eff.Dirty = append(eff.Dirty, CellID(c)) })
 	return child, eff, nil
+}
+
+// pack builds the child's CSR arrays for one kind of per-net run — pin
+// runs or driver runs — over the child's first newNets nets: an added
+// net takes its run from added, an edited net from edited, a removed
+// net none, a net incident to a removed cell the parent's run (read
+// through parentRun) without the removed cells, and every other net
+// the parent's run verbatim.
+func (p *deltaPlan) pack(newNets int, added [][]CellID, edited map[NetID][]CellID, parentRun func(NetID) []CellID) ([]int32, []CellID, error) {
+	run := func(n int) []CellID {
+		switch {
+		case n >= p.nNets:
+			return added[n-p.nNets]
+		case p.removedNet.Has(n):
+			return nil
+		}
+		if r, ok := edited[NetID(n)]; ok {
+			return r
+		}
+		old := parentRun(NetID(n))
+		if !p.touchedNet.Has(n) {
+			return old
+		}
+		// Incident to a removed cell: drop the removed pins, keep the
+		// (already ascending) remainder.
+		kept := make([]CellID, 0, len(old))
+		for _, c := range old {
+			if !p.removedCell.Has(int(c)) {
+				kept = append(kept, c)
+			}
+		}
+		return kept
+	}
+	total := 0
+	for n := 0; n < newNets; n++ {
+		total += len(run(n))
+	}
+	if total > math.MaxInt32 {
+		return nil, nil, fmt.Errorf("netlist: delta: %d pins overflow the int32 CSR offset space", total)
+	}
+	off := make([]int32, newNets+1)
+	cells := make([]CellID, total)
+	at := int32(0)
+	for n := 0; n < newNets; n++ {
+		off[n] = at
+		at += int32(copy(cells[at:], run(n)))
+	}
+	off[newNets] = at
+	return off, cells, nil
 }
 
 // Inverse computes the delta that exactly undoes d: with

@@ -15,8 +15,9 @@ import (
 // and upper L with probability ½ each, accumulating horizontal and
 // vertical track demand per tile. Compared to RUDY it models track
 // direction and bend locations, so it is closer to what the paper's
-// commercial router measured; it is also what the inflation experiment
-// uses to cross-check the RUDY result.
+// commercial router measured. The inflation experiment itself measures
+// with RUDY (Estimate); TestInflationHoldsUnderLRoute checks that its
+// result holds under this model too.
 
 // EstimateLRoute builds an L-routing congestion map on a gridW×gridH
 // tile grid. The returned Map's Demand is the per-tile maximum of

@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"tanglefind"
 	"tanglefind/api"
@@ -57,8 +56,7 @@ type Store struct {
 	entries   map[string]*entry
 	lru       *list.List // front = most recently used; element value is *entry
 	evictions int64
-
-	lazyLoads atomic.Int64 // blobs re-parsed on touch (recovery or post-eviction)
+	lazyLoads int64 // blobs re-parsed on touch (recovery or post-eviction)
 
 	// Recovery bookkeeping, fixed after Open.
 	recoveredNetlists int
@@ -416,7 +414,7 @@ func (s *Store) acquire(digest string) (*entry, *netlist.Netlist, api.NetlistInf
 	s.mu.Lock()
 	if e.nl == nil {
 		s.loadLocked(e, nl)
-		s.lazyLoads.Add(1)
+		s.lazyLoads++
 	} else {
 		s.touch(e) // lost a reload race; the winner's copy is equivalent
 	}
@@ -510,7 +508,7 @@ func (s *Store) Stats() api.StoreStats {
 		Durable:               s.backend.Durable(),
 		RecoveredNetlists:     s.recoveredNetlists,
 		RecoveredResults:      s.recoveredResultCount,
-		LazyReloads:           s.lazyLoads.Load(),
+		LazyReloads:           s.lazyLoads,
 		JournalTruncatedBytes: s.truncatedBytes,
 	}
 	s.mu.Unlock()
