@@ -308,16 +308,20 @@ type JobStats struct {
 
 // StoreStats describes the netlist registry's memory state.
 type StoreStats struct {
-	Netlists   int   `json:"netlists"`    // currently loaded
-	Tombstones int   `json:"tombstones"`  // evicted, metadata retained
-	PinsLoaded int64 `json:"pins_loaded"` // Σ pins of loaded netlists
-	PinBudget  int64 `json:"pin_budget"`  // eviction threshold; 0 = unlimited
-	Evictions  int64 `json:"evictions"`   // cumulative
-	// EngineBytes estimates the engine memory the pin budget does not
-	// see: the cached coarsening hierarchies of the resident netlists'
-	// engines, plus the idle per-worker scratch of the process-wide
-	// engine pool they all share — at most GOMAXPROCS states, counted
-	// once.
+	Netlists   int `json:"netlists"`   // currently loaded
+	Tombstones int `json:"tombstones"` // evicted, metadata retained
+	// PinsLoaded is the charge the pin budget holds the resident
+	// entries to: each netlist's pins plus the pins of the coarse
+	// levels its engine caches for multilevel runs.
+	PinsLoaded int64 `json:"pins_loaded"`
+	PinBudget  int64 `json:"pin_budget"` // eviction threshold; 0 = unlimited
+	Evictions  int64 `json:"evictions"`  // cumulative
+	// EngineBytes estimates, in bytes, the engine memory beyond the
+	// netlists: the cached coarsening hierarchies of the resident
+	// netlists' engines (coarse levels and projection maps, whose pins
+	// PinsLoaded charges), plus the idle per-worker scratch of the
+	// process-wide engine pool they all share — at most GOMAXPROCS
+	// states, counted once, and outside the pin budget.
 	EngineBytes int64 `json:"engine_bytes"`
 	// Durable reports whether the registry runs on a persistent
 	// backend (gtlserved -data-dir): ingested payloads, delta lineage

@@ -72,7 +72,7 @@ func main() {
 	flag.IntVar(&cfg.workers, "workers", 2, "concurrent jobs (each internally parallel)")
 	flag.IntVar(&cfg.engineWorkers, "engine-workers", 0, "pool-wide budget of engine goroutines shared by running jobs; each job is granted min(its workers option, what's free), never below 1 (0 = GOMAXPROCS)")
 	flag.IntVar(&cfg.queueDepth, "queue", 64, "job queue depth; beyond it submissions get 429")
-	flag.Int64Var(&cfg.cachePins, "cache-pins", 64_000_000, "netlist registry pin budget before LRU eviction (0 = unlimited)")
+	flag.Int64Var(&cfg.cachePins, "cache-pins", 64_000_000, "netlist registry pin budget before LRU eviction, charging each resident netlist its pins plus the coarse-level pins its engine caches for multilevel runs (0 = unlimited)")
 	flag.IntVar(&cfg.cacheResults, "cache-results", 128, "result cache entries")
 	flag.IntVar(&cfg.incrStates, "incr-states", 8, "retained incremental seed states for find_incremental jobs (each O(seeds x ordering length) bytes)")
 	flag.DurationVar(&cfg.grace, "grace", 30*time.Second, "shutdown drain deadline")

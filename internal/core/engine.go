@@ -181,19 +181,34 @@ func NewFinder(nl *netlist.Netlist) (*Finder, error) {
 // Netlist returns the netlist the engine operates on.
 func (f *Finder) Netlist() *netlist.Netlist { return f.nl }
 
-// MemoryEstimate reports the memory the engine caches in bytes: the
-// coarse netlists of cached multilevel hierarchies. The netlist itself
-// and worker scratch — idle in the shared pool (PooledScratchBytes) or
-// borrowed by in-flight runs — are not counted.
+// MemoryEstimate reports the memory the engine caches in bytes: its
+// finished multilevel hierarchies, coarse netlists and projection maps.
+// The netlist itself and worker scratch — idle in the shared pool
+// (PooledScratchBytes) or borrowed by in-flight runs — are not counted.
 func (f *Finder) MemoryEstimate() int64 {
 	var b int64
 	for _, s := range f.mlStates() {
-		for l := 1; l < s.hier.NumLevels(); l++ {
-			b += s.hier.Level(l).MemoryFootprint()
-			b += s.finders[l].MemoryEstimate()
+		b += s.hier.MemoryFootprint()
+		for _, sub := range s.finders[1:] {
+			b += sub.MemoryEstimate()
 		}
 	}
 	return b
+}
+
+// CachedPins reports the pins of the coarse levels (1 and up) of the
+// engine's finished multilevel hierarchies: what the engine keeps
+// resident beyond its own netlist, in the unit of a registry's pin
+// budget. A hierarchy still building is not counted and never waited
+// on, so a caller may hold its own locks across the call.
+func (f *Finder) CachedPins() int64 {
+	var pins int64
+	for _, s := range f.mlStates() {
+		for l := 1; l < s.hier.NumLevels(); l++ {
+			pins += int64(s.hier.Level(l).NumPins())
+		}
+	}
+	return pins
 }
 
 // mlStates snapshots the finished hierarchy states. Entries still

@@ -178,8 +178,9 @@ func TestMultilevelTinyNetlistFallsBack(t *testing.T) {
 // TestSharedPoolBound covers the process-wide worker-state pool:
 // however many engines run at once and however many workers each asks
 // for, at most GOMAXPROCS idle states are retained afterwards; engines
-// themselves retain no scratch (MemoryEstimate counts only cached
-// hierarchies); and pool churn across netlists never changes results.
+// themselves retain no scratch (MemoryEstimate and CachedPins count
+// only cached hierarchies); and pool churn across netlists never
+// changes results.
 func TestSharedPoolBound(t *testing.T) {
 	var finders []*Finder
 	for i, cells := range []int{6000, 2500, 9000} {
@@ -216,6 +217,9 @@ func TestSharedPoolBound(t *testing.T) {
 	if b := finders[0].MemoryEstimate(); b != 0 {
 		t.Errorf("flat engine MemoryEstimate = %d; want 0 (scratch lives in the shared pool)", b)
 	}
+	if p := finders[0].CachedPins(); p != 0 {
+		t.Errorf("flat engine CachedPins = %d; want 0 (no hierarchy cached)", p)
+	}
 
 	var wg sync.WaitGroup
 	for round := 0; round < 2; round++ {
@@ -250,7 +254,23 @@ func TestSharedPoolBound(t *testing.T) {
 			t.Fatalf("shared pool empty after runs (%d states, %d bytes)", n, PooledScratchBytes())
 		}
 	}
-	if b := finders[0].MemoryEstimate(); b <= 0 {
-		t.Errorf("MemoryEstimate = %d after a multilevel run; want positive (hierarchy retained)", b)
+	// The engine caches exactly the hierarchy BuildHierarchy makes for
+	// the run's coarsening options: its coarse pins and its footprint.
+	h, err := netlist.BuildHierarchy(finders[0].Netlist(), netlist.CoarsenOptions{Levels: mlOpt.Levels, MinCells: mlOpt.MinCoarseCells})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.NumLevels() < 2 {
+		t.Fatalf("hierarchy has %d levels; want a coarse level", h.NumLevels())
+	}
+	var coarsePins int64
+	for l := 1; l < h.NumLevels(); l++ {
+		coarsePins += int64(h.Level(l).NumPins())
+	}
+	if p := finders[0].CachedPins(); p != coarsePins {
+		t.Errorf("CachedPins = %d after a multilevel run; want the hierarchy's %d coarse pins", p, coarsePins)
+	}
+	if b, want := finders[0].MemoryEstimate(), h.MemoryFootprint(); b != want {
+		t.Errorf("MemoryEstimate = %d after a multilevel run; want the hierarchy's footprint %d", b, want)
 	}
 }

@@ -46,11 +46,12 @@ const DefaultMinCoarseCells = 2500
 const coarsenMaxNet = 64
 
 // levelMap records one coarsening step: how the cells of level l
-// (fine) aggregate into the cells of level l+1 (coarse).
+// (fine) aggregate into the cells of level l+1 (coarse). It keeps only
+// the coarse→fine direction projection reads; the fine→coarse map
+// lives only while coarsenStep builds the coarse netlist.
 type levelMap struct {
-	fineToCoarse []CellID // len = fine NumCells; total map
-	memOff       []int32  // len = coarse NumCells+1; CSR into members
-	members      []CellID // fine ids grouped by coarse id, ascending per run
+	memOff  []int32  // len = coarse NumCells+1; CSR into members
+	members []CellID // fine ids grouped by coarse id, ascending per run
 }
 
 // Hierarchy is a pyramid of coarsened netlists. Level 0 is the
@@ -103,6 +104,20 @@ func (h *Hierarchy) NumLevels() int { return len(h.levels) }
 // Level returns the netlist at level l (0 = original/finest).
 func (h *Hierarchy) Level(l int) *Netlist { return h.levels[l] }
 
+// MemoryFootprint estimates the bytes the hierarchy retains beyond its
+// original netlist: every coarse level plus the projection maps that
+// connect the levels.
+func (h *Hierarchy) MemoryFootprint() int64 {
+	var b int64
+	for _, nl := range h.levels[1:] {
+		b += nl.MemoryFootprint()
+	}
+	for _, m := range h.maps {
+		b += int64(len(m.memOff))*4 + int64(len(m.members))*4
+	}
+	return b
+}
+
 // ExpandDown projects level-l cells one level down, to level l-1. The
 // result is duplicate-free when cells is duplicate-free (aggregates
 // partition the finer level) but not sorted: members follow the input
@@ -139,8 +154,8 @@ func (h *Hierarchy) RepresentativeAtFinest(l int, c CellID) CellID {
 }
 
 // coarsenStep contracts one heavy-edge matching of nl, returning the
-// coarse netlist and the fine→coarse aggregation map. Deterministic
-// for a fixed input.
+// coarse netlist and the step's aggregation map. Deterministic for a
+// fixed input.
 //
 // The matching accumulates clique-expansion weights (each net e of at
 // most coarsenMaxNet pins contributes 1/(|e|-1) between every pair of
@@ -200,21 +215,22 @@ func coarsenStep(nl *Netlist) (*Netlist, levelMap, error) {
 	// Assign coarse ids in ascending order of each pair's smaller fine
 	// id, so coarse id order follows fine id order (keeps pin runs easy
 	// to reason about and the step deterministic).
-	m := levelMap{fineToCoarse: make([]CellID, n)}
+	fineToCoarse := make([]CellID, n)
 	numCoarse := 0
 	for c := 0; c < n; c++ {
 		if int(match[c]) >= c { // c is its pair's representative
 			id := CellID(numCoarse)
 			numCoarse++
-			m.fineToCoarse[c] = id
+			fineToCoarse[c] = id
 			if match[c] != CellID(c) {
-				m.fineToCoarse[match[c]] = id
+				fineToCoarse[match[c]] = id
 			}
 		}
 	}
+	var m levelMap
 	m.memOff = make([]int32, numCoarse+1)
 	for c := 0; c < n; c++ {
-		m.memOff[m.fineToCoarse[c]+1]++
+		m.memOff[fineToCoarse[c]+1]++
 	}
 	for i := 0; i < numCoarse; i++ {
 		m.memOff[i+1] += m.memOff[i]
@@ -222,7 +238,7 @@ func coarsenStep(nl *Netlist) (*Netlist, levelMap, error) {
 	m.members = make([]CellID, n)
 	cursor := make([]int32, numCoarse)
 	for c := 0; c < n; c++ {
-		cc := m.fineToCoarse[c]
+		cc := fineToCoarse[c]
 		m.members[m.memOff[cc]+cursor[cc]] = CellID(c)
 		cursor[cc]++
 	}
@@ -248,7 +264,7 @@ func coarsenStep(nl *Netlist) (*Netlist, levelMap, error) {
 		pins := nl.NetPins(NetID(e))
 		mapped = mapped[:0]
 		for _, c := range pins {
-			mapped = append(mapped, m.fineToCoarse[c])
+			mapped = append(mapped, fineToCoarse[c])
 		}
 		b.AddNet("", mapped...)
 	}

@@ -40,13 +40,42 @@ func randomTestNetlist(t testing.TB, cells, nets int, seed int64) *Netlist {
 	return b.MustBuild()
 }
 
+// fineToCoarse derives the fine→coarse map of the step from level l to
+// level l+1 out of its member lists, failing t unless those lists
+// partition level l's cells: every member in range and every fine cell
+// in exactly one aggregate.
+func fineToCoarse(t testing.TB, h *Hierarchy, l int) []CellID {
+	t.Helper()
+	m := &h.maps[l]
+	out := make([]CellID, h.Level(l).NumCells())
+	for i := range out {
+		out[i] = -1
+	}
+	for cc := 0; cc+1 < len(m.memOff); cc++ {
+		for _, f := range m.members[m.memOff[cc]:m.memOff[cc+1]] {
+			if f < 0 || int(f) >= len(out) {
+				t.Fatalf("level %d: coarse cell %d holds out-of-range cell %d", l, cc, f)
+			}
+			if out[f] >= 0 {
+				t.Fatalf("level %d: cell %d lies in coarse cells %d and %d", l, f, out[f], cc)
+			}
+			out[f] = CellID(cc)
+		}
+	}
+	for f, cc := range out {
+		if cc < 0 {
+			t.Fatalf("level %d: cell %d lies in no coarse cell", l, f)
+		}
+	}
+	return out
+}
+
 // checkHierarchyInvariants asserts, for every coarsening step of h:
-// the fine→coarse map is total and in range, the member lists form a
-// partition of the fine cells (disjoint, union = all, matches the
-// forward map) with at most two cells per aggregate, area is conserved
-// level to level, the coarse netlist is exactly the image of the fine
-// nets (pin aggregation + self-loop elision), and the coarse CSR
-// passes Validate.
+// the member lists form a partition of the fine cells (disjoint,
+// union = all) into one aggregate per coarse cell with at most two
+// cells each, area is conserved level to level, the coarse netlist is
+// exactly the image of the fine nets (pin aggregation + self-loop
+// elision), and the coarse CSR passes Validate.
 func checkHierarchyInvariants(t testing.TB, h *Hierarchy) {
 	t.Helper()
 	for l := 0; l+1 < h.NumLevels(); l++ {
@@ -55,34 +84,15 @@ func checkHierarchyInvariants(t testing.TB, h *Hierarchy) {
 			t.Fatalf("level %d: coarse netlist invalid: %v", l+1, err)
 		}
 
-		// Total map, in range.
-		seen := make([]int, coarse.NumCells())
-		for c := 0; c < fine.NumCells(); c++ {
-			cc := m.fineToCoarse[c]
-			if cc < 0 || int(cc) >= coarse.NumCells() {
-				t.Fatalf("level %d: cell %d maps out of range (%d)", l, c, cc)
-			}
-			seen[cc]++
+		// Partition, 1-2 cells per aggregate.
+		toCoarse := fineToCoarse(t, h, l)
+		if len(m.memOff) != coarse.NumCells()+1 {
+			t.Fatalf("level %d: %d member runs for %d coarse cells", l, len(m.memOff)-1, coarse.NumCells())
 		}
-		// Partition: members match the forward map, 1-2 per aggregate.
-		total := 0
 		for cc := 0; cc < coarse.NumCells(); cc++ {
-			mem := m.members[m.memOff[cc]:m.memOff[cc+1]]
-			if len(mem) < 1 || len(mem) > 2 {
-				t.Fatalf("level %d: coarse cell %d has %d members", l, cc, len(mem))
+			if k := m.memOff[cc+1] - m.memOff[cc]; k < 1 || k > 2 {
+				t.Fatalf("level %d: coarse cell %d has %d members", l, cc, k)
 			}
-			if len(mem) != seen[cc] {
-				t.Fatalf("level %d: coarse cell %d members %d != forward-map count %d", l, cc, len(mem), seen[cc])
-			}
-			for _, f := range mem {
-				if m.fineToCoarse[f] != CellID(cc) {
-					t.Fatalf("level %d: member %d of coarse %d maps to %d", l, f, cc, m.fineToCoarse[f])
-				}
-			}
-			total += len(mem)
-		}
-		if total != fine.NumCells() {
-			t.Fatalf("level %d: members cover %d of %d fine cells", l, total, fine.NumCells())
 		}
 
 		// Area conservation.
@@ -97,7 +107,7 @@ func checkHierarchyInvariants(t testing.TB, h *Hierarchy) {
 		for e := 0; e < fine.NumNets(); e++ {
 			set := map[CellID]bool{}
 			for _, c := range fine.NetPins(NetID(e)) {
-				set[m.fineToCoarse[c]] = true
+				set[toCoarse[c]] = true
 			}
 			if len(set) < 2 {
 				continue // self-loop: elided
@@ -180,8 +190,9 @@ func TestHierarchyProjectionRoundTrip(t *testing.T) {
 		down := h.ExpandDown(l, subset)
 		// Round trip: every expanded cell maps back into the subset,
 		// and expansion counts add up (partition ⇒ no dup, no loss).
+		toCoarse := fineToCoarse(t, h, l-1)
 		for _, f := range down {
-			if !pick[h.maps[l-1].fineToCoarse[f]] {
+			if !pick[toCoarse[f]] {
 				t.Fatalf("level %d: expanded cell %d maps outside the subset", l, f)
 			}
 		}
@@ -296,8 +307,9 @@ func TestCoarsenDeterminism(t *testing.T) {
 		t.Fatalf("level counts differ: %d vs %d", h1.NumLevels(), h2.NumLevels())
 	}
 	for l := 0; l+1 < h1.NumLevels(); l++ {
-		for c := 0; c < h1.Level(l).NumCells(); c++ {
-			if h1.maps[l].fineToCoarse[c] != h2.maps[l].fineToCoarse[c] {
+		m1, m2 := fineToCoarse(t, h1, l), fineToCoarse(t, h2, l)
+		for c := range m1 {
+			if m1[c] != m2[c] {
 				t.Fatalf("level %d: cell %d maps differently across runs", l, c)
 			}
 		}

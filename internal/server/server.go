@@ -111,9 +111,9 @@ func (s *Server) registerMetrics() {
 		nil, "route", "status")
 	netlists := s.reg.Gauge("gtl_store_netlists_loaded", "Netlists currently resident in the registry.")
 	tombstones := s.reg.Gauge("gtl_store_tombstones", "Evicted netlists whose metadata is retained.")
-	pinsLoaded := s.reg.Gauge("gtl_store_pins_loaded", "Total pins across resident netlists.")
+	pinsLoaded := s.reg.Gauge("gtl_store_pins_loaded", "Pins charged to the registry's budget: resident netlists plus the coarse levels their engines cache.")
 	pinBudget := s.reg.Gauge("gtl_store_pin_budget", "Registry eviction threshold in pins; 0 means unlimited.")
-	engineBytes := s.reg.Gauge("gtl_store_engine_bytes", "Estimated memory retained by cached finder engines beyond the netlists.")
+	engineBytes := s.reg.Gauge("gtl_store_engine_bytes", "Estimated bytes retained by resident finder engines beyond the netlists (cached hierarchies) plus the shared pool's idle worker scratch.")
 	evictions := s.reg.Counter("gtl_store_evictions_total", "Netlists evicted from the registry since process start.")
 	durable := s.reg.Gauge("gtl_store_durable", "1 when the registry persists to a data directory, 0 for in-memory serving.")
 	recovered := s.reg.Gauge("gtl_store_recovered_netlists", "Netlists recovered from the journal at startup.")

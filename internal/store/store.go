@@ -5,9 +5,12 @@
 // built tanglefind.Finder engine so repeated jobs over one netlist
 // reuse the engine's cached hierarchies.
 //
-// Memory is bounded by a pin budget: when the pins of all loaded
-// netlists exceed it, least-recently-used entries are evicted.
-// Eviction drops the parsed netlist and engine but keeps the metadata
+// Memory is bounded by a pin budget. Each resident entry is charged
+// its netlist's pins plus the pins of the coarse levels its engine
+// caches for multilevel runs (Finder.CachedPins); when a netlist loads
+// and the resident entries' charge exceeds the budget,
+// least-recently-used entries are evicted. Eviction drops the parsed
+// netlist and the engine, hierarchies included, but keeps the metadata
 // as a tombstone (Loaded=false), so clients get "re-upload" instead
 // of "never existed". Jobs that resolved their netlist before the
 // eviction keep running — the hypergraph is immutable and only
@@ -51,8 +54,7 @@ var ErrEvicted = fmt.Errorf("store: netlist evicted (re-upload it)")
 type Store struct {
 	backend   Backend
 	mu        sync.Mutex
-	pinBudget int64 // max Σ pins of loaded entries; <= 0 means unlimited
-	pins      int64
+	pinBudget int64 // max Σ charge of resident entries; <= 0 means unlimited
 	entries   map[string]*entry
 	lru       *list.List // front = most recently used; element value is *entry
 	evictions int64
@@ -88,8 +90,9 @@ type Lineage struct {
 }
 
 // New creates a registry that evicts least-recently-used netlists once
-// the loaded pin total exceeds pinBudget (<= 0 disables eviction).
-// Nothing is persisted: New is Open with the NullBackend.
+// the resident entries' charge — netlist pins plus the coarse-level
+// pins their engines cache — exceeds pinBudget (<= 0 disables
+// eviction). Nothing is persisted: New is Open with the NullBackend.
 func New(pinBudget int64) *Store {
 	s, _ := Open(pinBudget, NullBackend{}) // NullBackend replay cannot fail
 	return s
@@ -486,23 +489,28 @@ func (s *Store) List() []api.NetlistInfo {
 	return out
 }
 
-// Stats reports the registry's memory state. EngineBytes is the
-// estimated footprint of the resident engines on top of the netlists
-// the pin budget tracks — their cached coarsening hierarchies — plus,
-// counted once, the idle worker scratch of the process-wide engine
-// pool they all draw from.
+// Stats reports the registry's memory state. PinsLoaded is the charge
+// the pin budget holds the resident entries to: their netlists' pins
+// plus the coarse-level pins their engines cache. EngineBytes is the
+// estimated footprint of the resident engines on top of the netlists —
+// their cached coarsening hierarchies, in bytes — plus, counted once,
+// the idle worker scratch of the process-wide engine pool they all
+// draw from.
 func (s *Store) Stats() api.StoreStats {
 	s.mu.Lock()
+	var charge int64
 	finders := make([]*tanglefind.Finder, 0, s.lru.Len())
 	for el := s.lru.Front(); el != nil; el = el.Next() {
-		if e := el.Value.(*entry); e.finder != nil {
+		e := el.Value.(*entry)
+		charge += e.charge()
+		if e.finder != nil {
 			finders = append(finders, e.finder)
 		}
 	}
 	st := api.StoreStats{
 		Netlists:              s.lru.Len(),
 		Tombstones:            len(s.entries) - s.lru.Len(),
-		PinsLoaded:            s.pins,
+		PinsLoaded:            charge,
 		PinBudget:             max(s.pinBudget, 0),
 		Evictions:             s.evictions,
 		Durable:               s.backend.Durable(),
@@ -512,8 +520,9 @@ func (s *Store) Stats() api.StoreStats {
 		JournalTruncatedBytes: s.truncatedBytes,
 	}
 	s.mu.Unlock()
-	// Estimate outside the registry lock: MemoryEstimate takes engine
-	// locks, and a stats poll must never queue Ingest/Get behind them.
+	// Estimate outside the registry lock: MemoryEstimate walks every
+	// cached level, and a stats poll must never queue Ingest/Get
+	// behind that walk.
 	st.EngineBytes = tanglefind.PooledScratchBytes()
 	for _, f := range finders {
 		st.EngineBytes += f.MemoryEstimate()
@@ -522,14 +531,25 @@ func (s *Store) Stats() api.StoreStats {
 }
 
 // loadLocked makes e resident: attaches the parsed netlist, marks the
-// metadata loaded, fronts the LRU and charges the pin budget (evicting
-// as needed). Callers hold s.mu.
+// metadata loaded, fronts the LRU and enforces the pin budget
+// (evicting as needed). Callers hold s.mu.
 func (s *Store) loadLocked(e *entry, nl *netlist.Netlist) {
 	e.nl = nl
 	e.info.Loaded = true
 	e.elem = s.lru.PushFront(e)
-	s.pins += int64(e.info.Pins)
 	s.evict()
+}
+
+// charge is what a resident entry costs the pin budget: its netlist's
+// pins plus the coarse-level pins its engine caches. Callers hold s.mu;
+// the engine's hierarchy-cache lock nests inside it and is never held
+// across a coarsening pass, so a build in flight delays no caller.
+func (e *entry) charge() int64 {
+	c := int64(e.info.Pins)
+	if e.finder != nil {
+		c += e.finder.CachedPins()
+	}
+	return c
 }
 
 // touch marks an entry most recently used; callers hold s.mu.
@@ -539,22 +559,32 @@ func (s *Store) touch(e *entry) {
 	}
 }
 
-// evict drops least-recently-used entries until the pin budget holds
-// again, always sparing the most recent entry so a single netlist
-// larger than the whole budget is still servable. Callers hold s.mu.
+// evict drops least-recently-used entries until the resident charge
+// fits the pin budget again, always sparing the most recent entry so a
+// single netlist larger than the whole budget is still servable: it
+// keeps the longest most-recently-used run whose charge fits and drops
+// the rest. Each charge is read once, since a running job may publish
+// a hierarchy on an engine meanwhile. Callers hold s.mu.
 func (s *Store) evict() {
 	if s.pinBudget <= 0 {
 		return
 	}
-	for s.pins > s.pinBudget && s.lru.Len() > 1 {
-		el := s.lru.Back()
+	el, kept := s.lru.Front(), int64(0)
+	for ; el != nil; el = el.Next() {
+		kept += el.Value.(*entry).charge()
+		if kept > s.pinBudget && el != s.lru.Front() {
+			break
+		}
+	}
+	for el != nil {
+		next := el.Next()
 		e := el.Value.(*entry)
 		s.lru.Remove(el)
 		e.elem = nil
 		e.nl = nil
 		e.finder = nil
 		e.info.Loaded = false
-		s.pins -= int64(e.info.Pins)
 		s.evictions++
+		el = next
 	}
 }

@@ -2,10 +2,13 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
+	"tanglefind"
 	"tanglefind/internal/generate"
 	"tanglefind/internal/netlist"
 )
@@ -182,6 +185,174 @@ func TestSingleOversizeEntrySurvives(t *testing.T) {
 	if _, _, err := s.Get(info.Digest); err != ErrEvicted {
 		t.Errorf("displaced entry error = %v", err)
 	}
+}
+
+// TestBudgetChargesCachedHierarchies pins the registry's charge: a
+// resident entry costs its netlist's pins plus the coarse-level pins
+// its engine caches, so an engine that has served a multilevel run is
+// evicted, hierarchy and all, as soon as the next netlist's load
+// overflows the budget, while a flat-only engine costs no more than
+// its netlist.
+func TestBudgetChargesCachedHierarchies(t *testing.T) {
+	ctx := context.Background()
+	flat := tanglefind.DefaultOptions()
+	flat.Seeds, flat.MaxOrderLen, flat.Workers = 4, 300, 1
+	ml := flat
+	ml.Levels, ml.MinCoarseCells = 3, 200
+	a, b := payload(t, 3000, 21, true), payload(t, 3000, 22, true)
+	pinsOf := func(data []byte) int64 {
+		nl, err := netlist.ReadAuto(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int64(nl.NumPins())
+	}
+	// The budget holds both netlists but not A's netlist plus A's
+	// Levels-3 coarse levels.
+	budget := pinsOf(a) + pinsOf(b)
+
+	for _, tc := range []struct {
+		name    string
+		opt     tanglefind.Options
+		evicted bool
+	}{
+		{"multilevel", ml, true},
+		{"flat", flat, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(budget)
+			ia, err := s.Ingest(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, _, err := s.Engine(ia.Digest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Find(ctx, tc.opt); err != nil {
+				t.Fatal(err)
+			}
+			cached := f.CachedPins()
+			if (cached > 0) != tc.evicted {
+				t.Fatalf("engine caches %d coarse pins after a %s run", cached, tc.name)
+			}
+			if tc.evicted && int64(ia.Pins)+cached <= budget {
+				t.Fatalf("A's netlist and hierarchy (%d+%d pins) fit the budget %d; the case tests nothing", ia.Pins, cached, budget)
+			}
+			if got, want := s.Stats().PinsLoaded, int64(ia.Pins)+cached; got != want {
+				t.Errorf("PinsLoaded = %d after the run; want the charge %d", got, want)
+			}
+
+			ib, err := s.Ingest(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := s.Stats()
+			infoA, _ := s.Info(ia.Digest)
+			wantPins, wantEvictions := int64(ia.Pins+ib.Pins), int64(0)
+			if tc.evicted {
+				wantPins, wantEvictions = int64(ib.Pins), 1
+			}
+			if infoA.Loaded == tc.evicted || st.Evictions != wantEvictions || st.PinsLoaded != wantPins {
+				t.Errorf("after loading B: A loaded %v, evictions %d, PinsLoaded %d; want loaded %v, evictions %d, PinsLoaded %d",
+					infoA.Loaded, st.Evictions, st.PinsLoaded, !tc.evicted, wantEvictions, wantPins)
+			}
+		})
+	}
+
+	// Multilevel runs publish hierarchies on an engine while another
+	// goroutine loads netlists, so eviction and Stats read the engine's
+	// hierarchy cache under the registry lock as it changes.
+	t.Run("concurrent", func(t *testing.T) {
+		nlA, err := netlist.ReadAuto(bytes.NewReader(a))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := netlist.BuildHierarchy(nlA, netlist.CoarsenOptions{Levels: ml.Levels, MinCells: ml.MinCoarseCells})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var coarse int64
+		for l := 1; l < h.NumLevels(); l++ {
+			coarse += int64(h.Level(l).NumPins())
+		}
+		others := make([][]byte, 6)
+		var maxPins int64
+		for i := range others {
+			others[i] = payload(t, 800, uint64(30+i), true)
+			maxPins = max(maxPins, pinsOf(others[i]))
+		}
+		// A, its hierarchy and any one other netlist fit; A and two
+		// others fit only while A's hierarchy is still building.
+		s := New(pinsOf(a) + coarse + maxPins)
+		ia, err := s.Ingest(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, _, err := s.Engine(ia.Digest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		wg.Add(2)
+		done := make(chan struct{})
+		go func() {
+			defer wg.Done()
+			defer close(done)
+			for range 3 {
+				if _, err := f.Find(ctx, ml); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			// Load every other netlist but the last at least once, and
+			// keep cycling through them until the finds finish.
+			cycle := others[:len(others)-1]
+			for i := 0; ; i++ {
+				if i >= len(cycle) {
+					select {
+					case <-done:
+						return
+					default:
+					}
+				}
+				// Touch A first, so every load reads its charge.
+				if _, _, err := s.Get(ia.Digest); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := s.Ingest(cycle[i%len(cycle)]); err != nil {
+					t.Error(err)
+					return
+				}
+				s.Stats()
+			}
+		}()
+		wg.Wait()
+
+		// With A's hierarchy published, one more load keeps exactly A
+		// and the new netlist resident.
+		if _, _, err := s.Get(ia.Digest); err != nil {
+			t.Fatal(err)
+		}
+		last, err := s.Ingest(others[len(others)-1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := s.Stats()
+		if want := int64(ia.Pins) + coarse + int64(last.Pins); st.Netlists != 2 || st.PinsLoaded != want {
+			t.Errorf("resident %d netlists charging %d pins; want A with its hierarchy and the last netlist: 2, %d", st.Netlists, st.PinsLoaded, want)
+		}
+		if info, _ := s.Info(ia.Digest); !info.Loaded {
+			t.Error("A was evicted although it was touched before every load")
+		}
+		if want := int64(len(others) - 1); st.Evictions < want {
+			t.Errorf("evictions = %d; want at least %d (every other netlist but the last)", st.Evictions, want)
+		}
+	})
 }
 
 func TestListOrder(t *testing.T) {

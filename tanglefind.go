@@ -194,10 +194,12 @@ func ParseOrdering(s string) (Ordering, error) { return core.ParseOrdering(s) }
 // The engine keeps no per-worker scratch of its own: every engine
 // draws it from one process-wide pool holding at most GOMAXPROCS idle
 // worker states (PooledScratchBytes reports them), resized to whichever
-// netlist the next run covers. Finder.MemoryEstimate reports what the
-// engine does cache — its multilevel hierarchies — and Options.Levels
-// > 1 switches runs onto the multilevel coarsen → detect → project +
-// refine pipeline.
+// netlist the next run covers. What the engine does cache is its
+// multilevel hierarchies: Finder.MemoryEstimate reports their bytes and
+// Finder.CachedPins their coarse-level pins, which the serving
+// registry charges to its pin budget beside the netlist's own.
+// Options.Levels > 1 switches runs onto the multilevel coarsen →
+// detect → project + refine pipeline.
 func NewFinder(nl *Netlist) (*Finder, error) { return core.NewFinder(nl) }
 
 // PooledScratchBytes reports the retained bytes of the idle worker
